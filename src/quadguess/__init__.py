@@ -11,12 +11,10 @@ from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
                               PrefixFormatError, QuadGuessError)
-from quadguess.exact import (LinearForm, Polynomial, falling_weight,
-                             format_rational, nullspace, parse_rational,
-                             poly_eval, rat_arith)
+from quadguess.exact import (Polynomial, falling_weight, format_rational,
+                             nullspace, parse_rational, poly_eval, rat_arith)
 from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
                                 guess, normalize)
-from quadguess.kernel import BACKEND as KERNEL_BACKEND
 from quadguess.monomials import (QuadMonomial, index_of_pair,
                                  monomial_of_index, monomial_of_orders, nu)
 from quadguess.prefix import (SequencePrefix, dump_prefix, load_prefix,

@@ -107,7 +107,11 @@ def _cmd_guess(args):
 def _cmd_extend(args):
     eq = _load_equation(args.equation)
     initial = load_prefix(args.input)
-    extended = extend(eq, initial, args.count)
+    try:
+        extended = extend(eq, initial, args.count)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         print(json.dumps([format_rational(v) for v in extended]))
     else:

@@ -12,10 +12,27 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quadguess import kernel
 from quadguess.errors import EquationFormatError
-from quadguess.exact import format_rational, parse_rational
+from quadguess.exact import falling_weight, format_rational, parse_rational
 from quadguess.monomials import QuadMonomial, monomial_of_orders
+
+
+def _quad_conv(nums, m, p, q):
+    """Sum_{t=0..m} (t+p)!/t! * (m-t+q)!/(m-t)! * nums[t+p] * nums[m-t+q].
+
+    The z^m coefficient of f^(p) * f^(q) when nums are scaled series
+    coefficients.  Requires len(nums) > m + max(p, q).
+    """
+    total = 0
+    for t in range(m + 1):
+        w1 = 1
+        for u in range(t + 1, t + p + 1):
+            w1 *= u
+        w2 = 1
+        for u in range(m - t + 1, m - t + q + 1):
+            w2 *= u
+        total += w1 * w2 * nums[t + p] * nums[m - t + q]
+    return total
 
 
 @dataclass(frozen=True)
@@ -44,8 +61,8 @@ class RowGenerator:
             return Fraction(1) if m == 0 else Fraction(0)
         nums, den = prefix.scaled()
         if q == -1:                      # linear: weighted single coefficient
-            return Fraction(kernel.weight(m, p) * nums[m + p], den)
-        return Fraction(kernel.quad_conv(nums, m, p, q), den * den)
+            return Fraction(falling_weight(m, p) * nums[m + p], den)
+        return Fraction(_quad_conv(nums, m, p, q), den * den)
 
 
 def compile_term(s, monomial):
@@ -133,12 +150,15 @@ def equation_from_obj(obj):
     terms = []
     for pos, item in enumerate(obj["terms"]):
         try:
-            s = int(item["s"])
-            p = int(item["p"])
-            q = int(item["q"])
+            s, p, q = item["s"], item["p"], item["q"]
             coeff = parse_rational(str(item["c"]))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise EquationFormatError(f"term {pos}: {exc}") from exc
+        for key, value in (("s", s), ("p", p), ("q", q)):
+            if type(value) is not int:  # rejects floats, strings and bools
+                raise EquationFormatError(
+                    f"term {pos}: {key!r} must be a JSON integer, "
+                    f"not {value!r}")
         if s < 0:
             raise EquationFormatError(f"term {pos}: z-power must be >= 0")
         if not (p >= q >= -1) or (p, q) == (-1, -1):

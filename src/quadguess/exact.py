@@ -1,5 +1,5 @@
-"""Exact rational scalars, small dense polynomials, linear forms and
-homogeneous nullspaces.
+"""Exact rational scalars, small dense polynomials and homogeneous
+nullspaces.
 
 All arithmetic is over Q via fractions.Fraction (always reduced, positive
 denominator).  The nullspace routine uses fraction-free Bareiss elimination
@@ -98,50 +98,13 @@ def poly_eval(p, x):
     return p.eval(x)
 
 
-class LinearForm:
-    """Linear combination of named unknowns with rational coefficients.
-
-    Unknown ids are hashable keys (here: (k, i) pairs).  Zero coefficients
-    are never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, val in terms.items():
-                val = Fraction(val)
-                if val != 0:
-                    self.terms[key] = val
-
-    def add_term(self, key, val):
-        val = self.terms.get(key, Fraction(0)) + val
-        if val == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = val
-
-    def coefficient(self, key):
-        return self.terms.get(key, Fraction(0))
-
-    def as_vector(self, keys):
-        return [self.terms.get(key, Fraction(0)) for key in keys]
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"LinearForm({self.terms})"
-
-
 def _integer_rows(matrix):
     """Clear denominators row by row; returns integer rows."""
     out = []
     for row in matrix:
-        row = [Fraction(x) for x in row]
+        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
         den = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * den) for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 

@@ -9,6 +9,10 @@ The stacked matrix contains every row the prefix can support: the first
 (m+1)(d+1) rows determine the unknowns and the remaining rows are held-out
 verification.  Computing one joint nullspace is at least as strict as
 filtering basis vectors against leftover rows individually.
+
+Column (k, i) is column (k, 0) shifted down i rows, and the columns for d
+are a prefix of those for d + 1, so one search evaluates each monomial's
+row sequence once and every d's matrix indexes into it.
 """
 
 import json
@@ -19,7 +23,7 @@ from math import ceil, gcd, lcm
 from quadguess.equations import (QuadEquation, compile_term, equation_from_obj,
                                  equation_to_obj)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import LinearForm, nullspace
+from quadguess.exact import nullspace
 from quadguess.monomials import max_derivative_order, monomial_of_index
 
 
@@ -48,26 +52,41 @@ def column_order(d, m):
     return [(k, i) for k in range(d + 1) for i in range(m + 1)]
 
 
-def assemble_system(prefix, d, m):
+def _monomial_rows(prefix, k, count, rows):
+    """First `count` recurrence-row values of monomial slot k+2 (at z^0) on
+    the prefix, computed into rows[k] as far as it does not reach yet."""
+    seq = rows.setdefault(k, [])
+    if len(seq) < count:
+        generator = compile_term(0, monomial_of_index(k + 2))
+        seq.extend(generator.value(prefix, n) for n in range(len(seq), count))
+    return seq
+
+
+def assemble_system(prefix, d, m, rows=None):
     """(matrix, usable_rows): rows n = 0, 1, ... of the ansatz recurrence
     evaluated on the prefix, emitted while every touched index fits.
 
     Row n's entry for unknown (k, i) is the z^n coefficient of
     z^i * (monomial slot k+2) on the prefix; row n reads indices up to
     n + r(d) where r(d) is the largest derivative order in the ansatz.
+
+    `rows` maps slot k to the row values already computed for this prefix;
+    pass the same dict to every call on one prefix so that no row is
+    evaluated twice.  It must not be shared between prefixes.
     """
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    cols = column_order(d, m)
-    generators = {(k, i): compile_term(i, monomial_of_index(k + 2))
-                  for k, i in cols}
+    if rows is None:
+        rows = {}
     usable = max(0, prefix.last_index - max_derivative_order(d) + 1)
+    seqs = [_monomial_rows(prefix, k, usable, rows) for k in range(d + 1)]
+    zero = Fraction(0)
     matrix = []
     for n in range(usable):
-        row = LinearForm()
-        for key in cols:
-            row.add_term(key, generators[key].value(prefix, n))
-        matrix.append(row.as_vector(cols))
+        row = []
+        for seq in seqs:   # column_order: k-major, then z-power i
+            row.extend(seq[n - i] if n >= i else zero for i in range(m + 1))
+        matrix.append(row)
     return matrix, usable
 
 
@@ -141,13 +160,14 @@ def guess(prefix, cfg=GuessConfig()):
     m = cfg.m
     d_cap = cfg.d_max if cfg.d_max is not None else ceil(n_terms / (m + 1))
     attempted = False
+    rows = {}  # monomial slot -> row values on this prefix, shared by all d
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
         usable = max(0, prefix.last_index - max_derivative_order(d) + 1)
         if usable < construction + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         attempted = True
-        matrix, usable = assemble_system(prefix, d, m)
+        matrix, usable = assemble_system(prefix, d, m, rows)
         basis = nullspace(matrix, width=construction)
         if basis:
             equations = tuple(normalize(v, d, m) for v in basis)

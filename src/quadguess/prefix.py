@@ -2,7 +2,7 @@
 
 The convention a_t = 0 for t < 0 is applied by consumers, never stored.
 Prefixes cache an integer-scaled view (numerators over one common
-denominator) for the convolution kernel.
+denominator), so recurrence rows are evaluated in integer arithmetic.
 """
 
 import json

@@ -82,7 +82,9 @@ def extend(eq, initial, count):
     Warm-up rows (those fully determined by the initial terms) must vanish;
     afterwards each row is linear in exactly one new term, which is solved
     for exactly.  Raises LeadingCoefficientZeroError when the new term's
-    coefficient vanishes."""
+    coefficient vanishes, and ValueError when `count` is negative."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     values = list(initial.values)
     shift = eq.max_shift
     if len(values) < shift:

@@ -123,6 +123,17 @@ def test_extend_inconsistent_exit_code(tmp_path, zigzag_eq_file, capsys):
                  "--input", str(seed), "--count", "1"]) == 3
 
 
+def test_extend_negative_count_is_usage_error(tmp_path, zigzag_eq_file,
+                                              capsys):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("1\n1\n")
+    assert main(["extend", "--equation", zigzag_eq_file,
+                 "--input", str(seed), "--count", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count" in captured.err
+
+
 def test_check_subcommand(tmp_path, zigzag_eq_file, zigzag_file, capsys):
     assert main(["check", "--equation", zigzag_eq_file,
                  "--input", zigzag_file]) == 0

@@ -102,7 +102,7 @@ def test_compiler_vs_series_oracle():
 
 def test_cauchy_symmetry():
     """compile rows are symmetric in the two derivative orders."""
-    from quadguess import kernel
+    from quadguess.equations import _quad_conv
     rng = random.Random(17)
     nums = [rng.randint(-9, 9) for _ in range(20)]
     for p in range(0, 4):
@@ -110,8 +110,8 @@ def test_cauchy_symmetry():
             for m in range(0, 14):
                 if m + max(p, q) >= len(nums):
                     continue
-                assert kernel.quad_conv(nums, m, p, q) == \
-                    kernel.quad_conv(nums, m, q, p)
+                assert _quad_conv(nums, m, p, q) == \
+                    _quad_conv(nums, m, q, p)
 
 
 def test_row_locality():
@@ -168,6 +168,18 @@ def test_equation_json_validation():
         equation_from_json('{"terms": [{"s": -1, "p": 0, "q": -1, "c": "1"}]}')
     with pytest.raises(EquationFormatError):
         equation_from_json('not json')
+
+
+@pytest.mark.parametrize("key,value", [
+    ("s", 1.9), ("s", True), ("s", "1"), ("s", 1.0),
+    ("p", 1.5), ("p", True), ("q", 0.0), ("q", False), ("q", None),
+])
+def test_equation_json_orders_must_be_integers(key, value):
+    """s, p and q are never coerced: 1.9 is not truncated, true is not 1."""
+    term = {"s": 1, "p": 1, "q": 0, "c": "1"}
+    term[key] = value
+    with pytest.raises(EquationFormatError, match=repr(key)):
+        equation_from_json(json.dumps({"terms": [term]}))
 
 
 def test_render_ode_text_goldens():

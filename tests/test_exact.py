@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadguess.exact import (LinearForm, Polynomial, falling_weight,
-                             format_rational, normalize_vector, nullspace,
-                             parse_rational, poly_eval, rat_arith)
+from quadguess.exact import (Polynomial, falling_weight, format_rational,
+                             normalize_vector, nullspace, parse_rational,
+                             poly_eval, rat_arith)
 from util_exact import naive_rank
 
 
@@ -56,16 +56,6 @@ def test_falling_weight():
     assert falling_weight(5, 0) == 1
     with pytest.raises(ValueError):
         falling_weight(-1, 2)
-
-
-def test_linear_form():
-    form = LinearForm()
-    form.add_term((0, 1), Fraction(2, 3))
-    form.add_term((0, 1), Fraction(-2, 3))
-    assert form.terms == {}
-    form.add_term((1, 0), 5)
-    assert form.coefficient((1, 0)) == 5
-    assert form.as_vector([(0, 1), (1, 0)]) == [0, 5]
 
 
 def test_nullspace_examples():

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from quadguess.equations import QuadEquation, render_text
+from quadguess.equations import QuadEquation, compile_term, render_text
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import nullspace
 from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
                                 column_order, guess, normalize)
-from quadguess.monomials import monomial_of_orders
+from quadguess.monomials import monomial_of_index, monomial_of_orders
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, oracle_sequence
 from util_exact import equation_vector, in_span
@@ -32,6 +32,25 @@ def test_assemble_usable_rows_respects_prefix():
     prefix = oracle_sequence("exp", 10)
     _, usable = assemble_system(prefix, d=5, m=2)
     assert usable == 10 - 2  # rows read two indices ahead at d = 5
+
+
+def _reference_matrix(prefix, d, m, usable):
+    return [[compile_term(i, monomial_of_index(k + 2)).value(prefix, n)
+             for k, i in column_order(d, m)]
+            for n in range(usable)]
+
+
+def test_assemble_shared_rows_match_per_entry_reference():
+    """One row dict reused across d gives exactly the matrices of per-entry
+    evaluation: d growing then a smaller d again, and a smaller d whose
+    rows must extend the lists a larger d left (usable 38 -> 39)."""
+    prefix = oracle_sequence("zeta-rescaled", 40)
+    for order in ((3, 4, 5, 6, 7, 4), (7, 4)):
+        rows = {}
+        for d in order:
+            matrix, usable = assemble_system(prefix, d, 2, rows)
+            assert matrix == _reference_matrix(prefix, d, 2, usable)
+            assert all(type(x) is Fraction for row in matrix for x in row)
 
 
 def test_guess_exp_contains_first_order_equation():

@@ -126,6 +126,12 @@ def test_extend_leading_coefficient_zero():
         extend(eq, SequencePrefix([0]), 2)
 
 
+def test_extend_rejects_negative_count():
+    with pytest.raises(ValueError):
+        extend(ZIGZAG_EQ, SequencePrefix([1, 1]), -5)
+    assert list(extend(ZIGZAG_EQ, SequencePrefix([1, 1]), 0)) == [1, 1]
+
+
 def test_extend_too_short_initial():
     with pytest.raises(InsufficientTermsError):
         extend(_eq((0, 2, -1, 1), (0, 1, 0, -1)), SequencePrefix([1]), 1)
