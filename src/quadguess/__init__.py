@@ -11,8 +11,8 @@ from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
                               PrefixFormatError, QuadGuessError)
-from quadguess.exact import (Polynomial, falling_weight, format_rational,
-                             nullspace, parse_rational, poly_eval, rat_arith)
+from quadguess.exact import (falling_weight, format_rational, nullspace,
+                             parse_rational)
 from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
                                 guess, normalize)
 from quadguess.monomials import (QuadMonomial, index_of_pair,

@@ -129,12 +129,18 @@ def _cmd_check(args):
         if not report.passed:
             obj["first_failure"] = report.first_failure
             obj["residual"] = format_rational(report.residual)
+        if report.vacuous:
+            obj["vacuous"] = True
         print(json.dumps(obj))
-    elif report.passed:
-        print(f"pass: {report.rows_checked} rows vanish")
-    else:
+    elif not report.passed:
         print(f"fail: row {report.first_failure} has residual "
               f"{format_rational(report.residual)}", file=sys.stderr)
+    elif not report.vacuous:
+        print(f"pass: {report.rows_checked} rows vanish")
+    if report.vacuous:
+        print(f"vacuous: no row is determined: the equation needs at least "
+              f"{eq.max_shift + 1} terms, got {len(prefix)}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

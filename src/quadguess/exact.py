@@ -1,14 +1,20 @@
-"""Exact rational scalars, small dense polynomials and homogeneous
-nullspaces.
+"""Exact rational scalars and homogeneous nullspaces.
 
 All arithmetic is over Q via fractions.Fraction (always reduced, positive
-denominator).  The nullspace routine uses fraction-free Bareiss elimination
-on integer-cleared rows, with deterministic pivoting, so results are
-reproducible byte for byte.
+denominator).  The nullspace routine clears denominators row by row and
+first ranks the integer rows modulo the prime P = 2**61 - 1: full rank mod
+P proves a trivial nullspace over Q.  Otherwise fraction-free Bareiss
+elimination with deterministic pivoting decides, on the rows that were
+independent mod P when that suffices and on all rows when not, so results
+are exact and reproducible byte for byte.
 """
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
+
+# A Mersenne prime: residues fit in one 61-bit word.
+P = 2**61 - 1
 
 
 def parse_rational(text):
@@ -28,74 +34,12 @@ def format_rational(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_arith(a, b, op):
-    """Field operation on exact rationals; op is one of '+', '-', '*', '/'."""
-    a, b = Fraction(a), Fraction(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def falling_weight(j, p):
     """(j+p)!/j! as an exact integer: the z^j coefficient weight of the
     p-th derivative (a_{j+p} enters with this factor)."""
     if j < 0 or p < 0:
         raise ValueError("falling_weight needs j >= 0 and p >= 0")
     return prod(range(j + 1, j + p + 1))
-
-
-class Polynomial:
-    """Dense univariate polynomial over Q, lowest degree first.
-
-    The variable tag ('z' or 'n') is bookkeeping only; arithmetic never
-    mixes tags implicitly.
-    """
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, coeffs, var="z"):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.var = var
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial)
-                and self.var == other.var and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)}, var={self.var!r})"
-
-    def eval(self, x):
-        """Exact Horner evaluation."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def poly_eval(p, x):
-    return p.eval(x)
 
 
 def _integer_rows(matrix):
@@ -127,24 +71,34 @@ def normalize_vector(vec):
     return [Fraction(v) for v in ints]
 
 
-def nullspace(matrix, width=None):
-    """Basis of the exact nullspace {v : M v = 0}.
+def _independent_rows_mod_p(rows, width):
+    """Indices of the rows, taken greedily in order, that are linearly
+    independent modulo P; stops once `width` rows are found."""
+    echelon = {}   # pivot column c -> row[c:] mod P, scaled to 1 at c
+    chosen = []
+    for index, row in enumerate(rows):
+        row = [x % P for x in row]
+        for col in range(width):
+            f = row[col]
+            if f == 0:
+                continue
+            pivot_row = echelon.get(col)
+            if pivot_row is None:
+                inv = pow(f, -1, P)
+                echelon[col] = [x * inv % P for x in row[col:]]
+                chosen.append(index)
+                break
+            row[col:] = [(x - f * y) % P
+                         for x, y in zip(row[col:], pivot_row)]
+        if len(chosen) == width:
+            break
+    return chosen
 
-    Fraction-free Bareiss elimination with leftmost-pivot, first-nonzero-row
-    pivoting.  Each basis vector has integer entries, content 1, and a
-    positive first nonzero entry; vectors are ordered by free column.
-    Returns [] iff the nullspace is trivial.
-    """
-    rows = _integer_rows(matrix)
-    if width is None:
-        if not rows:
-            raise ValueError("width required for an empty matrix")
-        width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("matrix is not rectangular")
 
-    rows = [row for row in rows if any(row)]
+def _bareiss(rows, width):
+    """Nullspace basis of nonzero integer rows (eliminated in place):
+    fraction-free Bareiss elimination with leftmost-pivot, first-nonzero-row
+    pivoting, then back-substitution for each free column."""
     pivot_cols = []
     prev = 1
     r = 0
@@ -181,3 +135,37 @@ def nullspace(matrix, width=None):
             vec[pc] = -s / row[pc]
         basis.append(normalize_vector(vec))
     return basis
+
+
+def nullspace(matrix, width=None):
+    """Basis of the exact nullspace {v : M v = 0}.
+
+    Fraction-free Bareiss elimination with leftmost-pivot, first-nonzero-row
+    pivoting.  Each basis vector has integer entries, content 1, and a
+    positive first nonzero entry; vectors are ordered by free column.
+    Returns [] iff the nullspace is trivial.
+
+    Full column rank mod P means full rank over Q (a minor that is nonzero
+    mod P is a nonzero integer), so the answer is [] without Bareiss.
+    Otherwise the rows independent mod P propose a basis; when it vanishes
+    on every row, their kernel is the kernel of M and so is the same basis,
+    byte for byte.  When it does not (rank lost mod P), all rows decide.
+    """
+    rows = _integer_rows(matrix)
+    if width is None:
+        if not rows:
+            raise ValueError("width required for an empty matrix")
+        width = len(rows[0])
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("matrix is not rectangular")
+
+    rows = [row for row in rows if any(row)]
+    chosen = _independent_rows_mod_p(rows, width)
+    if len(chosen) == width:
+        return []
+    basis = _bareiss([list(rows[i]) for i in chosen], width)
+    if all(sum(map(mul, row, (v.numerator for v in vec))) == 0
+           for vec in basis for row in rows):
+        return basis
+    return _bareiss(rows, width)

@@ -23,6 +23,11 @@ class CheckReport:
     first_failure: int | None = None
     residual: Fraction | None = None
 
+    @property
+    def vacuous(self):
+        """True when the prefix determines no row, so nothing was tested."""
+        return self.rows_checked == 0
+
 
 def check(eq, prefix):
     """Evaluate every fully determined row (n = 0 .. N - max_shift) of the

@@ -169,8 +169,12 @@ def test_criterion_8_monomial_enumeration_consistency():
 
 
 def test_criterion_9_negative_control(tmp_path):
-    """n^n/n! admits no small quadratic annihilator: status fail, exit 1,
-    and any equation ever emitted must survive check."""
+    """24 terms of n^n/n! are too few for any ansatz to find an equation:
+    status fail, exit 1, and any equation ever emitted must survive check.
+
+    This is not a provably negative control: n^n/n! satisfies
+    3*z*y*y'' - z*y'' - 9*z*(y')^2 + y*y' - y' = 0, which guess finds from
+    30 terms and which checks on 80.  The lacunary test below is one."""
     values = [Fraction(n ** n if n else 1, factorial(n)) for n in range(24)]
     prefix = SequencePrefix(values)
     result = guess(prefix)
@@ -190,3 +194,22 @@ def test_criterion_9_negative_control(tmp_path):
         for eq in res.basis:
             assert check(eq, pos).passed
     print("PASS criterion 9: negative control and soundness")
+
+
+@pytest.mark.parametrize("count", [40, 60])
+def test_lacunary_negative_control(count):
+    """Sum z^(2^n) is a Mahler function and not rational, so it satisfies
+    no algebraic differential equation (Adamczewski, Dreyfus and Hardouin,
+    J. AMS 2021): whatever guess emits from `count` terms must fail check
+    on 4 * count terms.  At 60 terms guess emits two d = 16 equations that
+    fit the prefix."""
+    def lacunary(n):
+        return SequencePrefix([int(k > 0 and k & (k - 1) == 0)
+                               for k in range(n)])
+    result = guess(lacunary(count))
+    longer = lacunary(4 * count)
+    for eq in result.basis:
+        assert check(eq, lacunary(count)).passed
+        assert not check(eq, longer).passed
+    print(f"PASS negative control: lacunary series, {count} terms, "
+          f"{len(result.basis)} equations refuted on {4 * count}")

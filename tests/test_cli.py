@@ -137,7 +137,7 @@ def test_extend_negative_count_is_usage_error(tmp_path, zigzag_eq_file,
 def test_check_subcommand(tmp_path, zigzag_eq_file, zigzag_file, capsys):
     assert main(["check", "--equation", zigzag_eq_file,
                  "--input", zigzag_file]) == 0
-    assert "pass" in capsys.readouterr().out
+    assert capsys.readouterr().out == "pass: 18 rows vanish\n"
 
 
 def test_check_failure_exit_code(tmp_path, zigzag_eq_file, capsys):
@@ -145,6 +145,33 @@ def test_check_failure_exit_code(tmp_path, zigzag_eq_file, capsys):
     bad.write_text("1\n1\n1\n1\n1\n")
     assert main(["check", "--equation", zigzag_eq_file,
                  "--input", str(bad)]) == 1
+
+
+def test_check_vacuous_exit_code(tmp_path, zigzag_eq_file, capsys):
+    short = tmp_path / "short.txt"
+    short.write_text("1\n1\n")
+    assert main(["check", "--equation", zigzag_eq_file,
+                 "--input", str(short)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vacuous: no row is determined")
+    assert main(["check", "--equation", zigzag_eq_file,
+                 "--input", str(short), "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "passed": True, "rows_checked": 0, "vacuous": True}
+
+
+def test_check_json_output(tmp_path, zigzag_eq_file, zigzag_file, capsys):
+    assert main(["check", "--equation", zigzag_eq_file,
+                 "--input", zigzag_file, "--format", "json"]) == 0
+    assert capsys.readouterr().out == \
+        '{"passed": true, "rows_checked": 18}\n'
+    bad = tmp_path / "bad_seq.txt"
+    bad.write_text("1\n1\n1\n1\n1\n")
+    assert main(["check", "--equation", zigzag_eq_file,
+                 "--input", str(bad), "--format", "json"]) == 1
+    assert capsys.readouterr().out == ('{"passed": false, "rows_checked": 1, '
+                                       '"first_failure": 0, "residual": "1"}\n')
 
 
 def test_equation_file_validation(tmp_path, zigzag_file, capsys):

@@ -3,28 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quadguess.exact import (Polynomial, falling_weight, format_rational,
-                             normalize_vector, nullspace, parse_rational,
-                             poly_eval, rat_arith)
+from quadguess.exact import (P, _bareiss, _integer_rows, falling_weight,
+                             format_rational, normalize_vector, nullspace,
+                             parse_rational)
 from util_exact import naive_rank
-
-
-def test_rat_arith_examples():
-    assert rat_arith(Fraction(1, 6), Fraction(1, 6), "*") == Fraction(1, 36)
-    assert rat_arith(Fraction(5), Fraction(1, 90), "*") == Fraction(1, 18)
-    with pytest.raises(ZeroDivisionError):
-        rat_arith(Fraction(1, 2), Fraction(0), "/")
-
-
-def test_rat_arith_field_axioms_randomized():
-    rng = random.Random(11)
-    for _ in range(200):
-        a, b, c = (Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-                   for _ in range(3))
-        assert rat_arith(rat_arith(a, b, "+"), c, "+") == \
-            rat_arith(a, rat_arith(b, c, "+"), "+")
-        assert rat_arith(a, rat_arith(b, c, "+"), "*") == \
-            rat_arith(rat_arith(a, b, "*"), rat_arith(a, c, "*"), "+")
 
 
 def test_rational_serialization():
@@ -34,18 +16,6 @@ def test_rational_serialization():
     assert parse_rational("12") == Fraction(12)
     with pytest.raises(ValueError):
         parse_rational("nope")
-
-
-def test_poly_eval():
-    assert poly_eval(Polynomial([0, 0, 1]), 3) == 9
-    assert poly_eval(Polynomial([]), Fraction(7, 2)) == 0
-    assert poly_eval(Polynomial([5, 2], var="n"), 0) == 5
-
-
-def test_polynomial_normal_form():
-    assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
-    assert Polynomial([0]).degree == -1
-    assert not Polynomial([0, 0])
 
 
 def test_falling_weight():
@@ -97,3 +67,61 @@ def test_nullspace_deterministic():
     rng = random.Random(5)
     mat = [[Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
     assert nullspace(mat, width=5) == nullspace(mat, width=5)
+
+
+def _bareiss_all_rows(mat, width):
+    """The exact path alone: Bareiss on every nonzero row, no mod-P pass."""
+    return _bareiss([row for row in _integer_rows(mat) if any(row)], width)
+
+
+def test_nullspace_full_rank_mod_p_is_trivial():
+    # full rank mod P: answered without Bareiss
+    assert nullspace([[1, 2], [3, 4], [5, 6]]) == []
+    assert nullspace([[Fraction(1, 7), 3, 0], [0, P + 1, 1], [2, 0, P]]) == []
+
+
+def test_nullspace_rank_lost_mod_p():
+    # rank over Q is full, but the rows are dependent mod P
+    assert nullspace([[P, 0], [0, 1]]) == []
+    assert nullspace([[1, 1, 0], [0, P, 1], [0, 0, P]]) == []
+    assert nullspace([[1, 1], [1, 1 + P]]) == []
+    assert nullspace([[P, 0, 0], [0, 1, 0]]) == [[0, 0, 1]]
+
+
+def test_nullspace_fallback_when_chosen_rows_lose_rank():
+    # rows 0 and 1 are independent mod P and chosen; row 2 is 0 mod P, so
+    # their kernel [1, -1, 0] is proposed, fails on row 2, and all rows decide
+    mat = [[1, 1, 0], [0, 0, 1], [P, 0, 0]]
+    assert nullspace(mat) == []
+    mat = [[1, 1, 0, 0], [0, 0, 1, 0], [P, 0, 0, 0], [0, 0, 0, 0]]
+    assert nullspace(mat) == [[0, 0, 0, 1]]
+    # a rational row whose cleared form is 0 mod P
+    mat = [[1, 1, 0, 0], [Fraction(P, 3), 0, 0, 0]]
+    assert nullspace(mat) == [[0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_nullspace_verified_sub_kernel():
+    # a tall matrix whose extra rows are combinations of the first two
+    mat = [[1, 2, 3, 4], [0, 1, 1, 2], [1, 3, 4, 6], [2, 5, 7, 10],
+           [Fraction(1, 2), 1, Fraction(3, 2), 2]]
+    assert nullspace(mat) == [[1, 1, -1, 0], [0, 2, 0, -1]]
+
+
+def test_nullspace_equals_bareiss_on_all_rows_randomized():
+    rng = random.Random(61)
+    for trial in range(300):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 6)
+        mat = []
+        for _ in range(rows):
+            if mat and rng.random() < 0.3:
+                # a combination of earlier rows: a nontrivial kernel is common
+                a, b = rng.choice(mat), rng.choice(mat)
+                c, e = rng.randint(-3, 3), rng.randint(-3, 3)
+                mat.append([c * x + e * y for x, y in zip(a, b)])
+                continue
+            mat.append([rng.choice((0, 1, -2, P, -P, 2 * P, P + 1, 3 * P - 5))
+                        * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(cols)])
+        expected = _bareiss_all_rows(mat, cols)
+        assert nullspace(mat, width=cols) == expected, (trial, mat)

@@ -91,6 +91,14 @@ def test_check_zigzag_prefix():
     assert check(ZIGZAG_EQ, prefix).passed
 
 
+def test_check_flags_vacuous_pass():
+    # y'' - y*y' = 0 reads a_(n+2): two terms determine no row
+    report = check(ZIGZAG_EQ, SequencePrefix([1, 1]))
+    assert report.rows_checked == 0
+    assert report.vacuous
+    assert not check(ZIGZAG_EQ, SequencePrefix([1, 1, Fraction(1, 2)])).vacuous
+
+
 def test_check_reports_first_failure():
     eq = _eq((0, 0, -1, 1))  # y = 0
     report = check(eq, SequencePrefix([0, 0, 3, 4]))
