@@ -111,13 +111,29 @@ class QuadEquation:
         extending."""
         return max(t[1].max_order - t[0] for t in self.terms)
 
+    def row_numerator(self, nums, den, n):
+        """Row n times den**2 on the sequence nums / den, a Fraction only
+        through the coefficients (indices up to n + max_shift must fit)."""
+        total = 0
+        for s, mono, coeff in self.terms:
+            m = n - s
+            if m < 0:
+                continue
+            p, q = mono.p, mono.q
+            if p == -1:
+                if m == 0:
+                    total += coeff * den * den
+            elif q == -1:
+                total += coeff * (falling_weight(m, p) * nums[m + p] * den)
+            else:
+                total += coeff * _quad_conv(nums, m, p, q)
+        return total
+
     def row_value(self, prefix, n):
         """Exact value of recurrence row n on a prefix (all indices must
         fit: n + max_shift <= prefix.last_index)."""
-        total = Fraction(0)
-        for s, mono, coeff in self.terms:
-            total += coeff * compile_term(s, mono).value(prefix, n)
-        return total
+        nums, den = prefix.scaled()
+        return Fraction(self.row_numerator(nums, den, n), den * den)
 
     def rescaled(self, lam):
         """Equation satisfied by b_n = a_n * lam^n whenever self is

@@ -43,10 +43,6 @@ class QuadMonomial:
     q: int
 
     @property
-    def is_linear(self):
-        return self.q == -1
-
-    @property
     def max_order(self):
         return max(self.p, self.q, 0)
 

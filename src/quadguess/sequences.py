@@ -2,12 +2,12 @@
 generate reference sequences from classical integer triangles.
 
 Extension realizes the recurrence as a recursion: row n introduces the
-single unknown a_{n + max_shift}; rows that introduce nothing new must
-vanish on the supplied initial terms (warm-up consistency)."""
+single unknown a_{n + max_shift}, solved in integer numerators like check;
+rows that introduce nothing new must vanish on the initial terms."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
@@ -41,44 +41,22 @@ def check(eq, prefix):
     return CheckReport(passed=True, rows_checked=max(0, last + 1))
 
 
-def _row_split(eq, values, n, unknown):
-    """Row n of eq on `values` as (constant, coefficient-of-a_unknown).
-
-    Indices other than `unknown` must be < len(values).  Raises
-    NonlinearStepError if a_unknown enters a convolution twice in one
-    summand (the row would be quadratic in the unknown)."""
-    const = Fraction(0)
-    slope = Fraction(0)
-    for s, mono, c in eq.terms:
+def _slope(eq, nums, den, n):
+    """Coefficient of nums[t], t = n + max_shift, in eq.row_numerator(nums,
+    den, n).  Only terms with p - s = max_shift reach index t: at convolution
+    index m and, if q = p, at 0 too (NonlinearStepError when also m = 0)."""
+    slope = 0
+    for s, mono, coeff in eq.terms:
         m = n - s
-        if m < 0:
-            continue
         p, q = mono.p, mono.q
-        if p == -1:
-            if m == 0:
-                const += c
+        if m < 0 or p - s != eq.max_shift:
             continue
-        if q == -1:
-            idx = m + p
-            w = c * falling_weight(m, p)
-            if idx == unknown:
-                slope += w
-            else:
-                const += w * values[idx]
-            continue
-        for t in range(m + 1):
-            i1 = t + p
-            i2 = m - t + q
-            w = c * falling_weight(t, p) * falling_weight(m - t, q)
-            if i1 == unknown and i2 == unknown:
-                raise NonlinearStepError(n)
-            if i1 == unknown:
-                slope += w * values[i2]
-            elif i2 == unknown:
-                slope += w * values[i1]
-            else:
-                const += w * values[i1] * values[i2]
-    return const, slope
+        if q == p and m == 0:
+            raise NonlinearStepError(n)
+        # a linear term's second factor is the constant 1, den when scaled
+        other = den if q == -1 else falling_weight(0, q) * nums[q]
+        slope += coeff * ((2 if q == p else 1) * falling_weight(m, p) * other)
+    return slope
 
 
 def extend(eq, initial, count):
@@ -87,7 +65,10 @@ def extend(eq, initial, count):
     Warm-up rows (those fully determined by the initial terms) must vanish;
     afterwards each row is linear in exactly one new term, which is solved
     for exactly.  Raises LeadingCoefficientZeroError when the new term's
-    coefficient vanishes, and ValueError when `count` is negative."""
+    coefficient vanishes, TypeError when `count` is not an int and
+    ValueError when it is negative."""
+    if type(count) is not int:  # rejects bools and floats
+        raise TypeError(f"count must be an int, not {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     values = list(initial.values)
@@ -95,17 +76,25 @@ def extend(eq, initial, count):
     if len(values) < shift:
         raise InsufficientTermsError(
             f"extension needs at least {shift} initial terms, got {len(values)}")
-    for n in range(0, len(values) - shift):
-        const, slope = _row_split(eq, values, n, unknown=-1)
-        if const != 0:
-            raise InconsistentInitialTermsError(n, const)
+    report = check(eq, initial)
+    if not report.passed:
+        raise InconsistentInitialTermsError(report.first_failure,
+                                            report.residual)
+    nums, den = initial.scaled()
+    nums = list(nums)  # the prefix caches its scaled view; do not append to it
     for _ in range(count):
-        t = len(values)
-        n = t - shift
-        const, slope = _row_split(eq, values, n, unknown=t)
+        n = len(nums) - shift
+        nums.append(0)
+        slope = _slope(eq, nums, den, n)
         if slope == 0:
             raise LeadingCoefficientZeroError(n)
-        values.append(-const / slope)
+        term = Fraction(-eq.row_numerator(nums, den, n), slope * den)
+        values.append(term)
+        if den % term.denominator:
+            factor = lcm(den, term.denominator) // den
+            den *= factor
+            nums = [x * factor for x in nums]
+        nums[-1] = term.numerator * (den // term.denominator)
     return SequencePrefix(values)
 
 

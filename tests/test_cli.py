@@ -5,7 +5,7 @@ import pytest
 from quadguess.cli import main
 from quadguess.equations import equation_to_json
 from quadguess.guessing import GuessResult
-from test_sequences import ZETA_EQ, ZIGZAG_EQ
+from test_sequences import SQUARE_EQ, ZETA_EQ, ZIGZAG_EQ
 
 
 @pytest.fixture
@@ -189,3 +189,13 @@ def test_json_prefix_input(tmp_path, capsys):
     eq_path.write_text(equation_to_json(ZIGZAG_EQ))
     assert main(["check", "--equation", str(eq_path),
                  "--input", str(path)]) == 0
+
+
+def test_extend_nonlinear_step_exit_code(tmp_path, capsys):
+    eq_file = tmp_path / "square.json"
+    eq_file.write_text(equation_to_json(SQUARE_EQ))
+    seed = tmp_path / "seed.txt"
+    seed.write_text("1\n")
+    assert main(["extend", "--equation", str(eq_file),
+                 "--input", str(seed), "--count", "1"]) == 3
+    assert "row 0 is quadratic in the unknown term" in capsys.readouterr().err

@@ -3,15 +3,19 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quadguess.equations import QuadEquation
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
-                              LeadingCoefficientZeroError)
+                              LeadingCoefficientZeroError, NonlinearStepError,
+                              QuadGuessError)
 from quadguess.guessing import GuessConfig, guess
 from quadguess.monomials import monomial_of_orders
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, extend, oracle_sequence
+from util_exact import extend_bruteforce
 
 
 def _eq(*terms):
@@ -138,6 +142,63 @@ def test_extend_rejects_negative_count():
     with pytest.raises(ValueError):
         extend(ZIGZAG_EQ, SequencePrefix([1, 1]), -5)
     assert list(extend(ZIGZAG_EQ, SequencePrefix([1, 1]), 0)) == [1, 1]
+
+
+@pytest.mark.parametrize("count", [True, 2.0])
+def test_extend_rejects_non_int_count(count):
+    # row 0 does not vanish on [1, 1, 2]: evaluating it first would raise
+    # InconsistentInitialTermsError instead
+    with pytest.raises(TypeError, match="count"):
+        extend(ZIGZAG_EQ, SequencePrefix([1, 1, 2]), count)
+
+
+# y'^2 + y = 0: row 0 reads a_1 * a_1, so it is quadratic in a_1
+SQUARE_EQ = _eq((0, 1, 1, 1), (0, 0, -1, 1))
+
+
+def test_extend_nonlinear_step():
+    with pytest.raises(NonlinearStepError) as exc:
+        extend(SQUARE_EQ, SequencePrefix([1]), 1)
+    assert exc.value.row == 0
+    ext = extend(SQUARE_EQ, SequencePrefix([-1, 1]), 3)
+    assert list(ext) == [-1, 1, Fraction(-1, 4), 0, 0]
+
+
+def _outcome(run):
+    try:
+        return list(run())
+    except QuadGuessError as exc:
+        return (type(exc), getattr(exc, "row", None),
+                getattr(exc, "residual", None))
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+_COEFFS = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                    st.integers(1, 4))
+_TERMS = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda sp: st.tuples(st.just(sp[0]), st.just(sp[1]),
+                         st.integers(-1, sp[1]), _COEFFS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_TERMS, min_size=1, max_size=4),
+       initial=st.lists(_RATIONALS, min_size=1, max_size=5),
+       count=st.integers(0, 6))
+@example(terms=[(0, 1, 1, 1), (0, 0, -1, 1)], initial=[1], count=1)
+@example(terms=[(1, 0, -1, 1), (1, 0, 0, -1), (2, 0, -1, 1)],  # shift -1
+         initial=[1], count=4)
+@example(terms=[(0, 3, 2, 1), (0, 0, -1, 1)],  # slope carries 2! * a_2
+         initial=[1, 1, 1], count=3)
+def test_extend_matches_bruteforce_reference(terms, initial, count):
+    """Terms, or the error class with its row and residual, agree with a
+    reference that evaluates rows by direct series arithmetic."""
+    try:
+        eq = _eq(*terms)
+    except ValueError:  # every coefficient cancelled
+        assume(False)
+    expected = _outcome(lambda: extend_bruteforce(eq, initial, count))
+    assert _outcome(lambda: extend(eq, SequencePrefix(initial), count)) \
+        == expected
 
 
 def test_extend_too_short_initial():

@@ -7,6 +7,10 @@ a dense linear solver.  These stay separate from the code paths they check.
 
 from fractions import Fraction
 
+from quadguess.errors import (InconsistentInitialTermsError,
+                              InsufficientTermsError,
+                              LeadingCoefficientZeroError, NonlinearStepError)
+
 
 def series_derivative(coeffs, times=1):
     out = [Fraction(c) for c in coeffs]
@@ -41,6 +45,39 @@ def term_coeff_bruteforce(a, s, p, q, n):
     if q >= 0:
         assert len(v) > m, "prefix too short for this coefficient"
     return series_product_coeff(u, v, m)
+
+
+def row_bruteforce(eq, a, n):
+    """Recurrence row n of eq on the terms a, by direct series arithmetic."""
+    return sum((coeff * term_coeff_bruteforce(a, s, mono.p, mono.q, n)
+                for s, mono, coeff in eq.terms), Fraction(0))
+
+
+def extend_bruteforce(eq, initial, count):
+    """Reference for sequences.extend, raising the same errors.
+
+    Each step row is evaluated with the new term set to 0, 1 and 2; finite
+    differences give its constant part, slope and squared coefficient."""
+    a = [Fraction(v) for v in initial]
+    shift = eq.max_shift
+    if len(a) < shift:
+        raise InsufficientTermsError("too few initial terms")
+    for n in range(len(a) - shift):
+        residual = row_bruteforce(eq, a, n)
+        if residual != 0:
+            raise InconsistentInitialTermsError(n, residual)
+    for _ in range(count):
+        n = len(a) - shift
+        r0, r1, r2 = (row_bruteforce(eq, a + [Fraction(x)], n)
+                      for x in (0, 1, 2))
+        square = (r2 - 2 * r1 + r0) / 2
+        if square != 0:
+            raise NonlinearStepError(n)
+        slope = r1 - r0
+        if slope == 0:
+            raise LeadingCoefficientZeroError(n)
+        a.append(-r0 / slope)
+    return a
 
 
 def gauss_eliminate(matrix):
