@@ -2,10 +2,10 @@
 quadratic recurrences from a finite prefix of an exact rational sequence,
 and extend sequences from such equations."""
 
-from quadguess.equations import (QuadEquation, compile_term,
-                                 equation_from_json, equation_from_obj,
-                                 equation_to_json, equation_to_obj, render,
-                                 render_latex, render_text, render_tree)
+from quadguess.equations import (QuadEquation, equation_from_json,
+                                 equation_from_obj, equation_to_json,
+                                 equation_to_obj, render_latex, render_text,
+                                 render_tree)
 from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               InconsistentInitialTermsError,
                               InsufficientTermsError,

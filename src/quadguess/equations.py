@@ -1,20 +1,22 @@
 """Concrete quadratic differential equations and their recurrence rows.
 
-A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Each term
-compiles, via the Cauchy product, into a generator of exact recurrence rows:
-the z^n Taylor coefficient of the term evaluated on a sequence prefix.
+A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
+row n is the z^n Taylor coefficient of the equation on a sequence prefix.
+One evaluator, `term_numerator`, gives the coefficient of each product
+f^(p) * f^(q) through the Cauchy product, as an integer numerator over
+den**2 on the prefix scaled to nums / den; `guess`, `check` and `extend`
+all read their rows through it.
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1 (not both -1).
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from quadguess.errors import EquationFormatError
 from quadguess.exact import falling_weight, format_rational, parse_rational
-from quadguess.monomials import QuadMonomial, monomial_of_orders
+from quadguess.monomials import monomial_of_orders
 
 
 def _quad_conv(nums, m, p, q):
@@ -35,41 +37,17 @@ def _quad_conv(nums, m, p, q):
     return total
 
 
-@dataclass(frozen=True)
-class RowGenerator:
-    """Exact recurrence-row values of one term z^s * f^(p) * f^(q).
-
-    Rows below index s are identically zero (coefficient extraction below
-    the z^s shift); otherwise the Cauchy product convolution applies with
-    a_t = 0 understood for t < 0.
-    """
-
-    s: int
-    monomial: QuadMonomial
-
-    def max_index(self, n):
-        """Largest prefix index the row at n reads."""
-        return n - self.s + self.monomial.max_order
-
-    def value(self, prefix, n):
-        """Exact value of row n on the given SequencePrefix."""
-        m = n - self.s
-        if m < 0:
-            return Fraction(0)
-        p, q = self.monomial.p, self.monomial.q
-        if p == -1:                      # constant term: z^s itself
-            return Fraction(1) if m == 0 else Fraction(0)
-        nums, den = prefix.scaled()
-        if q == -1:                      # linear: weighted single coefficient
-            return Fraction(falling_weight(m, p) * nums[m + p], den)
-        return Fraction(_quad_conv(nums, m, p, q), den * den)
-
-
-def compile_term(s, monomial):
-    """Row generator for the term z^s * f^(p) * f^(q)."""
-    if s < 0:
-        raise ValueError("z-power must be >= 0")
-    return RowGenerator(s=s, monomial=monomial)
+def term_numerator(nums, den, m, p, q):
+    """The z^m coefficient of f^(p) * f^(q) times den**2 on the sequence
+    nums / den, an int; order -1 stands for the constant 1, and the
+    coefficient is 0 for m < 0.  Requires len(nums) > m + max(p, q)."""
+    if m < 0:
+        return 0
+    if p == -1:                      # constant term
+        return den * den if m == 0 else 0
+    if q == -1:                      # linear: weighted single coefficient
+        return falling_weight(m, p) * nums[m + p] * den
+    return _quad_conv(nums, m, p, q)
 
 
 class QuadEquation:
@@ -114,20 +92,8 @@ class QuadEquation:
     def row_numerator(self, nums, den, n):
         """Row n times den**2 on the sequence nums / den, a Fraction only
         through the coefficients (indices up to n + max_shift must fit)."""
-        total = 0
-        for s, mono, coeff in self.terms:
-            m = n - s
-            if m < 0:
-                continue
-            p, q = mono.p, mono.q
-            if p == -1:
-                if m == 0:
-                    total += coeff * den * den
-            elif q == -1:
-                total += coeff * (falling_weight(m, p) * nums[m + p] * den)
-            else:
-                total += coeff * _quad_conv(nums, m, p, q)
-        return total
+        return sum(coeff * term_numerator(nums, den, n - s, mono.p, mono.q)
+                   for s, mono, coeff in self.terms)
 
     def row_value(self, prefix, n):
         """Exact value of recurrence row n on a prefix (all indices must
@@ -380,10 +346,3 @@ def render_latex(eq, mode):
             body = _recurrence_term_body(term, latex=True)
         pieces.append((negative, prefix + (r"\," if prefix else "") + body))
     return _join_signed(pieces) + " = 0"
-
-
-def render(eq, mode):
-    """All three views of an equation: tree, text, LaTeX."""
-    return {"tree": render_tree(eq, mode),
-            "text": render_text(eq, mode),
-            "latex": render_latex(eq, mode)}

@@ -1,12 +1,15 @@
 """Exact rational scalars and homogeneous nullspaces.
 
 All arithmetic is over Q via fractions.Fraction (always reduced, positive
-denominator).  The nullspace routine clears denominators row by row and
-first ranks the integer rows modulo the prime P = 2**61 - 1: full rank mod
-P proves a trivial nullspace over Q.  Otherwise fraction-free Bareiss
-elimination with deterministic pivoting decides, on the rows that were
-independent mod P when that suffices and on all rows when not, so results
-are exact and reproducible byte for byte.
+denominator) and int.  The nullspace routine takes rows of ints and
+Fractions (`guess` hands it int rows: row values times den**2), clears
+denominators row by row and first ranks the integer rows modulo the prime
+P = 2**61 - 1: full rank mod P proves a trivial nullspace over Q.
+Otherwise fraction-free Bareiss elimination with deterministic pivoting
+decides, on the rows that were independent mod P when that suffices and on
+all rows when not, so results are exact and reproducible byte for byte.
+Bareiss gets each row divided by its content, which keeps its entries
+small and changes neither the pivots nor the normalized basis.
 """
 
 from fractions import Fraction
@@ -43,13 +46,24 @@ def falling_weight(j, p):
 
 
 def _integer_rows(matrix):
-    """Clear denominators row by row; returns integer rows."""
+    """Clear denominators row by row; returns integer rows.  Raises
+    TypeError on an entry that is not an int or a Fraction (bools, floats
+    and strings are never coerced)."""
     out = []
     for row in matrix:
-        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in row)) if row else 1
+        for x in row:
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise TypeError(f"matrix entries must be int or Fraction, "
+                                f"not {x!r}")
+        den = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
+
+
+def _primitive(row):
+    """A nonzero integer row divided by its content."""
+    content = gcd(*row)
+    return [x // content for x in row]
 
 
 def normalize_vector(vec):
@@ -58,9 +72,7 @@ def normalize_vector(vec):
     vec = [Fraction(x) for x in vec]
     den = lcm(*(x.denominator for x in vec)) if vec else 1
     ints = [int(x * den) for x in vec]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
+    content = gcd(*ints)
     if content > 1:
         ints = [v // content for v in ints]
     for v in ints:
@@ -143,7 +155,8 @@ def nullspace(matrix, width=None):
     Fraction-free Bareiss elimination with leftmost-pivot, first-nonzero-row
     pivoting.  Each basis vector has integer entries, content 1, and a
     positive first nonzero entry; vectors are ordered by free column.
-    Returns [] iff the nullspace is trivial.
+    Returns [] iff the nullspace is trivial.  Entries must be ints or
+    Fractions; anything else raises TypeError.
 
     Full column rank mod P means full rank over Q (a minor that is nonzero
     mod P is a nonzero integer), so the answer is [] without Bareiss.
@@ -164,8 +177,8 @@ def nullspace(matrix, width=None):
     chosen = _independent_rows_mod_p(rows, width)
     if len(chosen) == width:
         return []
-    basis = _bareiss([list(rows[i]) for i in chosen], width)
+    basis = _bareiss([_primitive(rows[i]) for i in chosen], width)
     if all(sum(map(mul, row, (v.numerator for v in vec))) == 0
            for vec in basis for row in rows):
         return basis
-    return _bareiss(rows, width)
+    return _bareiss([_primitive(row) for row in rows], width)

@@ -17,13 +17,12 @@ row sequence once and every d's matrix indexes into it.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil
 
-from quadguess.equations import (QuadEquation, compile_term, equation_from_obj,
-                                 equation_to_obj)
+from quadguess.equations import (QuadEquation, equation_from_obj,
+                                 equation_to_obj, term_numerator)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import nullspace
+from quadguess.exact import normalize_vector, nullspace
 from quadguess.monomials import max_derivative_order, monomial_of_index
 
 
@@ -54,11 +53,14 @@ def column_order(d, m):
 
 def _monomial_rows(prefix, k, count, rows):
     """First `count` recurrence-row values of monomial slot k+2 (at z^0) on
-    the prefix, computed into rows[k] as far as it does not reach yet."""
+    the prefix, times den**2, computed into rows[k] as far as it does not
+    reach yet."""
     seq = rows.setdefault(k, [])
     if len(seq) < count:
-        generator = compile_term(0, monomial_of_index(k + 2))
-        seq.extend(generator.value(prefix, n) for n in range(len(seq), count))
+        mono = monomial_of_index(k + 2)
+        nums, den = prefix.scaled()
+        seq.extend(term_numerator(nums, den, n, mono.p, mono.q)
+                   for n in range(len(seq), count))
     return seq
 
 
@@ -67,7 +69,8 @@ def assemble_system(prefix, d, m, rows=None):
     evaluated on the prefix, emitted while every touched index fits.
 
     Row n's entry for unknown (k, i) is the z^n coefficient of
-    z^i * (monomial slot k+2) on the prefix; row n reads indices up to
+    z^i * (monomial slot k+2) on the prefix times den**2, an int, where
+    nums / den is the prefix's scaled view; row n reads indices up to
     n + r(d) where r(d) is the largest derivative order in the ansatz.
 
     `rows` maps slot k to the row values already computed for this prefix;
@@ -80,12 +83,11 @@ def assemble_system(prefix, d, m, rows=None):
         rows = {}
     usable = max(0, prefix.last_index - max_derivative_order(d) + 1)
     seqs = [_monomial_rows(prefix, k, usable, rows) for k in range(d + 1)]
-    zero = Fraction(0)
     matrix = []
     for n in range(usable):
         row = []
         for seq in seqs:   # column_order: k-major, then z-power i
-            row.extend(seq[n - i] if n >= i else zero for i in range(m + 1))
+            row.extend(seq[n - i] if n >= i else 0 for i in range(m + 1))
         matrix.append(row)
     return matrix, usable
 
@@ -94,19 +96,13 @@ def normalize(vector, d, m):
     """Turn a nonzero solution vector into a QuadEquation: drop zeros,
     clear denominators, divide by the content, and make the coefficient of
     the highest (monomial index, z-power) term positive."""
-    vector = [Fraction(v) for v in vector]
-    if all(v == 0 for v in vector):
+    ints = normalize_vector(vector)
+    if not any(ints):
         raise ValueError("cannot normalize the zero vector")
-    den = lcm(*(v.denominator for v in vector))
-    ints = [int(v * den) for v in vector]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    ints = [v // content for v in ints]
     terms = []
     for (k, i), coeff in zip(column_order(d, m), ints):
         if coeff != 0:
-            terms.append((i, monomial_of_index(k + 2), Fraction(coeff)))
+            terms.append((i, monomial_of_index(k + 2), coeff))
     if terms[-1][2] < 0:  # column order == (monomial index, z-power) order
         terms = [(s, mono, -c) for s, mono, c in terms]
     return QuadEquation(terms)

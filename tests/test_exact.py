@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from quadguess import exact
 from quadguess.exact import (P, _bareiss, _integer_rows, falling_weight,
                              format_rational, normalize_vector, nullspace,
                              parse_rational)
@@ -125,3 +127,51 @@ def test_nullspace_equals_bareiss_on_all_rows_randomized():
                         for _ in range(cols)])
         expected = _bareiss_all_rows(mat, cols)
         assert nullspace(mat, width=cols) == expected, (trial, mat)
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/3", True, None])
+def test_nullspace_rejects_non_rational_entries(entry):
+    """Only ints and Fractions are entries: 0.5 is not read as 1/2, "1/3"
+    is not parsed, and a bool is not 1."""
+    with pytest.raises(TypeError, match="int or Fraction"):
+        nullspace([[entry, 1]])
+    with pytest.raises(TypeError):
+        nullspace([[1, 2], [Fraction(1, 2), entry]], width=2)
+
+
+def test_nullspace_invariant_under_positive_row_scaling(monkeypatch):
+    """Multiplying each row by a positive factor (multiples of P and a large
+    square common to all rows among them) leaves the basis unchanged.  The
+    scaled systems take all three paths: full rank mod P (no Bareiss), a
+    verified basis from the chosen rows (one), and the fallback (two)."""
+    bareiss_calls = []
+
+    def counted_bareiss(rows, width):
+        bareiss_calls.append(len(rows))
+        return _bareiss(rows, width)
+
+    monkeypatch.setattr(exact, "_bareiss", counted_bareiss)
+    rng = random.Random(71)
+    square = (3**200 * 10**150 + 1) ** 2
+    paths = Counter()
+    for trial in range(300):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 6)
+        mat = []
+        for _ in range(rows):
+            if mat and rng.random() < 0.3:
+                a, b = rng.choice(mat), rng.choice(mat)
+                c, e = rng.randint(-3, 3), rng.randint(-3, 3)
+                mat.append([c * x + e * y for x, y in zip(a, b)])
+            else:
+                mat.append([rng.randint(-4, 4) for _ in range(cols)])
+        expected = nullspace(mat, width=cols)
+        common = square if rng.random() < 0.5 else 1
+        factors = [common * rng.choice((1, 2, 6, P, 3 * P, P * P,
+                                        rng.randint(1, 10**40)))
+                   for _ in mat]
+        scaled = [[f * x for x in row] for f, row in zip(factors, mat)]
+        bareiss_calls.clear()
+        assert nullspace(scaled, width=cols) == expected, (trial, factors)
+        paths[len(bareiss_calls)] += 1
+    assert paths[0] and paths[1] and paths[2], paths

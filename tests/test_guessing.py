@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadguess.equations import QuadEquation, compile_term, render_text
+from quadguess.equations import QuadEquation, render_text
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import nullspace
 from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
@@ -11,7 +11,7 @@ from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
 from quadguess.monomials import monomial_of_index, monomial_of_orders
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, oracle_sequence
-from util_exact import equation_vector, in_span
+from util_exact import equation_vector, in_span, term_coeff_bruteforce
 
 
 def test_column_count():
@@ -19,13 +19,15 @@ def test_column_count():
 
 
 def test_assemble_second_derivative_column():
-    # column (k=5, i=0) hosts f''; its row-n entry is (n+1)(n+2) a_{n+2}
+    # column (k=5, i=0) hosts f''; its row-n entry is (n+1)(n+2) a_{n+2},
+    # times den**2 for the prefix scaled to nums / den
     prefix = oracle_sequence("zigzag-egf", 20)
     matrix, usable = assemble_system(prefix, d=5, m=2)
     assert usable == 18
     col = column_order(5, 2).index((5, 0))
+    _, den = prefix.scaled()
     for n in range(usable):
-        assert matrix[n][col] == (n + 1) * (n + 2) * prefix[n + 2]
+        assert matrix[n][col] == (n + 1) * (n + 2) * prefix[n + 2] * den**2
 
 
 def test_assemble_usable_rows_respects_prefix():
@@ -35,9 +37,18 @@ def test_assemble_usable_rows_respects_prefix():
 
 
 def _reference_matrix(prefix, d, m, usable):
-    return [[compile_term(i, monomial_of_index(k + 2)).value(prefix, n)
-             for k, i in column_order(d, m)]
-            for n in range(usable)]
+    """Brute-force series coefficients times den**2, entry by entry."""
+    a = list(prefix)
+    _, den = prefix.scaled()
+    matrix = []
+    for n in range(usable):
+        row = []
+        for k, i in column_order(d, m):
+            mono = monomial_of_index(k + 2)
+            row.append(term_coeff_bruteforce(a, i, mono.p, mono.q, n)
+                       * den**2)
+        matrix.append(row)
+    return matrix
 
 
 def test_assemble_shared_rows_match_per_entry_reference():
@@ -50,7 +61,7 @@ def test_assemble_shared_rows_match_per_entry_reference():
         for d in order:
             matrix, usable = assemble_system(prefix, d, 2, rows)
             assert matrix == _reference_matrix(prefix, d, 2, usable)
-            assert all(type(x) is Fraction for row in matrix for x in row)
+            assert all(type(x) is int for row in matrix for x in row)
 
 
 def test_guess_exp_contains_first_order_equation():
