@@ -2,10 +2,14 @@
 
 A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
 row n is the z^n Taylor coefficient of the equation on a sequence prefix.
-One evaluator, `term_numerator`, gives the coefficient of each product
-f^(p) * f^(q) through the Cauchy product, as an integer numerator over
-den**2 on the prefix scaled to nums / den; `guess`, `check` and `extend`
-all read their rows through it.
+For the prefix scaled to nums / den, `Derivatives` holds the Taylor
+coefficients of each derivative order p, times den, built once per order
+through `exact.falling_weight`, the one weight function.  One evaluator,
+`term_numerator`, gives the coefficient of each product f^(p) * f^(q) as a
+dot product of two such sequences, an integer numerator over den**2;
+`guess`, `check` and `extend` all read their rows through it.  Every step
+is a ring operation, so the same evaluator on nums and den reduced mod P
+gives the rows mod P.
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1 (not both -1).
@@ -13,41 +17,70 @@ with p >= q >= -1 (not both -1).
 
 import json
 from fractions import Fraction
+from operator import mul
 
 from quadguess.errors import EquationFormatError
 from quadguess.exact import falling_weight, format_rational, parse_rational
 from quadguess.monomials import monomial_of_orders
 
 
-def _quad_conv(nums, m, p, q):
-    """Sum_{t=0..m} (t+p)!/t! * (m-t+q)!/(m-t)! * nums[t+p] * nums[m-t+q].
+class Derivatives:
+    """Taylor coefficients of f, f', f'', ... for the sequence nums / den,
+    times den: order p holds falling_weight(j, p) * nums[j + p] for
+    j = 0 .. len(nums) - p - 1.  Each order is built on first use and kept;
+    `append_zero`, `scale` and `set_last` keep every built order in step
+    with `nums` as a sequence grows."""
 
-    The z^m coefficient of f^(p) * f^(q) when nums are scaled series
-    coefficients.  Requires len(nums) > m + max(p, q).
-    """
-    total = 0
-    for t in range(m + 1):
-        w1 = 1
-        for u in range(t + 1, t + p + 1):
-            w1 *= u
-        w2 = 1
-        for u in range(m - t + 1, m - t + q + 1):
-            w2 *= u
-        total += w1 * w2 * nums[t + p] * nums[m - t + q]
-    return total
+    __slots__ = ("nums", "den", "_orders")
+
+    def __init__(self, nums, den):
+        self.nums = list(nums)
+        self.den = den
+        self._orders = {}
+
+    def __getitem__(self, p):
+        seq = self._orders.get(p)
+        if seq is None:
+            seq = self._orders[p] = [falling_weight(j, p) * x
+                                     for j, x in enumerate(self.nums[p:])]
+        return seq
+
+    def append_zero(self):
+        """Append a 0 to nums, and to every built order it reaches."""
+        self.nums.append(0)
+        for p, seq in self._orders.items():
+            if len(self.nums) > p:
+                seq.append(0)
+
+    def set_last(self, x):
+        """Replace the last nums entry by x, in every built order too."""
+        self.nums[-1] = x
+        t = len(self.nums) - 1
+        for p, seq in self._orders.items():
+            if t >= p:
+                seq[-1] = falling_weight(t - p, p) * x
+
+    def scale(self, factor):
+        """Multiply den, nums and every built order by factor."""
+        self.den *= factor
+        self.nums = [x * factor for x in self.nums]
+        for p, seq in self._orders.items():
+            self._orders[p] = [x * factor for x in seq]
 
 
-def term_numerator(nums, den, m, p, q):
+def term_numerator(derivs, m, p, q):
     """The z^m coefficient of f^(p) * f^(q) times den**2 on the sequence
-    nums / den, an int; order -1 stands for the constant 1, and the
-    coefficient is 0 for m < 0.  Requires len(nums) > m + max(p, q)."""
+    derivs.nums / derivs.den, an int; order -1 stands for the constant 1,
+    and the coefficient is 0 for m < 0.  Requires
+    len(derivs.nums) > m + max(p, q)."""
     if m < 0:
         return 0
+    den = derivs.den
     if p == -1:                      # constant term
         return den * den if m == 0 else 0
-    if q == -1:                      # linear: weighted single coefficient
-        return falling_weight(m, p) * nums[m + p] * den
-    return _quad_conv(nums, m, p, q)
+    if q == -1:                      # linear: one coefficient of f^(p)
+        return derivs[p][m] * den
+    return sum(map(mul, derivs[p][:m + 1], derivs[q][m::-1]))
 
 
 class QuadEquation:
@@ -89,17 +122,19 @@ class QuadEquation:
         extending."""
         return max(t[1].max_order - t[0] for t in self.terms)
 
-    def row_numerator(self, nums, den, n):
-        """Row n times den**2 on the sequence nums / den, a Fraction only
-        through the coefficients (indices up to n + max_shift must fit)."""
-        return sum(coeff * term_numerator(nums, den, n - s, mono.p, mono.q)
+    def row_numerator(self, derivs, n):
+        """Row n times den**2 on the sequence derivs.nums / derivs.den, a
+        Fraction only through the coefficients (indices up to n + max_shift
+        must fit)."""
+        return sum(coeff * term_numerator(derivs, n - s, mono.p, mono.q)
                    for s, mono, coeff in self.terms)
 
     def row_value(self, prefix, n):
         """Exact value of recurrence row n on a prefix (all indices must
         fit: n + max_shift <= prefix.last_index)."""
         nums, den = prefix.scaled()
-        return Fraction(self.row_numerator(nums, den, n), den * den)
+        derivs = Derivatives(nums[:n + self.max_shift + 1], den)
+        return Fraction(self.row_numerator(derivs, n), den * den)
 
     def rescaled(self, lam):
         """Equation satisfied by b_n = a_n * lam^n whenever self is

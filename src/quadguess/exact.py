@@ -1,15 +1,20 @@
 """Exact rational scalars and homogeneous nullspaces.
 
 All arithmetic is over Q via fractions.Fraction (always reduced, positive
-denominator) and int.  The nullspace routine takes rows of ints and
-Fractions (`guess` hands it int rows: row values times den**2), clears
-denominators row by row and first ranks the integer rows modulo the prime
-P = 2**61 - 1: full rank mod P proves a trivial nullspace over Q.
-Otherwise fraction-free Bareiss elimination with deterministic pivoting
-decides, on the rows that were independent mod P when that suffices and on
-all rows when not, so results are exact and reproducible byte for byte.
-Bareiss gets each row divided by its content, which keeps its entries
-small and changes neither the pivots nor the normalized basis.
+denominator) and int.  `falling_weight` is the one derivative weight.
+
+`modular_nullspace` holds the whole elimination policy.  It first ranks
+the rows modulo the prime P = 2**61 - 1, from residues a caller may
+evaluate without the exact rows (reduction mod P is a ring homomorphism):
+full rank mod P proves a trivial nullspace over Q.  Otherwise
+fraction-free Bareiss elimination with deterministic pivoting runs on the
+exact rows that were independent mod P, every proposed basis vector is
+verified exactly against every row, and Bareiss runs on all rows when
+that fails, so results are exact and reproducible byte for byte.  Bareiss
+gets each row divided by its content, which keeps its entries small and
+changes neither the pivots nor the normalized basis.  `nullspace` takes
+rows of ints and Fractions, clears denominators row by row and hands the
+integer rows to it.
 """
 
 from fractions import Fraction
@@ -84,8 +89,8 @@ def normalize_vector(vec):
 
 
 def _independent_rows_mod_p(rows, width):
-    """Indices of the rows, taken greedily in order, that are linearly
-    independent modulo P; stops once `width` rows are found."""
+    """Indices of the integer rows, taken greedily in order, that are
+    linearly independent modulo P; stops once `width` rows are found."""
     echelon = {}   # pivot column c -> row[c:] mod P, scaled to 1 at c
     chosen = []
     for index, row in enumerate(rows):
@@ -149,6 +154,30 @@ def _bareiss(rows, width):
     return basis
 
 
+def modular_nullspace(residues, width, exact_row, vanishes):
+    """Nullspace basis of an integer matrix, read as `nullspace` returns it,
+    from three views of its rows: `residues`, rows congruent to them mod P
+    (any integers, e.g. evaluated on inputs reduced mod P); `exact_row(i)`,
+    row i itself; and `vanishes(vec)`, whether vec annihilates every row.
+
+    Full column rank mod P means full rank over Q (a minor that is nonzero
+    mod P is a nonzero integer), so the answer is [] and no exact row is
+    read.  Otherwise Bareiss runs on the exact rows that were independent
+    mod P; when each vector of their kernel vanishes on every row, that
+    kernel is the kernel of the matrix and so is the same basis, byte for
+    byte.  When one does not (rank lost mod P; when no row survives mod P,
+    every unit vector is proposed), Bareiss runs on all nonzero exact rows.
+    """
+    chosen = _independent_rows_mod_p(residues, width)
+    if len(chosen) == width:
+        return []
+    basis = _bareiss([_primitive(exact_row(i)) for i in chosen], width)
+    if all(map(vanishes, basis)):
+        return basis
+    rows = (exact_row(i) for i in range(len(residues)))
+    return _bareiss([_primitive(row) for row in rows if any(row)], width)
+
+
 def nullspace(matrix, width=None):
     """Basis of the exact nullspace {v : M v = 0}.
 
@@ -156,13 +185,8 @@ def nullspace(matrix, width=None):
     pivoting.  Each basis vector has integer entries, content 1, and a
     positive first nonzero entry; vectors are ordered by free column.
     Returns [] iff the nullspace is trivial.  Entries must be ints or
-    Fractions; anything else raises TypeError.
-
-    Full column rank mod P means full rank over Q (a minor that is nonzero
-    mod P is a nonzero integer), so the answer is [] without Bareiss.
-    Otherwise the rows independent mod P propose a basis; when it vanishes
-    on every row, their kernel is the kernel of M and so is the same basis,
-    byte for byte.  When it does not (rank lost mod P), all rows decide.
+    Fractions; anything else raises TypeError.  The rows, with their
+    denominators cleared, go through `modular_nullspace`.
     """
     rows = _integer_rows(matrix)
     if width is None:
@@ -173,12 +197,8 @@ def nullspace(matrix, width=None):
         if len(row) != width:
             raise ValueError("matrix is not rectangular")
 
-    rows = [row for row in rows if any(row)]
-    chosen = _independent_rows_mod_p(rows, width)
-    if len(chosen) == width:
-        return []
-    basis = _bareiss([_primitive(rows[i]) for i in chosen], width)
-    if all(sum(map(mul, row, (v.numerator for v in vec))) == 0
-           for vec in basis for row in rows):
-        return basis
-    return _bareiss([_primitive(row) for row in rows], width)
+    def vanishes(vec):
+        return all(sum(map(mul, row, (v.numerator for v in vec))) == 0
+                   for row in rows)
+
+    return modular_nullspace(rows, width, rows.__getitem__, vanishes)

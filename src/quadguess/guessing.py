@@ -12,17 +12,24 @@ filtering basis vectors against leftover rows individually.
 
 Column (k, i) is column (k, 0) shifted down i rows, and the columns for d
 are a prefix of those for d + 1, so one search evaluates each monomial's
-row sequence once and every d's matrix indexes into it.
+row sequence once and every d indexes into it.  `guess` ranks each d on
+rows evaluated from the prefix reduced mod P; a size that is full rank
+there is skipped without one exact row.  Exact rows are evaluated only
+where `exact.modular_nullspace` reads them: the rows independent mod P,
+which Bareiss eliminates, and, to verify each proposed equation on every
+row, the rows of the monomials that equation uses.  `assemble_system`
+builds the full exact system.
 """
 
 import json
 from dataclasses import dataclass
 from math import ceil
 
-from quadguess.equations import (QuadEquation, equation_from_obj,
-                                 equation_to_obj, term_numerator)
+from quadguess.equations import (Derivatives, QuadEquation,
+                                 equation_from_obj, equation_to_obj,
+                                 term_numerator)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import normalize_vector, nullspace
+from quadguess.exact import P, modular_nullspace, normalize_vector
 from quadguess.monomials import max_derivative_order, monomial_of_index
 
 
@@ -51,17 +58,39 @@ def column_order(d, m):
     return [(k, i) for k in range(d + 1) for i in range(m + 1)]
 
 
-def _monomial_rows(prefix, k, count, rows):
-    """First `count` recurrence-row values of monomial slot k+2 (at z^0) on
-    the prefix, times den**2, computed into rows[k] as far as it does not
-    reach yet."""
-    seq = rows.setdefault(k, [])
-    if len(seq) < count:
-        mono = monomial_of_index(k + 2)
-        nums, den = prefix.scaled()
-        seq.extend(term_numerator(nums, den, n, mono.p, mono.q)
-                   for n in range(len(seq), count))
-    return seq
+class _SlotRows:
+    """Recurrence-row values of the monomial slots on one set of derivative
+    sequences: rows[k] lists the z^n coefficients of slot k+2, times den**2,
+    for n = 0, 1, ...; each list grows only as far as a read needs and is
+    kept, so every d of a search reads it from there."""
+
+    def __init__(self, derivs, rows=None):
+        self.derivs = derivs
+        self.rows = {} if rows is None else rows
+
+    def slot(self, k, count):
+        """The first `count` row values of slot k+2."""
+        seq = self.rows.setdefault(k, [])
+        if len(seq) < count:
+            mono = monomial_of_index(k + 2)
+            seq.extend(term_numerator(self.derivs, n, mono.p, mono.q)
+                       for n in range(len(seq), count))
+        return seq
+
+    def row(self, n, d, m):
+        """Row n of the size-d system: entry (k, i) is row n - i of slot
+        k+2 (0 for n < i), in column_order."""
+        return [seq[n - i] if n >= i else 0
+                for seq in (self.slot(k, n + 1) for k in range(d + 1))
+                for i in range(m + 1)]
+
+    def vanishes(self, vec, d, m, count):
+        """Whether the solution vector vec (column_order, integer entries)
+        annihilates rows 0 .. count - 1; reads only the slots it uses."""
+        support = [(self.slot(k, count), i, v.numerator)
+                   for (k, i), v in zip(column_order(d, m), vec) if v]
+        return all(sum(c * seq[n - i] for seq, i, c in support if n >= i) == 0
+                   for n in range(count))
 
 
 def assemble_system(prefix, d, m, rows=None):
@@ -79,17 +108,9 @@ def assemble_system(prefix, d, m, rows=None):
     """
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    if rows is None:
-        rows = {}
+    slots = _SlotRows(Derivatives(*prefix.scaled()), rows)
     usable = max(0, prefix.last_index - max_derivative_order(d) + 1)
-    seqs = [_monomial_rows(prefix, k, usable, rows) for k in range(d + 1)]
-    matrix = []
-    for n in range(usable):
-        row = []
-        for seq in seqs:   # column_order: k-major, then z-power i
-            row.extend(seq[n - i] if n >= i else 0 for i in range(m + 1))
-        matrix.append(row)
-    return matrix, usable
+    return [slots.row(n, d, m) for n in range(usable)], usable
 
 
 def normalize(vector, d, m):
@@ -156,15 +177,19 @@ def guess(prefix, cfg=GuessConfig()):
     m = cfg.m
     d_cap = cfg.d_max if cfg.d_max is not None else ceil(n_terms / (m + 1))
     attempted = False
-    rows = {}  # monomial slot -> row values on this prefix, shared by all d
+    nums, den = prefix.scaled()
+    exact = _SlotRows(Derivatives(nums, den))
+    residue = _SlotRows(Derivatives([x % P for x in nums], den % P))
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
         usable = max(0, prefix.last_index - max_derivative_order(d) + 1)
         if usable < construction + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         attempted = True
-        matrix, usable = assemble_system(prefix, d, m, rows)
-        basis = nullspace(matrix, width=construction)
+        basis = modular_nullspace(
+            [residue.row(n, d, m) for n in range(usable)], construction,
+            lambda n: exact.row(n, d, m),
+            lambda vec: exact.vanishes(vec, d, m, usable))
         if basis:
             equations = tuple(normalize(v, d, m) for v in basis)
             return GuessResult(status="success", d=d, m=m, basis=equations,

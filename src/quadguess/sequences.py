@@ -12,6 +12,7 @@ from math import comb, factorial, lcm
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError)
+from quadguess.equations import Derivatives
 from quadguess.exact import falling_weight
 from quadguess.prefix import SequencePrefix
 
@@ -33,17 +34,19 @@ def check(eq, prefix):
     """Evaluate every fully determined row (n = 0 .. N - max_shift) of the
     equation on the prefix; pass iff all vanish exactly."""
     last = prefix.last_index - eq.max_shift
+    derivs = Derivatives(*prefix.scaled())
     for n in range(0, last + 1):
-        residual = eq.row_value(prefix, n)
-        if residual != 0:
+        numerator = eq.row_numerator(derivs, n)
+        if numerator != 0:
             return CheckReport(passed=False, rows_checked=n + 1,
-                               first_failure=n, residual=residual)
+                               first_failure=n,
+                               residual=Fraction(numerator, derivs.den ** 2))
     return CheckReport(passed=True, rows_checked=max(0, last + 1))
 
 
-def _slope(eq, nums, den, n):
-    """Coefficient of nums[t], t = n + max_shift, in eq.row_numerator(nums,
-    den, n).  Only terms with p - s = max_shift reach index t: at convolution
+def _slope(eq, derivs, n):
+    """Coefficient of nums[t], t = n + max_shift, in eq.row_numerator(derivs,
+    n).  Only terms with p - s = max_shift reach index t: at convolution
     index m and, if q = p, at 0 too (NonlinearStepError when also m = 0)."""
     slope = 0
     for s, mono, coeff in eq.terms:
@@ -54,7 +57,7 @@ def _slope(eq, nums, den, n):
         if q == p and m == 0:
             raise NonlinearStepError(n)
         # a linear term's second factor is the constant 1, den when scaled
-        other = den if q == -1 else falling_weight(0, q) * nums[q]
+        other = derivs.den if q == -1 else derivs[q][0]
         slope += coeff * ((2 if q == p else 1) * falling_weight(m, p) * other)
     return slope
 
@@ -80,21 +83,19 @@ def extend(eq, initial, count):
     if not report.passed:
         raise InconsistentInitialTermsError(report.first_failure,
                                             report.residual)
-    nums, den = initial.scaled()
-    nums = list(nums)  # the prefix caches its scaled view; do not append to it
+    # copies the prefix's cached scaled view, which must not grow
+    derivs = Derivatives(*initial.scaled())
     for _ in range(count):
-        n = len(nums) - shift
-        nums.append(0)
-        slope = _slope(eq, nums, den, n)
+        n = len(derivs.nums) - shift
+        derivs.append_zero()
+        slope = _slope(eq, derivs, n)
         if slope == 0:
             raise LeadingCoefficientZeroError(n)
-        term = Fraction(-eq.row_numerator(nums, den, n), slope * den)
+        term = Fraction(-eq.row_numerator(derivs, n), slope * derivs.den)
         values.append(term)
-        if den % term.denominator:
-            factor = lcm(den, term.denominator) // den
-            den *= factor
-            nums = [x * factor for x in nums]
-        nums[-1] = term.numerator * (den // term.denominator)
+        if derivs.den % term.denominator:
+            derivs.scale(lcm(derivs.den, term.denominator) // derivs.den)
+        derivs.set_last(term.numerator * (derivs.den // term.denominator))
     return SequencePrefix(values)
 
 

@@ -9,7 +9,8 @@ from math import factorial
 import pytest
 
 from quadguess.cli import main
-from quadguess.equations import QuadEquation, render_text, term_numerator
+from quadguess.equations import (Derivatives, QuadEquation, render_text,
+                                 term_numerator)
 from quadguess.guessing import GuessConfig, guess, normalize
 from quadguess.monomials import (index_of_pair, monomial_of_index,
                                  monomial_of_orders, nu)
@@ -148,11 +149,12 @@ def test_criterion_7_compiler_oracle_equivalence():
         if (p, q) == (-1, -1):
             continue
         mono = monomial_of_orders(p, q)
-        nums, den = prefix.scaled()
+        derivs = Derivatives(*prefix.scaled())
+        den = derivs.den
         for n in range(13):
             if n - s + mono.max_order > prefix.last_index:
                 break
-            assert term_numerator(nums, den, n - s, p, q) == \
+            assert term_numerator(derivs, n - s, p, q) == \
                 term_coeff_bruteforce(list(prefix), s, p, q, n) * den**2
         cases += 1
     print("PASS criterion 7: compiler oracle equivalence (200 cases)")

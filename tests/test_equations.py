@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from quadguess.equations import (QuadEquation, equation_from_json,
-                                 equation_to_json, render_latex, render_text,
-                                 render_tree, term_numerator)
+from quadguess.equations import (Derivatives, QuadEquation,
+                                 equation_from_json, equation_to_json,
+                                 render_latex, render_text, render_tree,
+                                 term_numerator)
 from quadguess.errors import EquationFormatError
 from quadguess.monomials import (QuadMonomial, monomial_of_index,
                                  monomial_of_orders)
@@ -35,8 +36,8 @@ ZIGZAG_EQ = QuadEquation([
 def _term_row(prefix, s, mono, n):
     """Row n of the single term z^s * f^(p) * f^(q) on the prefix, times
     den**2, through the evaluator; and den**2."""
-    nums, den = prefix.scaled()
-    return term_numerator(nums, den, n - s, mono.p, mono.q), den * den
+    derivs = Derivatives(*prefix.scaled())
+    return term_numerator(derivs, n - s, mono.p, mono.q), derivs.den ** 2
 
 
 def test_compile_term_quadratic_example():
@@ -113,16 +114,15 @@ def test_compiler_vs_series_oracle():
 
 def test_cauchy_symmetry():
     """Product rows are symmetric in the two derivative orders."""
-    from quadguess.equations import _quad_conv
     rng = random.Random(17)
-    nums = [rng.randint(-9, 9) for _ in range(20)]
+    derivs = Derivatives([rng.randint(-9, 9) for _ in range(20)], 1)
     for p in range(0, 4):
         for q in range(0, 4):
             for m in range(0, 14):
-                if m + max(p, q) >= len(nums):
+                if m + max(p, q) >= len(derivs.nums):
                     continue
-                assert _quad_conv(nums, m, p, q) == \
-                    _quad_conv(nums, m, q, p)
+                assert term_numerator(derivs, m, p, q) == \
+                    term_numerator(derivs, m, q, p)
 
 
 def test_row_locality():

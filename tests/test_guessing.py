@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
+from quadguess import exact
 from quadguess.equations import QuadEquation, render_text
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import nullspace
+from quadguess.exact import P, nullspace
 from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
                                 column_order, guess, normalize)
 from quadguess.monomials import monomial_of_index, monomial_of_orders
 from quadguess.prefix import SequencePrefix
-from quadguess.sequences import check, oracle_sequence
+from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import equation_vector, in_span, term_coeff_bruteforce
 
 
@@ -103,6 +105,83 @@ def test_guess_minimality_of_d():
     for d in range(3, result.d):
         matrix, _ = assemble_system(prefix, d, result.m)
         assert nullspace(matrix, width=(result.m + 1) * (d + 1)) == []
+
+
+def _guess_full_exact(prefix, cfg=GuessConfig()):
+    """guess's search with the full exact system at every d: the reference
+    path assemble_system, then nullspace, then normalize."""
+    m = cfg.m
+    d_cap = cfg.d_max if cfg.d_max is not None else ceil(len(prefix) / (m + 1))
+    rows = {}
+    for d in range(cfg.d_start, d_cap + 1):
+        construction = (m + 1) * (d + 1)
+        matrix, usable = assemble_system(prefix, d, m, rows)
+        if usable < construction + cfg.min_verify_rows:
+            break
+        basis = nullspace(matrix, width=construction)
+        if basis:
+            return GuessResult(status="success", d=d, m=m,
+                               basis=tuple(normalize(v, d, m) for v in basis),
+                               construction_rows=construction,
+                               verification_rows=usable - construction)
+    return GuessResult(status="fail", m=m)
+
+
+def test_guess_matches_full_exact_path(monkeypatch):
+    """guess ranks each d on rows evaluated mod P and reads exact rows only
+    where it must; its result equals the full exact system's, byte for
+    byte, also where reduction mod P loses every row (oracle * P), where
+    den = 0 mod P (oracle / P), and where rank drops only mod P (an oracle
+    with P added to its middle or last term) so that the proposed basis
+    fails verification and all rows decide."""
+    survivors, bareiss = [], []   # rows kept mod P; Bareiss on all rows?
+    rank_mod_p, bareiss_rows = exact._independent_rows_mod_p, exact._bareiss
+
+    def logged_rank(rows, width):
+        chosen = rank_mod_p(rows, width)
+        survivors.append(len(chosen))
+        return chosen
+
+    def logged_bareiss(rows, width):
+        bareiss.append(len(rows) >= width)
+        return bareiss_rows(rows, width)
+
+    monkeypatch.setattr(exact, "_independent_rows_mod_p", logged_rank)
+    monkeypatch.setattr(exact, "_bareiss", logged_bareiss)
+
+    def compare(values):
+        prefix = SequencePrefix(values)
+        survivors.clear()
+        bareiss.clear()
+        result = guess(prefix).to_json()
+        paths = list(survivors), list(bareiss)
+        assert result == _guess_full_exact(prefix).to_json(), values
+        return paths
+
+    def plus_p(values, t):
+        return values[:t] + (values[t] + P,) + values[t + 1:]
+
+    rng = random.Random(83)
+    for _ in range(12):
+        compare([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                 for _ in range(rng.randint(14, 30))])
+    last_term_fallbacks = 0
+    for name in sorted(ORACLES):
+        values = oracle_sequence(name, rng.randint(26, 32)).values
+        _, fallback = compare(values)
+        assert fallback == [False], name   # verified on the chosen rows
+        survivors_times_p, _ = compare([v * P for v in values])
+        assert set(survivors_times_p) == {0}
+        over_p = [v / P for v in values]
+        assert SequencePrefix(over_p).scaled()[1] % P == 0
+        compare(over_p)
+        _, fallback = compare(plus_p(values, len(values) // 2))
+        assert True in fallback, name
+        # only the last row reads the last term, and an equation whose
+        # max_shift is below r(d) does not read it there
+        _, fallback = compare(plus_p(values, len(values) - 1))
+        last_term_fallbacks += True in fallback
+    assert last_term_fallbacks
 
 
 def test_guess_soundness_all_rows():
