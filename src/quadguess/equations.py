@@ -17,6 +17,7 @@ with p >= q >= -1 (not both -1).
 
 import json
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from quadguess.errors import EquationFormatError
@@ -85,9 +86,11 @@ def term_numerator(derivs, m, p, q):
 
 class QuadEquation:
     """Sum of terms coeff * z^s * f^(p) * f^(q), coefficients exact and
-    nonzero, terms sorted by (monomial index, z-power)."""
+    nonzero, terms sorted by (monomial index, z-power).  `coeff_den` is the
+    lcm of the coefficients' denominators, and `int_terms` holds the terms
+    with their coefficients times it, as ints."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "coeff_den", "int_terms")
 
     def __init__(self, terms):
         merged = {}
@@ -105,6 +108,10 @@ class QuadEquation:
         if not cleaned:
             raise ValueError("an equation needs at least one nonzero term")
         self.terms = tuple(cleaned)
+        self.coeff_den = lcm(*(c.denominator for _, _, c in cleaned))
+        self.int_terms = tuple(
+            (s, mono, c.numerator * (self.coeff_den // c.denominator))
+            for s, mono, c in cleaned)
 
     def __eq__(self, other):
         return isinstance(other, QuadEquation) and self.terms == other.terms
@@ -123,18 +130,18 @@ class QuadEquation:
         return max(t[1].max_order - t[0] for t in self.terms)
 
     def row_numerator(self, derivs, n):
-        """Row n times den**2 on the sequence derivs.nums / derivs.den, a
-        Fraction only through the coefficients (indices up to n + max_shift
-        must fit)."""
+        """Row n times coeff_den * den**2 on the sequence derivs.nums /
+        derivs.den, an int (indices up to n + max_shift must fit)."""
         return sum(coeff * term_numerator(derivs, n - s, mono.p, mono.q)
-                   for s, mono, coeff in self.terms)
+                   for s, mono, coeff in self.int_terms)
 
     def row_value(self, prefix, n):
         """Exact value of recurrence row n on a prefix (all indices must
         fit: n + max_shift <= prefix.last_index)."""
         nums, den = prefix.scaled()
         derivs = Derivatives(nums[:n + self.max_shift + 1], den)
-        return Fraction(self.row_numerator(derivs, n), den * den)
+        return Fraction(self.row_numerator(derivs, n),
+                        self.coeff_den * den * den)
 
     def rescaled(self, lam):
         """Equation satisfied by b_n = a_n * lam^n whenever self is

@@ -4,17 +4,20 @@ All arithmetic is over Q via fractions.Fraction (always reduced, positive
 denominator) and int.  `falling_weight` is the one derivative weight.
 
 `modular_nullspace` holds the whole elimination policy.  It first ranks
-the rows modulo the prime P = 2**61 - 1, from residues a caller may
-evaluate without the exact rows (reduction mod P is a ring homomorphism):
-full rank mod P proves a trivial nullspace over Q.  Otherwise
-fraction-free Bareiss elimination with deterministic pivoting runs on the
-exact rows that were independent mod P, every proposed basis vector is
-verified exactly against every row, and Bareiss runs on all rows when
-that fails, so results are exact and reproducible byte for byte.  Bareiss
-gets each row divided by its content, which keeps its entries small and
-changes neither the pivots nor the normalized basis.  `nullspace` takes
-rows of ints and Fractions, clears denominators row by row and hands the
-integer rows to it.
+the matrix modulo the prime P = 2**61 - 1 with a `ColumnEchelon`, built
+from residues a caller may evaluate without the exact rows (reduction mod
+P is a ring homomorphism): full rank mod P proves a trivial nullspace over
+Q.  The echelon grows by columns and shrinks by rows without
+re-eliminating, so `guess` keeps one per search and adds only the new
+columns of each ansatz size.  Otherwise fraction-free Bareiss elimination
+with deterministic pivoting runs on the exact rows at the echelon's
+pivots, every proposed basis vector is verified exactly against every
+row, and Bareiss runs on all rows when that fails, so results are exact
+and reproducible byte for byte.  Bareiss gets each row divided by its
+content, which keeps its entries small and changes neither the pivots nor
+the normalized basis.  `nullspace` takes rows of ints and Fractions,
+clears denominators row by row, builds the echelon from the columns of
+the integer rows and hands both to it.
 """
 
 from fractions import Fraction
@@ -88,28 +91,51 @@ def normalize_vector(vec):
     return [Fraction(v) for v in ints]
 
 
-def _independent_rows_mod_p(rows, width):
-    """Indices of the integer rows, taken greedily in order, that are
-    linearly independent modulo P; stops once `width` rows are found."""
-    echelon = {}   # pivot column c -> row[c:] mod P, scaled to 1 at c
-    chosen = []
-    for index, row in enumerate(rows):
-        row = [x % P for x in row]
-        for col in range(width):
-            f = row[col]
-            if f == 0:
-                continue
-            pivot_row = echelon.get(col)
-            if pivot_row is None:
-                inv = pow(f, -1, P)
-                echelon[col] = [x * inv % P for x in row[col:]]
-                chosen.append(index)
-                break
-            row[col:] = [(x - f * y) % P
-                         for x, y in zip(row[col:], pivot_row)]
-        if len(chosen) == width:
-            break
-    return chosen
+class ColumnEchelon:
+    """A column echelon mod P of an integer matrix that grows by columns
+    and shrinks by rows.
+
+    `basis` lists (pivot row, column[pivot:] mod P) for the added columns
+    that are independent of the columns before them, each reduced against
+    the earlier ones: zero above its pivot, 1 at it, and 0 at every earlier
+    pivot.  `rank` is the rank mod P of the current matrix, so the matrix
+    has full column rank mod P iff rank == width; its rows at the pivots,
+    restricted to those columns, form a submatrix nonsingular mod P.
+    """
+
+    def __init__(self, height):
+        self.height = height
+        self.width = 0
+        self.basis = []
+
+    @property
+    def rank(self):
+        return len(self.basis)
+
+    def pivot_rows(self):
+        return sorted(pivot for pivot, _ in self.basis)
+
+    def add(self, column):
+        """Append a column of `height` integers (any representatives mod P)."""
+        col = [x % P for x in column]
+        for pivot, tail in self.basis:
+            f = col[pivot]
+            if f:
+                col[pivot:] = [(x - f * y) % P
+                               for x, y in zip(col[pivot:], tail)]
+        pivot = next((n for n, x in enumerate(col) if x), None)
+        if pivot is not None:
+            inv = pow(col[pivot], -1, P)
+            self.basis.append((pivot, [x * inv % P for x in col[pivot:]]))
+        self.width += 1
+
+    def cut(self, height):
+        """Keep the first `height` rows (at most the current height).  A
+        basis column whose pivot is cut is zero on the kept rows and is
+        dropped; the others stay reduced, so nothing is re-eliminated."""
+        self.basis = [(pivot, tail[:height - pivot])
+                      for pivot, tail in self.basis if pivot < height]
+        self.height = height
 
 
 def _bareiss(rows, width):
@@ -154,27 +180,29 @@ def _bareiss(rows, width):
     return basis
 
 
-def modular_nullspace(residues, width, exact_row, vanishes):
+def modular_nullspace(echelon, exact_row, vanishes):
     """Nullspace basis of an integer matrix, read as `nullspace` returns it,
-    from three views of its rows: `residues`, rows congruent to them mod P
-    (any integers, e.g. evaluated on inputs reduced mod P); `exact_row(i)`,
+    from three views of it: `echelon`, a ColumnEchelon of a matrix congruent
+    to it mod P (e.g. evaluated on inputs reduced mod P); `exact_row(i)`,
     row i itself; and `vanishes(vec)`, whether vec annihilates every row.
 
     Full column rank mod P means full rank over Q (a minor that is nonzero
     mod P is a nonzero integer), so the answer is [] and no exact row is
-    read.  Otherwise Bareiss runs on the exact rows that were independent
-    mod P; when each vector of their kernel vanishes on every row, that
-    kernel is the kernel of the matrix and so is the same basis, byte for
-    byte.  When one does not (rank lost mod P; when no row survives mod P,
-    every unit vector is proposed), Bareiss runs on all nonzero exact rows.
+    read.  Otherwise Bareiss runs on the exact rows at the echelon's pivots,
+    which hold such a minor of the rank mod P; when each vector of their
+    kernel vanishes on every row, that kernel is the kernel of the matrix
+    and so is the same basis, byte for byte.  When one does not (rank lost
+    mod P; when no row survives mod P, every unit vector is proposed),
+    Bareiss runs on all nonzero exact rows.
     """
-    chosen = _independent_rows_mod_p(residues, width)
-    if len(chosen) == width:
+    width = echelon.width
+    if echelon.rank == width:
         return []
-    basis = _bareiss([_primitive(exact_row(i)) for i in chosen], width)
+    basis = _bareiss([_primitive(exact_row(i))
+                      for i in echelon.pivot_rows()], width)
     if all(map(vanishes, basis)):
         return basis
-    rows = (exact_row(i) for i in range(len(residues)))
+    rows = (exact_row(i) for i in range(echelon.height))
     return _bareiss([_primitive(row) for row in rows if any(row)], width)
 
 
@@ -186,7 +214,8 @@ def nullspace(matrix, width=None):
     positive first nonzero entry; vectors are ordered by free column.
     Returns [] iff the nullspace is trivial.  Entries must be ints or
     Fractions; anything else raises TypeError.  The rows, with their
-    denominators cleared, go through `modular_nullspace`.
+    denominators cleared, and their column echelon mod P go through
+    `modular_nullspace`.
     """
     rows = _integer_rows(matrix)
     if width is None:
@@ -201,4 +230,7 @@ def nullspace(matrix, width=None):
         return all(sum(map(mul, row, (v.numerator for v in vec))) == 0
                    for row in rows)
 
-    return modular_nullspace(rows, width, rows.__getitem__, vanishes)
+    echelon = ColumnEchelon(len(rows))
+    for c in range(width):
+        echelon.add([row[c] for row in rows])
+    return modular_nullspace(echelon, rows.__getitem__, vanishes)

@@ -12,10 +12,12 @@ filtering basis vectors against leftover rows individually.
 
 Column (k, i) is column (k, 0) shifted down i rows, and the columns for d
 are a prefix of those for d + 1, so one search evaluates each monomial's
-row sequence once and every d indexes into it.  `guess` ranks each d on
-rows evaluated from the prefix reduced mod P; a size that is full rank
-there is skipped without one exact row.  Exact rows are evaluated only
-where `exact.modular_nullspace` reads them: the rows independent mod P,
+row sequence once and every d indexes into it.  `guess` ranks the systems
+mod P in one `exact.ColumnEchelon` per search, on row values evaluated
+from the prefix reduced mod P: each d cuts it to its usable rows and adds
+only its m + 1 new columns, and a size that is full rank there is skipped
+without one exact row.  Exact rows are evaluated only where
+`exact.modular_nullspace` reads them: the rows at the echelon's pivots,
 which Bareiss eliminates, and, to verify each proposed equation on every
 row, the rows of the monomials that equation uses.  `assemble_system`
 builds the full exact system.
@@ -29,7 +31,8 @@ from quadguess.equations import (Derivatives, QuadEquation,
                                  equation_from_obj, equation_to_obj,
                                  term_numerator)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import P, modular_nullspace, normalize_vector
+from quadguess.exact import (P, ColumnEchelon, modular_nullspace,
+                             normalize_vector)
 from quadguess.monomials import max_derivative_order, monomial_of_index
 
 
@@ -93,6 +96,12 @@ class _SlotRows:
                    for n in range(count))
 
 
+def _usable_rows(prefix, d):
+    """How many rows of the size-d system the prefix determines: row n
+    reads indices up to n + r(d), r(d) the largest derivative order."""
+    return max(0, prefix.last_index - max_derivative_order(d) + 1)
+
+
 def assemble_system(prefix, d, m, rows=None):
     """(matrix, usable_rows): rows n = 0, 1, ... of the ansatz recurrence
     evaluated on the prefix, emitted while every touched index fits.
@@ -109,7 +118,7 @@ def assemble_system(prefix, d, m, rows=None):
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
     slots = _SlotRows(Derivatives(*prefix.scaled()), rows)
-    usable = max(0, prefix.last_index - max_derivative_order(d) + 1)
+    usable = _usable_rows(prefix, d)
     return [slots.row(n, d, m) for n in range(usable)], usable
 
 
@@ -180,15 +189,20 @@ def guess(prefix, cfg=GuessConfig()):
     nums, den = prefix.scaled()
     exact = _SlotRows(Derivatives(nums, den))
     residue = _SlotRows(Derivatives([x % P for x in nums], den % P))
+    echelon = ColumnEchelon(_usable_rows(prefix, cfg.d_start))
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
-        usable = max(0, prefix.last_index - max_derivative_order(d) + 1)
+        usable = _usable_rows(prefix, d)
         if usable < construction + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         attempted = True
+        echelon.cut(usable)
+        for k in range(echelon.width // (m + 1), d + 1):
+            seq = residue.slot(k, usable)
+            for i in range(m + 1):
+                echelon.add([0] * i + seq[:usable - i])
         basis = modular_nullspace(
-            [residue.row(n, d, m) for n in range(usable)], construction,
-            lambda n: exact.row(n, d, m),
+            echelon, lambda n: exact.row(n, d, m),
             lambda vec: exact.vanishes(vec, d, m, usable))
         if basis:
             equations = tuple(normalize(v, d, m) for v in basis)

@@ -7,7 +7,7 @@ rows that introduce nothing new must vanish on the initial terms."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
@@ -38,18 +38,19 @@ def check(eq, prefix):
     for n in range(0, last + 1):
         numerator = eq.row_numerator(derivs, n)
         if numerator != 0:
+            residual = Fraction(numerator, eq.coeff_den * derivs.den ** 2)
             return CheckReport(passed=False, rows_checked=n + 1,
-                               first_failure=n,
-                               residual=Fraction(numerator, derivs.den ** 2))
+                               first_failure=n, residual=residual)
     return CheckReport(passed=True, rows_checked=max(0, last + 1))
 
 
 def _slope(eq, derivs, n):
     """Coefficient of nums[t], t = n + max_shift, in eq.row_numerator(derivs,
-    n).  Only terms with p - s = max_shift reach index t: at convolution
-    index m and, if q = p, at 0 too (NonlinearStepError when also m = 0)."""
+    n), an int.  Only terms with p - s = max_shift reach index t: at
+    convolution index m and, if q = p, at 0 too (NonlinearStepError when
+    also m = 0)."""
     slope = 0
-    for s, mono, coeff in eq.terms:
+    for s, mono, coeff in eq.int_terms:
         m = n - s
         p, q = mono.p, mono.q
         if m < 0 or p - s != eq.max_shift:
@@ -105,16 +106,19 @@ def extend(eq, initial, count):
 # triangles, never the guessed equations themselves.
 
 
-def _bernoulli_numbers(count):
-    """B_0 .. B_{count-1} (B_1 = -1/2) via sum_k C(n+1, k) B_k = 0."""
-    bern = []
-    for n in range(count):
-        if n == 0:
-            bern.append(Fraction(1))
-            continue
-        acc = sum((comb(n + 1, k) * bern[k] for k in range(n)), Fraction(0))
-        bern.append(-acc / (n + 1))
-    return bern
+def _tangent_numbers(count):
+    """Tangent numbers T_1 .. T_count (1, 2, 16, 272, ...), computed in
+    place (Brent & Harvey, "Fast computation of Bernoulli, tangent and
+    secant numbers", 2011)."""
+    t = [0] * (count + 1)
+    if count:
+        t[1] = 1
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
 def _zigzag_numbers(count):
@@ -149,7 +153,18 @@ def _egf(ints):
 
 
 def _oracle_bernoulli_egf(count):
-    return _egf(_bernoulli_numbers(count))
+    """B_n / n! with B_1 = -1/2, B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))
+    and B_n = 0 at the other odd n."""
+    vals = [Fraction(1), Fraction(-1, 2)][:count]
+    tangent = _tangent_numbers((count - 1) // 2)
+    for n in range(2, count):
+        m = n // 2
+        if n % 2:
+            vals.append(Fraction(0))
+        else:
+            vals.append(Fraction((-1) ** (m - 1) * n * tangent[m - 1],
+                                 4**m * (4**m - 1) * factorial(n)))
+    return vals
 
 
 def _oracle_euler_egf(count):
@@ -172,10 +187,10 @@ def _oracle_zigzag_egf(count):
 
 
 def _oracle_zeta_rescaled(count):
-    """zeta(2n+2) / pi^(2n+2) = (-1)^n 2^(2n+1) B_{2n+2} / (2n+2)!."""
-    bern = _bernoulli_numbers(2 * count + 2)
-    return [Fraction((-1) ** n * 2 ** (2 * n + 1)) * bern[2 * n + 2]
-            / factorial(2 * n + 2) for n in range(count)]
+    """zeta(2n+2) / pi^(2n+2) = (-1)^n 2^(2n+1) B_{2n+2} / (2n+2)!
+    = T_{n+1} / (2 (4^(n+1) - 1) (2n+1)!)."""
+    return [Fraction(t, 2 * (4 ** (n + 1) - 1) * factorial(2 * n + 1))
+            for n, t in enumerate(_tangent_numbers(count))]
 
 
 def _oracle_lambertw(count):

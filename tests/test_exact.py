@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from quadguess import exact
-from quadguess.exact import (P, _bareiss, _integer_rows, falling_weight,
-                             format_rational, normalize_vector, nullspace,
-                             parse_rational)
-from util_exact import naive_rank
+from quadguess.exact import (P, ColumnEchelon, _bareiss, _integer_rows,
+                             falling_weight, format_rational,
+                             normalize_vector, nullspace, parse_rational)
+from util_exact import naive_rank, rank_mod_p
 
 
 def test_rational_serialization():
@@ -127,6 +127,52 @@ def test_nullspace_equals_bareiss_on_all_rows_randomized():
                         for _ in range(cols)])
         expected = _bareiss_all_rows(mat, cols)
         assert nullspace(mat, width=cols) == expected, (trial, mat)
+
+
+def test_column_echelon_matches_rank_from_scratch():
+    """Columns added one at a time, with row cuts between some additions:
+    after every step the echelon's rank and full-rank verdict are those of
+    the current matrix, ranked mod P from scratch, and its pivot rows of
+    the columns independent of the columns before them form a submatrix
+    that is nonsingular mod P."""
+    rng = random.Random(97)
+    entries = (0, 1, -1, 2, -2, P, -P, 2 * P, P + 1)
+    cuts = 0
+    for trial in range(300):
+        height = rng.randint(1, 8)
+        echelon = ColumnEchelon(height)
+        columns = []
+
+        def check():
+            rows = [list(row) for row in zip(*columns)]
+            rank = rank_mod_p(rows, P)
+            assert echelon.rank == rank, (trial, columns)
+            assert (echelon.rank == echelon.width) == (rank == len(columns))
+            kept = [c for c in range(len(columns))
+                    if rank_mod_p([row[:c + 1] for row in rows], P)
+                    > rank_mod_p([row[:c] for row in rows], P)]
+            minor = [[columns[c][n] for c in kept]
+                     for n in echelon.pivot_rows()]
+            assert rank_mod_p(minor, P) == len(kept), (trial, columns)
+
+        for _ in range(rng.randint(1, 9)):
+            if columns and rng.random() < 0.3:
+                height = rng.randint(0, height)
+                echelon.cut(height)
+                columns = [col[:height] for col in columns]
+                cuts += 1
+                check()
+            if columns and rng.random() < 0.3:
+                # a combination of earlier columns: rank deficiency is common
+                a, b = rng.choice(columns), rng.choice(columns)
+                c, e = rng.randint(-3, 3), rng.randint(-3, 3)
+                column = [c * x + e * y for x, y in zip(a, b)]
+            else:
+                column = [rng.choice(entries) for _ in range(height)]
+            echelon.add(column)
+            columns.append(column)
+            check()
+    assert cuts > 100
 
 
 @pytest.mark.parametrize("entry", [0.5, "1/3", True, None])

@@ -4,7 +4,7 @@ from math import ceil
 
 import pytest
 
-from quadguess import exact
+from quadguess import exact, guessing
 from quadguess.equations import QuadEquation, render_text
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import P, nullspace
@@ -127,34 +127,42 @@ def _guess_full_exact(prefix, cfg=GuessConfig()):
     return GuessResult(status="fail", m=m)
 
 
-def test_guess_matches_full_exact_path(monkeypatch):
-    """guess ranks each d on rows evaluated mod P and reads exact rows only
-    where it must; its result equals the full exact system's, byte for
-    byte, also where reduction mod P loses every row (oracle * P), where
-    den = 0 mod P (oracle / P), and where rank drops only mod P (an oracle
-    with P added to its middle or last term) so that the proposed basis
-    fails verification and all rows decide."""
-    survivors, bareiss = [], []   # rows kept mod P; Bareiss on all rows?
-    rank_mod_p, bareiss_rows = exact._independent_rows_mod_p, exact._bareiss
+def _prime_denominator_prefix(rng, count):
+    """The fail-random shape: 20-bit numerators over distinct 15-bit prime
+    denominators, so every ansatz size is full rank."""
+    primes = [q for q in range(2**14 + 1, 2**15, 2)
+              if all(q % f for f in range(3, int(q**0.5) + 1, 2))]
+    return [Fraction(rng.choice((-1, 1)) * rng.randrange(2**19, 2**20), q)
+            for q in rng.sample(primes, count)]
 
-    def logged_rank(rows, width):
-        chosen = rank_mod_p(rows, width)
-        survivors.append(len(chosen))
-        return chosen
+
+def test_guess_matches_full_exact_path(monkeypatch):
+    """guess ranks each d in one column echelon mod P per search and reads
+    exact rows only where it must; its result equals the full exact
+    system's, byte for byte, also where reduction mod P loses every row
+    (oracle * P), where den = 0 mod P (oracle / P), and where rank drops
+    only mod P (an oracle with P added to its middle or last term) so that
+    the proposed basis fails verification and all rows decide."""
+    ranks, bareiss = [], []   # echelon (rank, width, height) per d; all rows?
+    rank_filter, bareiss_rows = guessing.modular_nullspace, exact._bareiss
+
+    def logged_rank(echelon, exact_row, vanishes):
+        ranks.append((echelon.rank, echelon.width, echelon.height))
+        return rank_filter(echelon, exact_row, vanishes)
 
     def logged_bareiss(rows, width):
         bareiss.append(len(rows) >= width)
         return bareiss_rows(rows, width)
 
-    monkeypatch.setattr(exact, "_independent_rows_mod_p", logged_rank)
+    monkeypatch.setattr(guessing, "modular_nullspace", logged_rank)
     monkeypatch.setattr(exact, "_bareiss", logged_bareiss)
 
     def compare(values):
         prefix = SequencePrefix(values)
-        survivors.clear()
+        ranks.clear()
         bareiss.clear()
         result = guess(prefix).to_json()
-        paths = list(survivors), list(bareiss)
+        paths = list(ranks), list(bareiss)
         assert result == _guess_full_exact(prefix).to_json(), values
         return paths
 
@@ -169,9 +177,9 @@ def test_guess_matches_full_exact_path(monkeypatch):
     for name in sorted(ORACLES):
         values = oracle_sequence(name, rng.randint(26, 32)).values
         _, fallback = compare(values)
-        assert fallback == [False], name   # verified on the chosen rows
-        survivors_times_p, _ = compare([v * P for v in values])
-        assert set(survivors_times_p) == {0}
+        assert fallback == [False], name   # verified on the pivot rows
+        ranks_times_p, _ = compare([v * P for v in values])
+        assert {rank for rank, _, _ in ranks_times_p} == {0}
         over_p = [v / P for v in values]
         assert SequencePrefix(over_p).scaled()[1] % P == 0
         compare(over_p)
@@ -182,6 +190,11 @@ def test_guess_matches_full_exact_path(monkeypatch):
         _, fallback = compare(plus_p(values, len(values) - 1))
         last_term_fallbacks += True in fallback
     assert last_term_fallbacks
+    for _ in range(3):
+        per_d, fallback = compare(_prime_denominator_prefix(rng, 40))
+        assert fallback == []
+        assert all(rank == width for rank, width, _ in per_d)
+        assert len({height for _, _, height in per_d}) == 3  # cut twice
 
 
 def test_guess_soundness_all_rows():

@@ -15,7 +15,7 @@ from quadguess.guessing import GuessConfig, guess
 from quadguess.monomials import monomial_of_orders
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, extend, oracle_sequence
-from util_exact import extend_bruteforce
+from util_exact import bernoulli_numbers, extend_bruteforce
 
 
 def _eq(*terms):
@@ -64,6 +64,24 @@ def test_oracle_bernoulli_values():
     vals = oracle_sequence("bernoulli-egf", 5)
     assert list(vals) == [1, Fraction(-1, 2), Fraction(1, 12), 0,
                           Fraction(-1, 720)]
+
+
+def test_bernoulli_reference_pins():
+    bern = bernoulli_numbers(31)
+    assert bern[12] == Fraction(-691, 2730)
+    assert bern[30] == Fraction(8615841276005, 14322)
+
+
+def test_tangent_oracles_match_bernoulli_recurrence():
+    """The Bernoulli and zeta oracles, generated from tangent numbers,
+    equal the values the Bernoulli recurrence gives, at every count."""
+    bern = bernoulli_numbers(2 * 120 + 2)
+    egf = [b / factorial(n) for n, b in enumerate(bern)]
+    zeta = [(-1) ** n * 2 ** (2 * n + 1) * bern[2 * n + 2]
+            / factorial(2 * n + 2) for n in range(120)]
+    for count in range(1, 121):
+        assert list(oracle_sequence("bernoulli-egf", count)) == egf[:count]
+        assert list(oracle_sequence("zeta-rescaled", count)) == zeta[:count]
 
 
 def test_oracle_euler_values():

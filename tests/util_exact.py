@@ -6,10 +6,23 @@ a dense linear solver.  These stay separate from the code paths they check.
 """
 
 from fractions import Fraction
+from math import comb
 
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError)
+
+
+def bernoulli_numbers(count):
+    """B_0 .. B_{count-1} (B_1 = -1/2) via sum_k C(n+1, k) B_k = 0."""
+    bern = []
+    for n in range(count):
+        if n == 0:
+            bern.append(Fraction(1))
+            continue
+        acc = sum((comb(n + 1, k) * bern[k] for k in range(n)), Fraction(0))
+        bern.append(-acc / (n + 1))
+    return bern
 
 
 def series_derivative(coeffs, times=1):
@@ -105,6 +118,27 @@ def naive_rank(matrix):
     if not matrix:
         return 0
     return len(gauss_eliminate(matrix)[1])
+
+
+def rank_mod_p(matrix, p):
+    """Rank of an integer matrix modulo the prime p, by Gauss-Jordan
+    elimination of its rows from scratch."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def naive_nullspace(matrix, width):
