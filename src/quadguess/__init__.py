@@ -4,8 +4,7 @@ and extend sequences from such equations."""
 
 from quadguess.equations import (QuadEquation, equation_from_json,
                                  equation_from_obj, equation_to_json,
-                                 equation_to_obj, render_latex, render_text,
-                                 render_tree)
+                                 equation_to_obj, render_latex, render_text)
 from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               InconsistentInitialTermsError,
                               InsufficientTermsError,

@@ -78,12 +78,25 @@ def _load_equation(path):
         raise EquationFormatError(f"{path}: {exc}") from exc
 
 
+def _print_rationals(values, fmt):
+    """Print rationals as one JSON array, or one per line."""
+    if fmt == "json":
+        print(json.dumps([format_rational(v) for v in values]))
+    else:
+        for v in values:
+            print(format_rational(v))
+
+
 def _cmd_guess(args):
     prefix = load_prefix(args.input)
-    if args.rescale is not None:
-        prefix = prefix.rescaled(parse_rational(args.rescale))
-    cfg = GuessConfig(m=args.max_poly_deg, d_start=args.d_start,
-                      d_max=args.d_max, min_verify_rows=args.min_verify)
+    try:
+        if args.rescale is not None:
+            prefix = prefix.rescaled(parse_rational(args.rescale))
+        cfg = GuessConfig(m=args.max_poly_deg, d_start=args.d_start,
+                          d_max=args.d_max, min_verify_rows=args.min_verify)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: bad guess option: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     result = guess(prefix, cfg)
     if args.format == "json":
         print(result.to_json())
@@ -112,11 +125,7 @@ def _cmd_extend(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps([format_rational(v) for v in extended]))
-    else:
-        for v in extended:
-            print(format_rational(v))
+    _print_rationals(extended, args.format)
     return EXIT_OK
 
 
@@ -150,11 +159,7 @@ def _cmd_oracle(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps([format_rational(v) for v in prefix]))
-    else:
-        for v in prefix:
-            print(format_rational(v))
+    _print_rationals(prefix, args.format)
     return EXIT_OK
 
 

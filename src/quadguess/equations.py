@@ -204,187 +204,82 @@ def equation_from_json(text):
 
 
 # ---------------------------------------------------------------------------
-# Rendering: canonical expression trees, with text and LaTeX views.
-# Terms render highest (monomial index, z-power) first.
+# Rendering, in text or LaTeX, highest (monomial index, z-power) term first.
+# Term z^s * f^(p) * f^(q) has recurrence row n (a(t) = 0 for t < 0):
+#   linear (q = -1)  (n-s+1)...(n-s+p) * a(n-s+p)
+#   product          Sum_{k=0..n-s} (k+1)...(k+p) * (n-s-k+1)...(n-s-k+q)
+#                                   * a(k+p) * a(n-s-k+q)
+#   constant         [n=s]
 
 
-def render_tree(eq, mode):
-    """Canonical JSON-able expression tree ('ode' or 'recurrence')."""
-    if mode == "ode":
-        terms = []
-        for s, mono, coeff in reversed(eq.terms):
-            orders = [] if mono.p == -1 else (
-                [mono.p] if mono.q == -1 else sorted((mono.p, mono.q)))
-            terms.append({"coeff": format_rational(coeff),
-                          "z_power": s, "orders": orders})
-        return {"kind": "ode", "terms": terms, "rhs": "0"}
-    if mode == "recurrence":
-        terms = []
-        for s, mono, coeff in reversed(eq.terms):
-            p, q = mono.p, mono.q
-            entry = {"coeff": format_rational(coeff)}
-            if p == -1:
-                entry.update(kind="constant", at=s)
-            elif q == -1:
-                # coeff * (n-s+1)...(n-s+p) * a(n-s+p)
-                entry.update(kind="linear",
-                             weight_offsets=list(range(1 - s, p - s + 1)),
-                             index_offset=p - s)
-            else:
-                # coeff * Sum_{k=0..n-s} (k+1)..(k+p) * (n-s-k+1)..(n-s-k+q)
-                #         * a(k+p) * a(n-s-k+q)
-                entry.update(kind="convolution",
-                             upper_offset=-s,
-                             k_weight_offsets=list(range(1, p + 1)),
-                             k_index_offset=p,
-                             n_weight_offsets=list(range(1 - s, q - s + 1)),
-                             n_index_offset=q - s)
-            terms.append(entry)
-        return {"kind": "recurrence", "terms": terms, "rhs": "0"}
-    raise ValueError(f"unknown render mode {mode!r}")
+def _shift(var, offset):
+    """'n', 'n+2', 'n-1'."""
+    return f"{var}{offset:+d}" if offset else var
 
 
-def _fmt_shift(var, offset, bare=False):
-    """'n', 'n+2', 'n-1' (parenthesized unless bare or offset-free)."""
-    if offset == 0:
-        body = var
-    elif offset > 0:
-        body = f"{var}+{offset}"
-    else:
-        body = f"{var}-{-offset}"
-    if bare or offset == 0:
-        return body
-    return f"({body})"
+def _rising(var, first, last):
+    """Weight factors var+first .. var+last, parenthesized unless bare."""
+    return [w if w.isalpha() else f"({w})"
+            for w in (_shift(var, off) for off in range(first, last + 1))]
 
 
-def _deriv_text(order):
-    if order <= 3:
-        return "y" + "'" * order
-    return f"y^({order})"
+def _render(eq, mode, latex):
+    """The equation in mode 'ode' or 'recurrence', as LaTeX or text."""
+    if mode not in ("ode", "recurrence"):
+        raise ValueError(f"unknown render mode {mode!r}")
+    sep = r"\," if latex else "*"
 
+    def power(base, exp):
+        return f"{base}^{{{exp}}}" if latex else f"{base}^{exp}"
 
-def _deriv_latex(order):
-    if order <= 3:
-        return "y" + "'" * order
-    return f"y^{{({order})}}"
+    def deriv(order):
+        return "y" + "'" * order if order <= 3 else power("y", f"({order})")
 
-
-def _join_signed(pieces):
-    """Combine (sign, body) pairs into 'a - b + c'."""
     out = ""
-    for i, (negative, body) in enumerate(pieces):
-        if i == 0:
-            out = ("-" if negative else "") + body
+    for s, mono, coeff in reversed(eq.terms):
+        p, q = mono.p, mono.q
+        mag = abs(coeff)
+        factors = []
+        if mag != 1:
+            factors.append(rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+                           if latex and mag.denominator != 1
+                           else format_rational(mag))
+        if mode == "ode":
+            if s:
+                factors.append("z" if s == 1 else power("z", s))
+            if p == -1:
+                factors.append("1")
+            elif q == -1:
+                factors.append(deriv(p))
+            elif p == q:
+                factors.append(power("y" if p == 0 else f"({deriv(p)})", 2))
+            else:
+                factors += [deriv(q), deriv(p)]
+        elif p == -1:
+            factors.append(f"[n={s}]")
+        elif q == -1:
+            factors += _rising("n", 1 - s, p - s)
+            factors.append(f"a({_shift('n', p - s)})")
         else:
-            out += (" - " if negative else " + ") + body
-    return out
-
-
-def _coeff_factor(coeff_str, latex=False):
-    """(negative, multiplier-prefix) for a coefficient string."""
-    negative = coeff_str.startswith("-")
-    mag = coeff_str[1:] if negative else coeff_str
-    if mag == "1":
-        return negative, ""
-    if latex and "/" in mag:
-        num, den = mag.split("/")
-        return negative, f"\\tfrac{{{num}}}{{{den}}}"
-    return negative, mag + ("" if latex else "*")
-
-
-def _ode_factors(term, latex=False):
-    parts = []
-    z = term["z_power"]
-    if z == 1:
-        parts.append("z")
-    elif z > 1:
-        parts.append(f"z^{{{z}}}" if latex else f"z^{z}")
-    orders = term["orders"]
-    deriv = _deriv_latex if latex else _deriv_text
-    if not orders:
-        parts.append("1")
-    elif len(orders) == 1:
-        parts.append(deriv(orders[0]))
-    elif orders[0] == orders[1]:
-        base = deriv(orders[0])
-        if orders[0] == 0:
-            parts.append("y^{2}" if latex else "y^2")
-        else:
-            parts.append(f"({base})^{{2}}" if latex else f"({base})^2")
-    else:
-        parts.append(deriv(orders[0]))
-        parts.append(deriv(orders[1]))
-    sep = r"\," if latex else "*"
-    return sep.join(parts)
-
-
-def _weight_text(var, offsets, latex=False):
-    factors = []
-    for off in offsets:
-        body = _fmt_shift(var, off, bare=False)
-        if body == var:
-            factors.append(var)
-        else:
-            factors.append(body)
-    sep = r"\," if latex else "*"
-    return sep.join(factors)
-
-
-def _seq_ref(var, offset, latex=False):
-    inner = _fmt_shift(var, offset, bare=True)
-    return f"a({inner})"
-
-
-def _recurrence_term_body(term, latex=False):
-    sep = r"\," if latex else "*"
-    kind = term["kind"]
-    if kind == "constant":
-        return f"[n={term['at']}]"
-    if kind == "linear":
-        parts = []
-        w = _weight_text("n", term["weight_offsets"], latex)
-        if w:
-            parts.append(w)
-        parts.append(_seq_ref("n", term["index_offset"], latex))
-        return sep.join(parts)
-    # convolution
-    parts = []
-    wk = _weight_text("k", term["k_weight_offsets"], latex)
-    if wk:
-        parts.append(wk)
-    wn = _weight_text("n-k", term["n_weight_offsets"], latex)
-    if wn:
-        parts.append(wn)
-    parts.append(_seq_ref("k", term["k_index_offset"], latex))
-    parts.append(_seq_ref("n-k", term["n_index_offset"], latex))
-    body = sep.join(parts)
-    upper = _fmt_shift("n", term["upper_offset"], bare=True)
-    if latex:
-        return f"\\sum_{{k=0}}^{{{upper}}} {body}"
-    return f"Sum({body}, k=0..{upper})"
+            body = sep.join(_rising("k", 1, p) + _rising("n-k", 1 - s, q - s)
+                            + [f"a({_shift('k', p)})",
+                               f"a({_shift('n-k', q - s)})"])
+            upper = _shift("n", -s)
+            factors.append(rf"\sum_{{k=0}}^{{{upper}}} {body}" if latex
+                           else f"Sum({body}, k=0..{upper})")
+        if out:
+            out += " - " if coeff < 0 else " + "
+        elif coeff < 0:
+            out = "-"
+        out += sep.join(factors)
+    return out + " = 0"
 
 
 def render_text(eq, mode):
-    tree = render_tree(eq, mode)
-    pieces = []
-    for term in tree["terms"]:
-        negative, prefix = _coeff_factor(term["coeff"], latex=False)
-        if tree["kind"] == "ode":
-            body = _ode_factors(term, latex=False)
-        else:
-            body = _recurrence_term_body(term, latex=False)
-        pieces.append((negative, prefix + body))
-    return _join_signed(pieces) + " = 0"
+    """The equation as plain text, mode 'ode' or 'recurrence'."""
+    return _render(eq, mode, latex=False)
 
 
 def render_latex(eq, mode):
-    tree = render_tree(eq, mode)
-    pieces = []
-    for term in tree["terms"]:
-        negative, prefix = _coeff_factor(term["coeff"], latex=True)
-        if tree["kind"] == "ode":
-            body = _ode_factors(term, latex=True)
-        else:
-            body = _recurrence_term_body(term, latex=True)
-        pieces.append((negative, prefix + (r"\," if prefix else "") + body))
-    return _join_signed(pieces) + " = 0"
+    """The equation as LaTeX, mode 'ode' or 'recurrence'."""
+    return _render(eq, mode, latex=True)

@@ -106,6 +106,23 @@ def test_guess_rescale(tmp_path, capsys):
     assert ZETA_EQ in result.basis
 
 
+@pytest.mark.parametrize("option", [
+    ["--rescale", "0"], ["--rescale", "abc"], ["--rescale", "1/0"],
+    ["--max-poly-deg", "-1"], ["--d-start", "0"], ["--min-verify", "-1"],
+], ids=" ".join)
+def test_guess_bad_option_is_usage_error(tmp_path, option, capsys):
+    """A bad option exits 2 with one error line, not a traceback."""
+    from quadguess.prefix import dump_prefix
+    from quadguess.sequences import oracle_sequence
+    path = tmp_path / "exp.txt"
+    path.write_text(dump_prefix(oracle_sequence("exp", 20)))
+    assert main(["guess", "--input", str(path), *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_extend_subcommand(tmp_path, zigzag_eq_file, capsys):
     seed = tmp_path / "seed.txt"
     seed.write_text("1\n1\n")

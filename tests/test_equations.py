@@ -1,18 +1,18 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from quadguess.equations import (Derivatives, QuadEquation,
                                  equation_from_json, equation_to_json,
-                                 render_latex, render_text, render_tree,
-                                 term_numerator)
+                                 render_latex, render_text, term_numerator)
 from quadguess.errors import EquationFormatError
 from quadguess.monomials import (QuadMonomial, monomial_of_index,
                                  monomial_of_orders)
 from quadguess.prefix import SequencePrefix
-from util_exact import term_coeff_bruteforce
+from util_exact import row_bruteforce, term_coeff_bruteforce
 
 
 def _random_prefix(rng, length):
@@ -216,11 +216,173 @@ def test_render_latex_goldens():
         "\\sum_{k=0}^{n} (k+1)\\,a(k+1)\\,a(n-k) = 0")
 
 
-def test_render_tree_is_canonical_json():
-    tree = render_tree(ZIGZAG_EQ, "recurrence")
-    assert tree == json.loads(json.dumps(tree))
-    assert tree["kind"] == "recurrence"
-    assert [t["kind"] for t in tree["terms"]] == ["linear", "convolution"]
+def _equation(*terms):
+    """Equation from (s, p, q, coeff) tuples; p = -1 is the constant 1."""
+    constant = QuadMonomial(index=1, p=-1, q=-1)
+    return QuadEquation([
+        (s, constant if p == -1 else monomial_of_orders(p, q), Fraction(c))
+        for s, p, q, c in terms])
+
+
+RENDER_GOLDENS = [
+    # linear terms: s < p, s = p, s > p
+    (((0, 2, -1, "1"),),
+     "y'' = 0",
+     "(n+1)*(n+2)*a(n+2) = 0",
+     r"y'' = 0",
+     r"(n+1)\,(n+2)\,a(n+2) = 0"),
+    (((1, 1, -1, "-1"),),
+     "-z*y' = 0",
+     "-n*a(n) = 0",
+     r"-z\,y' = 0",
+     r"-n\,a(n) = 0"),
+    (((3, 1, -1, "3"),),
+     "3*z^3*y' = 0",
+     "3*(n-2)*a(n-2) = 0",
+     r"3\,z^{3}\,y' = 0",
+     r"3\,(n-2)\,a(n-2) = 0"),
+    (((2, 0, -1, "-3/4"),),
+     "-3/4*z^2*y = 0",
+     "-3/4*a(n-2) = 0",
+     r"-\tfrac{3}{4}\,z^{2}\,y = 0",
+     r"-\tfrac{3}{4}\,a(n-2) = 0"),
+    (((0, 2, -1, "1"), (1, 1, -1, "1"), (3, 0, -1, "1")),
+     "y'' + z*y' + z^3*y = 0",
+     "(n+1)*(n+2)*a(n+2) + n*a(n) + a(n-3) = 0",
+     r"y'' + z\,y' + z^{3}\,y = 0",
+     r"(n+1)\,(n+2)\,a(n+2) + n\,a(n) + a(n-3) = 0"),
+    # products: p = q, p > q, 1 <= s <= q
+    (((0, 0, 0, "1"), (1, 1, 1, "-1")),
+     "-z*(y')^2 + y^2 = 0",
+     ("-Sum((k+1)*(n-k)*a(k+1)*a(n-k), k=0..n-1) + Sum(a(k)*a(n-k), "
+      "k=0..n) = 0"),
+     r"-z\,(y')^{2} + y^{2} = 0",
+     (r"-\sum_{k=0}^{n-1} (k+1)\,(n-k)\,a(k+1)\,a(n-k) + \sum_{k=0}^{n} "
+      r"a(k)\,a(n-k) = 0")),
+    (((0, 2, 0, "3"), (2, 3, 1, "-3/4")),
+     "-3/4*z^2*y'*y''' + 3*y*y'' = 0",
+     ("-3/4*Sum((k+1)*(k+2)*(k+3)*(n-k-1)*a(k+3)*a(n-k-1), k=0..n-2) + "
+      "3*Sum((k+1)*(k+2)*a(k+2)*a(n-k), k=0..n) = 0"),
+     r"-\tfrac{3}{4}\,z^{2}\,y'\,y''' + 3\,y\,y'' = 0",
+     (r"-\tfrac{3}{4}\,\sum_{k=0}^{n-2} "
+      r"(k+1)\,(k+2)\,(k+3)\,(n-k-1)\,a(k+3)\,a(n-k-1) + 3\,\sum_{k=0}^{n} "
+      r"(k+1)\,(k+2)\,a(k+2)\,a(n-k) = 0")),
+    (((1, 1, 0, "1"), (1, 2, 1, "1")),
+     "z*y'*y'' + z*y*y' = 0",
+     ("Sum((k+1)*(k+2)*(n-k)*a(k+2)*a(n-k), k=0..n-1) + "
+      "Sum((k+1)*a(k+1)*a(n-k-1), k=0..n-1) = 0"),
+     r"z\,y'\,y'' + z\,y\,y' = 0",
+     (r"\sum_{k=0}^{n-1} (k+1)\,(k+2)\,(n-k)\,a(k+2)\,a(n-k) + "
+      r"\sum_{k=0}^{n-1} (k+1)\,a(k+1)\,a(n-k-1) = 0")),
+    (((2, 2, 2, "-1"), (3, 4, 3, "5/2")),
+     "5/2*z^3*y'''*y^(4) - z^2*(y'')^2 = 0",
+     ("5/2*Sum((k+1)*(k+2)*(k+3)*(k+4)*(n-k-2)*(n-k-1)*(n-k)*a(k+4)*"
+      "a(n-k), k=0..n-3) - Sum((k+1)*(k+2)*(n-k-1)*(n-k)*a(k+2)*a(n-k), "
+      "k=0..n-2) = 0"),
+     r"\tfrac{5}{2}\,z^{3}\,y'''\,y^{(4)} - z^{2}\,(y'')^{2} = 0",
+     (r"\tfrac{5}{2}\,\sum_{k=0}^{n-3} "
+      r"(k+1)\,(k+2)\,(k+3)\,(k+4)\,(n-k-2)\,(n-k-1)\,(n-k)\,a(k+4)\,a(n-k) "
+      r"- \sum_{k=0}^{n-2} (k+1)\,(k+2)\,(n-k-1)\,(n-k)\,a(k+2)\,a(n-k) = 0")),
+    # orders 3-5
+    (((0, 3, -1, "1"), (0, 4, -1, "1"), (0, 5, -1, "-1")),
+     "-y^(5) + y^(4) + y''' = 0",
+     ("-(n+1)*(n+2)*(n+3)*(n+4)*(n+5)*a(n+5) + "
+      "(n+1)*(n+2)*(n+3)*(n+4)*a(n+4) + (n+1)*(n+2)*(n+3)*a(n+3) = 0"),
+     r"-y^{(5)} + y^{(4)} + y''' = 0",
+     (r"-(n+1)\,(n+2)\,(n+3)\,(n+4)\,(n+5)\,a(n+5) + "
+      r"(n+1)\,(n+2)\,(n+3)\,(n+4)\,a(n+4) + (n+1)\,(n+2)\,(n+3)\,a(n+3) = "
+      r"0")),
+    (((0, 5, 4, "1"), (1, 4, 4, "2")),
+     "y^(4)*y^(5) + 2*z*(y^(4))^2 = 0",
+     ("Sum((k+1)*(k+2)*(k+3)*(k+4)*(k+5)*(n-k+1)*(n-k+2)*(n-k+3)*(n-k+4)*"
+      "a(k+5)*a(n-k+4), k=0..n) + "
+      "2*Sum((k+1)*(k+2)*(k+3)*(k+4)*(n-k)*(n-k+1)*(n-k+2)*(n-k+3)*a(k+4)*"
+      "a(n-k+3), k=0..n-1) = 0"),
+     r"y^{(4)}\,y^{(5)} + 2\,z\,(y^{(4)})^{2} = 0",
+     (r"\sum_{k=0}^{n} "
+      r"(k+1)\,(k+2)\,(k+3)\,(k+4)\,(k+5)\,(n-k+1)\,(n-k+2)\,(n-k+3)\,"
+      r"(n-k+4)\,a(k+5)\,a(n-k+4) + 2\,\sum_{k=0}^{n-1} "
+      r"(k+1)\,(k+2)\,(k+3)\,(k+4)\,(n-k)\,(n-k+1)\,(n-k+2)\,(n-k+3)\,"
+      r"a(k+4)\,a(n-k+3) = 0")),
+    # z-powers 0, 1 and >= 2
+    (((0, 1, 0, "1"), (1, 1, 0, "-1"), (4, 1, 0, "3")),
+     "3*z^4*y*y' - z*y*y' + y*y' = 0",
+     ("3*Sum((k+1)*a(k+1)*a(n-k-4), k=0..n-4) - Sum((k+1)*a(k+1)*a(n-k-1), "
+      "k=0..n-1) + Sum((k+1)*a(k+1)*a(n-k), k=0..n) = 0"),
+     r"3\,z^{4}\,y\,y' - z\,y\,y' + y\,y' = 0",
+     (r"3\,\sum_{k=0}^{n-4} (k+1)\,a(k+1)\,a(n-k-4) - \sum_{k=0}^{n-1} "
+      r"(k+1)\,a(k+1)\,a(n-k-1) + \sum_{k=0}^{n} (k+1)\,a(k+1)\,a(n-k) = 0")),
+    # coefficients 1, -1, 3 and -3/4, negative first term
+    (((0, 0, 0, "-3/4"), (0, 1, -1, "3"), (1, 1, 0, "-1"), (0, 2, -1, "1")),
+     "y'' - z*y*y' + 3*y' - 3/4*y^2 = 0",
+     ("(n+1)*(n+2)*a(n+2) - Sum((k+1)*a(k+1)*a(n-k-1), k=0..n-1) + "
+      "3*(n+1)*a(n+1) - 3/4*Sum(a(k)*a(n-k), k=0..n) = 0"),
+     r"y'' - z\,y\,y' + 3\,y' - \tfrac{3}{4}\,y^{2} = 0",
+     (r"(n+1)\,(n+2)\,a(n+2) - \sum_{k=0}^{n-1} (k+1)\,a(k+1)\,a(n-k-1) + "
+      r"3\,(n+1)\,a(n+1) - \tfrac{3}{4}\,\sum_{k=0}^{n} a(k)\,a(n-k) = 0")),
+    # the constant monomial
+    (((0, -1, -1, "1"), (0, 0, -1, "-1")),
+     "-y + 1 = 0",
+     "-a(n) + [n=0] = 0",
+     r"-y + 1 = 0",
+     r"-a(n) + [n=0] = 0"),
+    (((2, -1, -1, "-3/4"), (1, 2, 2, "1")),
+     "z*(y'')^2 - 3/4*z^2*1 = 0",
+     ("Sum((k+1)*(k+2)*(n-k)*(n-k+1)*a(k+2)*a(n-k+1), k=0..n-1) - "
+      "3/4*[n=2] = 0"),
+     r"z\,(y'')^{2} - \tfrac{3}{4}\,z^{2}\,1 = 0",
+     (r"\sum_{k=0}^{n-1} (k+1)\,(k+2)\,(n-k)\,(n-k+1)\,a(k+2)\,a(n-k+1) - "
+      r"\tfrac{3}{4}\,[n=2] = 0")),
+]
+
+
+@pytest.mark.parametrize("terms,ode,rec,ode_tex,rec_tex", RENDER_GOLDENS,
+                         ids=[row[1] for row in RENDER_GOLDENS])
+def test_render_goldens(terms, ode, rec, ode_tex, rec_tex):
+    """Text and LaTeX, ODE and recurrence, for each term shape."""
+    eq = _equation(*terms)
+    assert render_text(eq, "ode") == ode
+    assert render_text(eq, "recurrence") == rec
+    assert render_latex(eq, "ode") == ode_tex
+    assert render_latex(eq, "recurrence") == rec_tex
+
+
+def _eval_recurrence(text, a, n):
+    """Row n of a rendered recurrence, read back as Python: Sum(B, k=0..U)
+    is sum(B for k in range(U + 1)), p/q is Fraction(p, q), [n=s] is
+    n == s, and a(t) = 0 for t < 0."""
+    lhs, rhs = text.split(" = ")
+    assert rhs == "0"
+    expr = re.sub(r"Sum\(([^,]*), k=0\.\.([^)]*)\)",
+                  r"sum(\1 for k in range(\2 + 1))", lhs)
+    expr = re.sub(r"(\d+)/(\d+)", r"Fraction(\1, \2)", expr)
+    expr = re.sub(r"\[n=(\d+)\]", r"(n == \1)", expr)
+    return eval(expr, {"Fraction": Fraction, "n": n,
+                       "a": lambda t: a[t] if t >= 0 else 0})
+
+
+def test_rendered_recurrence_evaluates_to_rows():
+    """The recurrence text, read back as Python, gives every row that
+    series arithmetic gives, on 300 random equations and prefixes."""
+    rng = random.Random(8)
+    checked = 0
+    while checked < 300:
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            p = rng.randint(-1, 4)
+            q = rng.randint(-1, p) if p >= 0 else -1
+            c = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+            terms.append((rng.randint(0, 3), p, q, c))
+        try:
+            eq = _equation(*terms)
+        except ValueError:
+            continue
+        a = list(_random_prefix(rng, max(eq.max_shift, 0) + 6))
+        text = render_text(eq, "recurrence")
+        for n in range(len(a) - eq.max_shift):
+            assert _eval_recurrence(text, a, n) == row_bruteforce(eq, a, n), \
+                (text, n)
+        checked += 1
 
 
 def test_rescaled_equation_roundtrip():
