@@ -4,12 +4,22 @@ A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
 row n is the z^n Taylor coefficient of the equation on a sequence prefix.
 For the prefix scaled to nums / den, `Derivatives` holds the Taylor
 coefficients of each derivative order p, times den, built once per order
-through `exact.falling_weight`, the one weight function.  One evaluator,
-`term_numerator`, gives the coefficient of each product f^(p) * f^(q) as a
-dot product of two such sequences, an integer numerator over den**2;
-`guess`, `check` and `extend` all read their rows through it.  Every step
-is a ring operation, so the same evaluator on nums and den reduced mod P
-gives the rows mod P.
+through `exact.falling_weight`, the one weight function, and of linear
+combinations of them.  One evaluator, `term_numerator`, gives the z^m
+coefficient of a product F * f^(q) as the one dot product of two such
+sequences, an integer numerator over den**2.  `guess` reads the row of
+each monomial slot f^(p) * f^(q) through it.
+
+`check` and `extend` read whole equations through
+`QuadEquation.row_numerator`, which factors the products: the terms that
+share their lower order q form one group, and row n is the sum over
+groups of the z^(n - s0) coefficient of f^(q) * G_q, where s0 is the
+group's smallest z-power and G_q = sum of c * z^(s - s0) * f^(p) is a
+combination that `Derivatives` builds once.  So each row costs one dot
+product per distinct lower order, not one per product term; linear and
+constant terms form the group q = -1, where f^(-1) = 1 and the row is
+den * G_q[n - s0].  Every step is a ring operation, so the same evaluator
+on nums and den reduced mod P gives the rows mod P.
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1 (not both -1).
@@ -26,60 +36,106 @@ from quadguess.monomials import monomial_of_orders
 
 
 class Derivatives:
-    """Taylor coefficients of f, f', f'', ... for the sequence nums / den,
-    times den: order p holds falling_weight(j, p) * nums[j + p] for
-    j = 0 .. len(nums) - p - 1.  Each order is built on first use and kept;
-    `append_zero`, `scale` and `set_last` keep every built order in step
-    with `nums` as a sequence grows."""
+    """Taylor coefficients, times den, of derivatives of the sequence
+    nums / den and of linear combinations of them.  `derivs[p]` for an
+    order p holds falling_weight(j, p) * nums[j + p] for
+    j = 0 .. len(nums) - p - 1, the coefficients of f^(p).  `derivs[key]`
+    for a combination key, a tuple of (e, p, c), holds those of
+    sum(c * z^e * f^(p)), where f^(-1) is the constant 1: entry u is
+    sum(c * derivs[p][u - e]), for u < len(nums) - max(max(p, 0) - e).
+    Each sequence is built on first use and kept; `append_zero`, `scale`
+    and `set_last` keep every built one in step with `nums` as a sequence
+    grows."""
 
-    __slots__ = ("nums", "den", "_orders")
+    __slots__ = ("nums", "den", "_orders", "_combos")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
         self._orders = {}
+        self._combos = {}
 
-    def __getitem__(self, p):
-        seq = self._orders.get(p)
+    def __getitem__(self, key):
+        seq = self._orders.get(key)
         if seq is None:
-            seq = self._orders[p] = [falling_weight(j, p) * x
-                                     for j, x in enumerate(self.nums[p:])]
+            seq = self._combos.get(key)
+            if seq is None:
+                seq = self._build(key)
         return seq
 
+    def _build(self, key):
+        """Build and keep the sequence of an order or combination key."""
+        if type(key) is int:
+            seq = self._orders[key] = [falling_weight(j, key) * x
+                                       for j, x in enumerate(self.nums[key:])]
+        else:
+            seq = self._combos[key] = []
+            self._grow(key, seq)
+        return seq
+
+    def _entry(self, key, u):
+        """Entry u of combination key, from the built orders."""
+        total = 0
+        for e, p, c in key:
+            j = u - e
+            if j >= 0:
+                if p >= 0:
+                    total += c * self[p][j]
+                elif j == 0:
+                    total += c * self.den
+        return total
+
+    def _grow(self, key, seq):
+        """Append the entries of combination key that nums now determines."""
+        top = len(self.nums) - max(max(p, 0) - e for e, p, _ in key)
+        seq.extend(self._entry(key, u) for u in range(len(seq), top))
+
     def append_zero(self):
-        """Append a 0 to nums, and to every built order it reaches."""
+        """Append a 0 to nums, and to every built order it reaches; extend
+        every built combination by the entry that now fits."""
         self.nums.append(0)
         for p, seq in self._orders.items():
             if len(self.nums) > p:
                 seq.append(0)
+        for key, seq in self._combos.items():
+            self._grow(key, seq)
 
     def set_last(self, x):
-        """Replace the last nums entry by x, in every built order too."""
+        """Replace the last nums entry by x, in every built order too, and
+        recompute the combination entries that read it."""
         self.nums[-1] = x
         t = len(self.nums) - 1
         for p, seq in self._orders.items():
             if t >= p:
                 seq[-1] = falling_weight(t - p, p) * x
+        for key, seq in self._combos.items():
+            for e, p, _ in key:
+                u = t - p + e      # entry u reads self[p][t - p]
+                if p >= 0 and 0 <= u < len(seq):
+                    seq[u] = self._entry(key, u)
 
     def scale(self, factor):
-        """Multiply den, nums and every built order by factor."""
+        """Multiply den, nums and every built sequence by factor."""
         self.den *= factor
         self.nums = [x * factor for x in self.nums]
         for p, seq in self._orders.items():
             self._orders[p] = [x * factor for x in seq]
+        for key, seq in self._combos.items():
+            self._combos[key] = [x * factor for x in seq]
 
 
 def term_numerator(derivs, m, p, q):
-    """The z^m coefficient of f^(p) * f^(q) times den**2 on the sequence
-    derivs.nums / derivs.den, an int; order -1 stands for the constant 1,
-    and the coefficient is 0 for m < 0.  Requires
-    len(derivs.nums) > m + max(p, q)."""
+    """The z^m coefficient of F * f^(q) times den**2 on the sequence
+    derivs.nums / derivs.den, an int, where F is f^(p) for an order p and
+    the combination for a combination key p (see Derivatives).  Order -1
+    stands for the constant 1, and the coefficient is 0 for m < 0.
+    Requires len(derivs[p]) > m and, for q >= 0, len(derivs[q]) > m."""
     if m < 0:
         return 0
     den = derivs.den
     if p == -1:                      # constant term
         return den * den if m == 0 else 0
-    if q == -1:                      # linear: one coefficient of f^(p)
+    if q == -1:                      # linear: one coefficient of F
         return derivs[p][m] * den
     return sum(map(mul, derivs[p][:m + 1], derivs[q][m::-1]))
 
@@ -88,9 +144,11 @@ class QuadEquation:
     """Sum of terms coeff * z^s * f^(p) * f^(q), coefficients exact and
     nonzero, terms sorted by (monomial index, z-power).  `coeff_den` is the
     lcm of the coefficients' denominators, and `int_terms` holds the terms
-    with their coefficients times it, as ints."""
+    with their coefficients times it, as ints.  `groups` factors int_terms
+    by lower order: one (q, s0, ((s - s0, p, c), ...)) per distinct q,
+    ascending, where s0 is the smallest z-power among the group's terms."""
 
-    __slots__ = ("terms", "coeff_den", "int_terms")
+    __slots__ = ("terms", "coeff_den", "int_terms", "groups")
 
     def __init__(self, terms):
         merged = {}
@@ -112,6 +170,13 @@ class QuadEquation:
         self.int_terms = tuple(
             (s, mono, c.numerator * (self.coeff_den // c.denominator))
             for s, mono, c in cleaned)
+        by_q = {}
+        for s, mono, c in self.int_terms:
+            by_q.setdefault(mono.q, []).append((s, mono.p, c))
+        self.groups = tuple(
+            (q, s0, tuple((s - s0, p, c) for s, p, c in group))
+            for q, group in sorted(by_q.items())
+            for s0 in [min(s for s, _, _ in group)])
 
     def __eq__(self, other):
         return isinstance(other, QuadEquation) and self.terms == other.terms
@@ -131,15 +196,23 @@ class QuadEquation:
 
     def row_numerator(self, derivs, n):
         """Row n times coeff_den * den**2 on the sequence derivs.nums /
-        derivs.den, an int (indices up to n + max_shift must fit)."""
-        return sum(coeff * term_numerator(derivs, n - s, mono.p, mono.q)
-                   for s, mono, coeff in self.int_terms)
+        derivs.den, an int (indices up to n + max_shift must fit): per
+        group, the z^(n - s0) coefficient of its combination times f^(q),
+        one dot product (none for q = -1)."""
+        return sum(term_numerator(derivs, n - s0, terms, q)
+                   for q, s0, terms in self.groups)
 
     def row_value(self, prefix, n):
-        """Exact value of recurrence row n on a prefix (all indices must
-        fit: n + max_shift <= prefix.last_index)."""
+        """Exact value of recurrence row n on a prefix.  Raises ValueError
+        unless 0 <= n <= prefix.last_index - max_shift, the rows whose
+        indices all fit."""
+        top = prefix.last_index - self.max_shift
+        if not 0 <= n <= top:
+            rows = f"rows 0 .. {top}" if top >= 0 else "no row"
+            raise ValueError(
+                f"row {n} is out of range: the prefix determines {rows}")
         nums, den = prefix.scaled()
-        derivs = Derivatives(nums[:n + self.max_shift + 1], den)
+        derivs = Derivatives(nums[:max(0, n + self.max_shift + 1)], den)
         return Fraction(self.row_numerator(derivs, n),
                         self.coeff_den * den * den)
 

@@ -42,8 +42,9 @@ class GuessConfig:
 
     m: max z-degree of the polynomial coefficients (2 suffices for the
     classical Bernoulli/Euler/Bell equations).  d runs from d_start to
-    d_max (default ceil((N+1)/(m+1))), capped so that every construction
-    row plus min_verify_rows held-out rows fit inside the prefix.
+    d_max (default ceil((N+1)/(m+1)); a given d_max must be at least
+    d_start), capped so that every construction row plus min_verify_rows
+    held-out rows fit inside the prefix.
     """
 
     m: int = 2
@@ -54,6 +55,9 @@ class GuessConfig:
     def __post_init__(self):
         if self.m < 0 or self.d_start < 1 or self.min_verify_rows < 0:
             raise ValueError("invalid search bounds")
+        if self.d_max is not None and self.d_max < self.d_start:
+            raise ValueError(f"d_max = {self.d_max} is below "
+                             f"d_start = {self.d_start}")
 
 
 def column_order(d, m):

@@ -3,7 +3,12 @@ generate reference sequences from classical integer triangles.
 
 Extension realizes the recurrence as a recursion: row n introduces the
 single unknown a_{n + max_shift}, solved in integer numerators like check;
-rows that introduce nothing new must vanish on the initial terms."""
+rows that introduce nothing new must vanish on the initial terms.  Both
+read rows through `QuadEquation.row_numerator`, one convolution per group
+of terms that share their lower derivative order, on one `Derivatives`
+whose orders and group series `extend` keeps in step as the sequence
+grows: each step appends a zero, rescales to a common denominator when
+the new term needs one, and then sets the new term."""
 
 from dataclasses import dataclass
 from fractions import Fraction

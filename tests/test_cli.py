@@ -109,6 +109,7 @@ def test_guess_rescale(tmp_path, capsys):
 @pytest.mark.parametrize("option", [
     ["--rescale", "0"], ["--rescale", "abc"], ["--rescale", "1/0"],
     ["--max-poly-deg", "-1"], ["--d-start", "0"], ["--min-verify", "-1"],
+    ["--d-max", "1"], ["--d-max", "-4"],
 ], ids=" ".join)
 def test_guess_bad_option_is_usage_error(tmp_path, option, capsys):
     """A bad option exits 2 with one error line, not a traceback."""

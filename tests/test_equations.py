@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quadguess.equations import (Derivatives, QuadEquation,
                                  equation_from_json, equation_to_json,
@@ -12,6 +14,7 @@ from quadguess.errors import EquationFormatError
 from quadguess.monomials import (QuadMonomial, monomial_of_index,
                                  monomial_of_orders)
 from quadguess.prefix import SequencePrefix
+from quadguess.sequences import oracle_sequence
 from util_exact import row_bruteforce, term_coeff_bruteforce
 
 
@@ -141,6 +144,87 @@ def test_row_locality():
                                  [v + 1 for v in list(base)[top + 1:]])
         assert Fraction(*_term_row(base, s, mono, n)) == \
             Fraction(*_term_row(altered, s, mono, n))
+
+
+def _monomial(p, q):
+    """monomial_of_orders, plus the constant monomial for (-1, -1)."""
+    if (p, q) == (-1, -1):
+        return QuadMonomial(index=1, p=-1, q=-1)
+    return monomial_of_orders(p, q)
+
+
+# (s, p, q, c): few lower orders q, so that products share them; p = q
+# gives squares, q = -1 linear terms and p = q = -1 the constant 1
+_TERMS = st.tuples(st.integers(0, 3), st.integers(-1, 2)).flatmap(
+    lambda sq: st.tuples(
+        st.just(sq[0]), st.integers(sq[1], 3), st.just(sq[1]),
+        st.builds(Fraction, st.sampled_from([-5, -2, -1, 1, 3]),
+                  st.integers(1, 3))))
+_VALUES = st.lists(st.builds(Fraction, st.integers(-9, 9),
+                             st.integers(1, 6)), min_size=1, max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=st.lists(_TERMS, min_size=1, max_size=6), values=_VALUES)
+# shared q = 0 with a square, and a linear group
+@example(terms=[(1, 1, 0, -4), (0, 0, 0, -2), (1, 2, -1, 2), (0, 1, -1, 5)],
+         values=[Fraction(1, 6), Fraction(1, 90), 3, -1, Fraction(2, 5)])
+# every group starts above z^0: q = 1 at z^2, linear + constant at z^1
+@example(terms=[(2, 3, 1, 1), (3, 1, 1, -2), (1, 2, -1, 3), (2, -1, -1, -1)],
+         values=[1, 2, Fraction(-1, 3), 5, 7, Fraction(1, 4), -2])
+# negative max_shift: only the constant and linear terms, s > p
+@example(terms=[(3, -1, -1, 1), (2, 0, -1, -1), (3, 1, -1, 2)],
+         values=[Fraction(2, 3), 1, -4])
+# negative max_shift with products: z^3 * f * f' and z^2 * f^2
+@example(terms=[(3, 1, 0, 1), (2, 0, 0, -1)], values=[1, Fraction(1, 2)])
+def test_row_numerator_matches_bruteforce(terms, values):
+    """Grouped rows equal coeff_den * den**2 times the rows of direct
+    series arithmetic, for every row the prefix determines, all read from
+    one Derivatives."""
+    try:
+        eq = QuadEquation([(s, _monomial(p, q), c) for s, p, q, c in terms])
+    except ValueError:  # every coefficient cancelled
+        assume(False)
+    prefix = SequencePrefix(values)
+    derivs = Derivatives(*prefix.scaled())
+    scale = eq.coeff_den * derivs.den ** 2
+    for n in range(prefix.last_index - eq.max_shift + 1):
+        assert eq.row_numerator(derivs, n) == \
+            row_bruteforce(eq, values, n) * scale
+
+
+def test_groups_factor_products_by_lower_order():
+    """Terms sharing their lower order q form one group whose series
+    starts at the group's smallest z-power, so rows convolve no leading
+    zeros: zeta-rescaled is y * (-4z*y' - 2y) plus a linear group, and in
+    z*y*y' + z*y' - y the product group starts at z^1."""
+    assert ZETA_EQ.groups == ((-1, 0, ((0, 1, 5), (1, 2, 2))),
+                              (0, 0, ((0, 0, -2), (1, 1, -4))))
+    lambertw = QuadEquation([(1, monomial_of_orders(1, 0), 1),
+                             (1, monomial_of_orders(1, -1), 1),
+                             (0, monomial_of_orders(0, -1), -1)])
+    assert lambertw.groups == ((-1, 0, ((0, 0, -1), (1, 1, 1))),
+                               (0, 1, ((0, 1, 1),)))
+    shifted = QuadEquation([(3, monomial_of_orders(2, 1), Fraction(1, 2)),
+                            (2, monomial_of_orders(1, 1), 3)])
+    assert shifted.groups == ((1, 2, ((0, 1, 6), (1, 2, 1))),)
+
+
+def test_row_value_rejects_rows_outside_the_prefix():
+    prefix = oracle_sequence("zeta-rescaled", 10)  # max_shift 1: rows 0 .. 8
+    assert ZETA_EQ.row_value(prefix, 8) == 0
+    for n in (-3, -1, 9, 12):
+        with pytest.raises(ValueError, match=rf"row {n} .* rows 0 \.\. 8$"):
+            ZETA_EQ.row_value(prefix, n)
+    # max_shift -2: row n reads a(n - 2), so rows run past the last index
+    lagged = QuadEquation([(2, monomial_of_orders(0, -1), 1)])
+    assert lagged.row_value(SequencePrefix([1, 2, 3]), 4) == 3
+    with pytest.raises(ValueError, match=r"row 5 .* rows 0 \.\. 4$"):
+        lagged.row_value(SequencePrefix([1, 2, 3]), 5)
+    # max_shift 3 on two terms: no row is determined
+    with pytest.raises(ValueError, match="row 0 .* no row$"):
+        QuadEquation([(0, monomial_of_orders(3, -1), 1)]).row_value(
+            SequencePrefix([1, 2]), 0)
 
 
 def test_equation_merges_and_sorts_terms():

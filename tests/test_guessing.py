@@ -275,3 +275,14 @@ def test_config_validation():
         GuessConfig(m=-1)
     with pytest.raises(ValueError):
         GuessConfig(d_start=0)
+
+
+@pytest.mark.parametrize("d_start,d_max", [(3, 2), (3, 1), (3, -4), (5, 4)])
+def test_config_rejects_d_max_below_d_start(d_start, d_max):
+    with pytest.raises(ValueError, match="d_max"):
+        GuessConfig(d_start=d_start, d_max=d_max)
+
+
+def test_config_accepts_d_max_at_d_start():
+    assert GuessConfig(d_start=3, d_max=3).d_max == 3
+    assert GuessConfig(d_max=None).d_max is None

@@ -15,7 +15,8 @@ from quadguess.guessing import GuessConfig, guess
 from quadguess.monomials import monomial_of_orders
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, extend, oracle_sequence
-from util_exact import bernoulli_numbers, extend_bruteforce
+from util_exact import (bernoulli_numbers, check_bruteforce,
+                        extend_bruteforce)
 
 
 def _eq(*terms):
@@ -127,6 +128,24 @@ def test_check_reports_first_failure():
     assert not report.passed
     assert report.first_failure == 2
     assert report.residual == 3
+
+
+@pytest.mark.parametrize("eq,name,seed", ROUND_TRIPS,
+                         ids=[name for _, name, _ in ROUND_TRIPS])
+def test_check_matches_bruteforce_on_perturbed_prefixes(eq, name, seed):
+    """The report equals a per-row reference on the oracle prefix and on
+    copies with the first, a middle or the last term moved by 1/7 or by
+    2^-400."""
+    values = list(oracle_sequence(name, 40))
+    cases = [values]
+    for at in (0, len(values) // 2, len(values) - 1):
+        for delta in (Fraction(1, 7), Fraction(1, 2 ** 400)):
+            cases.append(values[:at] + [values[at] + delta]
+                         + values[at + 1:])
+    for a in cases:
+        report = check(eq, SequencePrefix(a))
+        assert (report.passed, report.rows_checked, report.first_failure,
+                report.residual) == check_bruteforce(eq, a)
 
 
 def test_extend_zigzag_from_two_terms():

@@ -66,6 +66,18 @@ def row_bruteforce(eq, a, n):
                 for s, mono, coeff in eq.terms), Fraction(0))
 
 
+def check_bruteforce(eq, a):
+    """Reference for sequences.check as (passed, rows_checked,
+    first_failure, residual): rows 0 .. len(a) - 1 - max_shift by direct
+    series arithmetic, stopping at the first that does not vanish."""
+    last = len(a) - 1 - eq.max_shift
+    for n in range(last + 1):
+        residual = row_bruteforce(eq, a, n)
+        if residual != 0:
+            return False, n + 1, n, residual
+    return True, max(0, last + 1), None, None
+
+
 def extend_bruteforce(eq, initial, count):
     """Reference for sequences.extend, raising the same errors.
 
