@@ -321,7 +321,8 @@ def _render(eq, mode, latex):
             if s:
                 factors.append("z" if s == 1 else power("z", s))
             if p == -1:
-                factors.append("1")
+                if not factors:
+                    factors.append("1")
             elif q == -1:
                 factors.append(deriv(p))
             elif p == q:

@@ -1,27 +1,29 @@
 """Exact rational scalars and homogeneous nullspaces.
 
 All arithmetic is over Q via fractions.Fraction (always reduced, positive
-denominator) and int.  `falling_weight` is the one derivative weight.
+denominator) and int.  `falling_weight` is the one weight function and
+`normalize_vector` the one normalization of a kernel vector.
 
-`modular_nullspace` holds the whole elimination policy.  It first ranks
-the matrix modulo the prime P = 2**61 - 1 with a `ColumnEchelon`, built
-from residues a caller may evaluate without the exact rows (reduction mod
-P is a ring homomorphism): full rank mod P proves a trivial nullspace over
-Q.  The echelon grows by columns and shrinks by rows without
-re-eliminating, so `guess` keeps one per search and adds only the new
-columns of each ansatz size.  Otherwise fraction-free Bareiss elimination
-with deterministic pivoting runs on the exact rows at the echelon's
-pivots, every proposed basis vector is verified exactly against every
-row, and Bareiss runs on all rows when that fails, so results are exact
-and reproducible byte for byte.  Bareiss gets each row divided by its
-content, which keeps its entries small and changes neither the pivots nor
-the normalized basis.  `nullspace` takes rows of ints and Fractions,
-clears denominators row by row, builds the echelon from the columns of
-the integer rows and hands both to it.
+`modular_nullspace` holds the whole elimination policy: every basis it
+returns is a kernel mod primes, lifted to Q and checked on the exact rows.
+It first ranks the matrix modulo the prime P = 2**61 - 1 with a
+`ColumnEchelon`, built from residues a caller may evaluate without the
+exact rows (reduction mod P is a ring homomorphism): full rank mod P
+proves a trivial nullspace over Q.  The echelon grows by columns and
+shrinks by rows without re-eliminating, so `guess` keeps one per search
+and adds only the new columns of each ansatz size.  Otherwise Gaussian
+elimination mod P of the residue rows at the echelon's pivots gives the
+kernel mod P, rational reconstruction lifts each of its vectors, and each
+lift is checked exactly against every row.  When a vector does not lift or
+does not vanish, the exact rows are reduced mod further primes below P and
+their kernels are combined by CRT until the lift checks, so results are
+exact and reproducible byte for byte.  `nullspace` takes rows of ints and
+Fractions, clears denominators row by row, reduces them mod P, builds the
+echelon from the columns of the residues and hands all three to it.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 # A Mersenne prime: residues fit in one 61-bit word.
@@ -68,27 +70,17 @@ def _integer_rows(matrix):
     return out
 
 
-def _primitive(row):
-    """A nonzero integer row divided by its content."""
-    content = gcd(*row)
-    return [x // content for x in row]
-
-
 def normalize_vector(vec):
-    """Scale a rational vector to integers with content 1 and a positive
-    first nonzero entry."""
-    vec = [Fraction(x) for x in vec]
-    den = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * den) for x in vec]
+    """Scale a vector of ints and Fractions to ints with content 1 and a
+    positive first nonzero entry."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
     content = gcd(*ints)
     if content > 1:
         ints = [v // content for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return [Fraction(v) for v in ints]
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
+    return ints
 
 
 class ColumnEchelon:
@@ -138,84 +130,192 @@ class ColumnEchelon:
         self.height = height
 
 
-def _bareiss(rows, width):
-    """Nullspace basis of nonzero integer rows (eliminated in place):
-    fraction-free Bareiss elimination with leftmost-pivot, first-nonzero-row
-    pivoting, then back-substitution for each free column."""
-    pivot_cols = []
-    prev = 1
-    r = 0
+def _kernel_mod(rows, width, p):
+    """(pivots, basis) of integer rows (any representatives) mod the prime
+    p: the pivot columns of their row echelon form, leftmost first, and for
+    each free column, in order, the kernel vector with 1 there and 0 at the
+    other free columns, entries in [0, p).  Gaussian elimination, then
+    back-substitution per free column."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
     for col in range(width):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col]
-            for j in range(width):
-                rows[i][j] = (pv * rows[i][j] - f * rows[r][j]) // prev
-        prev = pv
-        pivot_cols.append(col)
-        r += 1
-        if r == len(rows):
-            break
-
-    free_cols = [c for c in range(width) if c not in pivot_cols]
+        head = rows[r]
+        inv = pow(head[col], -1, p)
+        head[col:] = tail = [x * inv % p for x in head[col:]]
+        for row in rows[r + 1:]:
+            f = row[col]
+            if f:
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
+        pivots.append(col)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for level in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[level]
-            row = rows[level]
-            s = sum((Fraction(row[c]) * vec[c]
-                     for c in range(pc + 1, width)), Fraction(0))
-            vec[pc] = -s / row[pc]
-        basis.append(normalize_vector(vec))
-    return basis
+    for free in sorted(set(range(width)).difference(pivots)):
+        vec = [0] * width
+        vec[free] = 1
+        for row, col in reversed(list(zip(rows, pivots))):
+            if col < free:
+                vec[col] = -sum(map(mul, row[col + 1:free + 1],
+                                    vec[col + 1:free + 1])) % p
+        basis.append(vec)
+    return pivots, basis
 
 
-def modular_nullspace(echelon, exact_row, vanishes):
+def _rational(x, m, bound):
+    """(n, d) with n = d * x mod m, |n| <= bound, 0 < d <= bound and
+    gcd(n, d) = 1, or None: rational reconstruction (Wang) by the extended
+    Euclidean algorithm.  With 2 * bound**2 < m there is at most one."""
+    r0, r1, t0, t1 = m, x % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(vec, m):
+    """The rational vector congruent to the residue vector vec mod m whose
+    numerators over its common denominator D, and D, are at most
+    isqrt(m // 2), normalized as `normalize_vector` does, or None if there
+    is none.  Entry j is reconstructed times the denominator of the entries
+    before it, so D grows one factor at a time."""
+    bound = isqrt(m // 2)
+    den = 1
+    parts = []
+    for x in vec:
+        frac = _rational(den * x, m, bound)
+        if frac is None:
+            return None
+        num, step = frac
+        den *= step
+        if den > bound:
+            return None
+        parts.append((num, den))
+    return normalize_vector([num * (den // at) for num, at in parts])
+
+
+def _verified_lift(basis, m, vanishes):
+    """Every vector of a kernel basis mod m lifted by `_lift`, or None as
+    soon as one does not lift or does not vanish."""
+    lifted = []
+    for vec in basis:
+        vec = _lift(vec, m)
+        if vec is None or not vanishes(vec):
+            return None
+        lifted.append(vec)
+    return lifted
+
+
+# Miller-Rabin with these witnesses is exact below 3.3 * 10**24 > P.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _multimodular_kernel(rows, width, vanishes):
+    """The kernel of nonzero integer rows from their kernels mod the primes
+    below P, taken in descending order as they are needed, combined by CRT
+    over the primes of the best profile seen."""
+    best = None
+    for p in filter(_is_prime, range(P - 1, 1, -1)):
+        pivots, basis = _kernel_mod(rows, width, p)
+        if not basis:
+            return []
+        profile = (-len(pivots), pivots)
+        if best is None or profile < best:
+            best, modulus, images = profile, p, basis
+        elif profile == best:
+            inv = pow(modulus, -1, p)
+            images = [[a + modulus * ((b - a) * inv % p)
+                       for a, b in zip(old, new)]
+                      for old, new in zip(images, basis)]
+            modulus *= p
+        else:
+            continue
+        lifted = _verified_lift(images, modulus, vanishes)
+        if lifted is not None:
+            return lifted
+
+
+def modular_nullspace(echelon, residue_row, exact_row, vanishes):
     """Nullspace basis of an integer matrix, read as `nullspace` returns it,
-    from three views of it: `echelon`, a ColumnEchelon of a matrix congruent
-    to it mod P (e.g. evaluated on inputs reduced mod P); `exact_row(i)`,
-    row i itself; and `vanishes(vec)`, whether vec annihilates every row.
+    from four views of it: `echelon`, a ColumnEchelon of a matrix congruent
+    to it mod P; `residue_row(i)`, row i of that matrix (any
+    representatives mod P); `exact_row(i)`, row i itself; and
+    `vanishes(vec)`, whether vec annihilates every row.
 
     Full column rank mod P means full rank over Q (a minor that is nonzero
-    mod P is a nonzero integer), so the answer is [] and no exact row is
-    read.  Otherwise Bareiss runs on the exact rows at the echelon's pivots,
-    which hold such a minor of the rank mod P; when each vector of their
-    kernel vanishes on every row, that kernel is the kernel of the matrix
-    and so is the same basis, byte for byte.  When one does not (rank lost
-    mod P; when no row survives mod P, every unit vector is proposed),
-    Bareiss runs on all nonzero exact rows.
+    mod P is a nonzero integer), so the answer is [] and no row is read.
+    Otherwise the residue rows at the echelon's pivots, whose rank mod P is
+    the matrix's, give the matrix's kernel mod P in its canonical basis:
+    per free column (leftmost pivots), 1 there and 0 at the other free
+    columns.  Each vector is lifted by rational reconstruction over a
+    common denominator and checked exactly.  When every one vanishes, they
+    are the kernel over Q, byte for byte: independent vectors of ker_Q, as
+    many as the nullity mod P, which is at least the nullity over Q, so
+    they span it; their last nonzero entries are distinct free columns, so
+    they are its unique basis of that form.
+
+    When one does not lift or vanish (rank or pivots lost mod P, or entries
+    beyond the bound), the nonzero exact rows decide mod the primes below
+    P, taken in turn.  Full rank mod any of them gives [].  The primes with
+    the best profile so far (highest rank, then smallest pivot list) are
+    combined by CRT, and the lift modulo their product is checked exactly
+    as above, so whatever is returned is the kernel over Q.  This ends:
+    mod p the rank is at most the rank over Q and each pivot is at or right
+    of its place over Q, so no prime beats the profile over Q; every prime
+    with that profile gives the true basis mod p; and every prime that does
+    not divide a nonzero maximal minor at the pivot columns over Q has it,
+    which leaves out finitely many.  The basis entries over their common
+    denominator are minors, at most the Hadamard bound H, so once the
+    product of the kept primes exceeds 2 * H**2 the lift recovers them.
     """
     width = echelon.width
     if echelon.rank == width:
         return []
-    basis = _bareiss([_primitive(exact_row(i))
-                      for i in echelon.pivot_rows()], width)
-    if all(map(vanishes, basis)):
-        return basis
-    rows = (exact_row(i) for i in range(echelon.height))
-    return _bareiss([_primitive(row) for row in rows if any(row)], width)
+    _, basis = _kernel_mod(map(residue_row, echelon.pivot_rows()), width, P)
+    lifted = _verified_lift(basis, P, vanishes)
+    if lifted is not None:
+        return lifted
+    rows = [row for row in map(exact_row, range(echelon.height)) if any(row)]
+    return _multimodular_kernel(rows, width, vanishes)
 
 
 def nullspace(matrix, width=None):
     """Basis of the exact nullspace {v : M v = 0}.
 
-    Fraction-free Bareiss elimination with leftmost-pivot, first-nonzero-row
-    pivoting.  Each basis vector has integer entries, content 1, and a
-    positive first nonzero entry; vectors are ordered by free column.
-    Returns [] iff the nullspace is trivial.  Entries must be ints or
-    Fractions; anything else raises TypeError.  The rows, with their
-    denominators cleared, and their column echelon mod P go through
-    `modular_nullspace`.
+    Per free column of the reduced row echelon form (leftmost pivots), the
+    kernel vector with 1 there and 0 at the other free columns, scaled to
+    ints with content 1 and a positive first nonzero entry; vectors are
+    ordered by free column.  Returns [] iff the nullspace is trivial.
+    Entries must be ints or Fractions; anything else raises TypeError.  The
+    rows, with their denominators cleared, their residues mod P and the
+    column echelon of those go through `modular_nullspace`.
     """
     rows = _integer_rows(matrix)
     if width is None:
@@ -225,12 +325,13 @@ def nullspace(matrix, width=None):
     for row in rows:
         if len(row) != width:
             raise ValueError("matrix is not rectangular")
+    residues = [[x % P for x in row] for row in rows]
 
     def vanishes(vec):
-        return all(sum(map(mul, row, (v.numerator for v in vec))) == 0
-                   for row in rows)
+        return all(sum(map(mul, row, vec)) == 0 for row in rows)
 
     echelon = ColumnEchelon(len(rows))
     for c in range(width):
-        echelon.add([row[c] for row in rows])
-    return modular_nullspace(echelon, rows.__getitem__, vanishes)
+        echelon.add([row[c] for row in residues])
+    return modular_nullspace(echelon, residues.__getitem__, rows.__getitem__,
+                             vanishes)

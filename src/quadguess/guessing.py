@@ -16,11 +16,12 @@ row sequence once and every d indexes into it.  `guess` ranks the systems
 mod P in one `exact.ColumnEchelon` per search, on row values evaluated
 from the prefix reduced mod P: each d cuts it to its usable rows and adds
 only its m + 1 new columns, and a size that is full rank there is skipped
-without one exact row.  Exact rows are evaluated only where
-`exact.modular_nullspace` reads them: the rows at the echelon's pivots,
-which Bareiss eliminates, and, to verify each proposed equation on every
-row, the rows of the monomials that equation uses.  `assemble_system`
-builds the full exact system.
+without one exact row.  Otherwise `exact.modular_nullspace` takes the
+kernel mod P from the residue rows at the echelon's pivots and lifts it to
+Q, so exact rows are evaluated only to verify each lifted equation on
+every row, and only for the monomials that equation uses; the whole exact
+system is read only if a lift fails.  `assemble_system` builds the full
+exact system.
 """
 
 import json
@@ -94,7 +95,7 @@ class _SlotRows:
     def vanishes(self, vec, d, m, count):
         """Whether the solution vector vec (column_order, integer entries)
         annihilates rows 0 .. count - 1; reads only the slots it uses."""
-        support = [(self.slot(k, count), i, v.numerator)
+        support = [(self.slot(k, count), i, v)
                    for (k, i), v in zip(column_order(d, m), vec) if v]
         return all(sum(c * seq[n - i] for seq, i, c in support if n >= i) == 0
                    for n in range(count))
@@ -127,9 +128,10 @@ def assemble_system(prefix, d, m, rows=None):
 
 
 def normalize(vector, d, m):
-    """Turn a nonzero solution vector into a QuadEquation: drop zeros,
-    clear denominators, divide by the content, and make the coefficient of
-    the highest (monomial index, z-power) term positive."""
+    """Turn a nonzero solution vector (ints and Fractions) into a
+    QuadEquation: drop zeros, clear denominators, divide by the content,
+    and make the coefficient of the highest (monomial index, z-power) term
+    positive."""
     ints = normalize_vector(vector)
     if not any(ints):
         raise ValueError("cannot normalize the zero vector")
@@ -206,7 +208,8 @@ def guess(prefix, cfg=GuessConfig()):
             for i in range(m + 1):
                 echelon.add([0] * i + seq[:usable - i])
         basis = modular_nullspace(
-            echelon, lambda n: exact.row(n, d, m),
+            echelon, lambda n: residue.row(n, d, m),
+            lambda n: exact.row(n, d, m),
             lambda vec: exact.vanishes(vec, d, m, usable))
         if basis:
             equations = tuple(normalize(v, d, m) for v in basis)

@@ -411,10 +411,10 @@ RENDER_GOLDENS = [
      r"-y + 1 = 0",
      r"-a(n) + [n=0] = 0"),
     (((2, -1, -1, "-3/4"), (1, 2, 2, "1")),
-     "z*(y'')^2 - 3/4*z^2*1 = 0",
+     "z*(y'')^2 - 3/4*z^2 = 0",
      ("Sum((k+1)*(k+2)*(n-k)*(n-k+1)*a(k+2)*a(n-k+1), k=0..n-1) - "
       "3/4*[n=2] = 0"),
-     r"z\,(y'')^{2} - \tfrac{3}{4}\,z^{2}\,1 = 0",
+     r"z\,(y'')^{2} - \tfrac{3}{4}\,z^{2} = 0",
      (r"\sum_{k=0}^{n-1} (k+1)\,(k+2)\,(n-k)\,(n-k+1)\,a(k+2)\,a(n-k+1) - "
       r"\tfrac{3}{4}\,[n=2] = 0")),
 ]

@@ -1,14 +1,17 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quadguess import exact
-from quadguess.exact import (P, ColumnEchelon, _bareiss, _integer_rows,
+from quadguess.exact import (P, ColumnEchelon, _is_prime, _rational,
                              falling_weight, format_rational,
                              normalize_vector, nullspace, parse_rational)
-from util_exact import naive_rank, rank_mod_p
+from util_exact import bareiss_nullspace, naive_rank, rank_mod_p
 
 
 def test_rational_serialization():
@@ -34,6 +37,8 @@ def test_nullspace_examples():
     assert nullspace([[1, 0], [0, 1]]) == []
     assert nullspace([[1, 1], [2, 2]]) == [[1, -1]]
     assert nullspace([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == [[1, -2, 1]]
+    assert all(type(x) is int
+               for vec in nullspace([[1, 2, 3], [2, 4, 7]]) for x in vec)
 
 
 def test_nullspace_normalization():
@@ -71,28 +76,41 @@ def test_nullspace_deterministic():
     assert nullspace(mat, width=5) == nullspace(mat, width=5)
 
 
-def _bareiss_all_rows(mat, width):
-    """The exact path alone: Bareiss on every nonzero row, no mod-P pass."""
-    return _bareiss([row for row in _integer_rows(mat) if any(row)], width)
-
-
 def test_nullspace_full_rank_mod_p_is_trivial():
-    # full rank mod P: answered without Bareiss
+    # full rank mod P: answered without a kernel
     assert nullspace([[1, 2], [3, 4], [5, 6]]) == []
     assert nullspace([[Fraction(1, 7), 3, 0], [0, P + 1, 1], [2, 0, P]]) == []
 
 
-def test_nullspace_rank_lost_mod_p():
-    # rank over Q is full, but the rows are dependent mod P
-    assert nullspace([[P, 0], [0, 1]]) == []
-    assert nullspace([[1, 1, 0], [0, P, 1], [0, 0, P]]) == []
-    assert nullspace([[1, 1], [1, 1 + P]]) == []
-    assert nullspace([[P, 0, 0], [0, 1, 0]]) == [[0, 0, 1]]
+def _logged_kernels(monkeypatch):
+    """Record the prime of every kernel `exact` takes mod a prime."""
+    primes = []
+    kernel_mod = exact._kernel_mod
+
+    def logged(rows, width, p):
+        primes.append(p)
+        return kernel_mod(rows, width, p)
+
+    monkeypatch.setattr(exact, "_kernel_mod", logged)
+    return primes
+
+
+def test_nullspace_rank_lost_mod_p(monkeypatch):
+    """Rank over Q is full, but the rows are dependent mod P: the lift from
+    P fails its check, and the first prime below P sees the rank over Q."""
+    kernels = _logged_kernels(monkeypatch)
+    for mat, expected in (([[P, 0], [0, 1]], []),
+                          ([[1, 1, 0], [0, P, 1], [0, 0, P]], []),
+                          ([[1, 1], [1, 1 + P]], []),
+                          ([[P, 0, 0], [0, 1, 0]], [[0, 0, 1]])):
+        kernels.clear()
+        assert nullspace(mat) == expected
+        assert len(kernels) == 2 and kernels[0] == P > kernels[1], mat
 
 
 def test_nullspace_fallback_when_chosen_rows_lose_rank():
     # rows 0 and 1 are independent mod P and chosen; row 2 is 0 mod P, so
-    # their kernel [1, -1, 0] is proposed, fails on row 2, and all rows decide
+    # their kernel [1, -1, 0] is lifted, fails on row 2, and all rows decide
     mat = [[1, 1, 0], [0, 0, 1], [P, 0, 0]]
     assert nullspace(mat) == []
     mat = [[1, 1, 0, 0], [0, 0, 1, 0], [P, 0, 0, 0], [0, 0, 0, 0]]
@@ -125,7 +143,7 @@ def test_nullspace_equals_bareiss_on_all_rows_randomized():
             mat.append([rng.choice((0, 1, -2, P, -P, 2 * P, P + 1, 3 * P - 5))
                         * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                         for _ in range(cols)])
-        expected = _bareiss_all_rows(mat, cols)
+        expected = bareiss_nullspace(mat, cols)
         assert nullspace(mat, width=cols) == expected, (trial, mat)
 
 
@@ -188,15 +206,10 @@ def test_nullspace_rejects_non_rational_entries(entry):
 def test_nullspace_invariant_under_positive_row_scaling(monkeypatch):
     """Multiplying each row by a positive factor (multiples of P and a large
     square common to all rows among them) leaves the basis unchanged.  The
-    scaled systems take all three paths: full rank mod P (no Bareiss), a
-    verified basis from the chosen rows (one), and the fallback (two)."""
-    bareiss_calls = []
-
-    def counted_bareiss(rows, width):
-        bareiss_calls.append(len(rows))
-        return _bareiss(rows, width)
-
-    monkeypatch.setattr(exact, "_bareiss", counted_bareiss)
+    scaled systems take all three paths: full rank mod P (no kernel mod a
+    prime), a verified lift of the kernel mod P of the pivot rows (one),
+    and the fallback to further primes (two or more)."""
+    kernels = _logged_kernels(monkeypatch)
     rng = random.Random(71)
     square = (3**200 * 10**150 + 1) ** 2
     paths = Counter()
@@ -217,7 +230,71 @@ def test_nullspace_invariant_under_positive_row_scaling(monkeypatch):
                                         rng.randint(1, 10**40)))
                    for _ in mat]
         scaled = [[f * x for x in row] for f, row in zip(factors, mat)]
-        bareiss_calls.clear()
+        kernels.clear()
         assert nullspace(scaled, width=cols) == expected, (trial, factors)
-        paths[len(bareiss_calls)] += 1
+        paths[min(len(kernels), 2)] += 1
     assert paths[0] and paths[1] and paths[2], paths
+
+
+# Rational reconstruction modulo P recovers n/d with |n|, d <= _BOUND.
+_BOUND = isqrt(P // 2)
+
+
+@given(st.integers(-_BOUND, _BOUND), st.integers(1, _BOUND))
+@example(_BOUND, _BOUND)
+@example(-_BOUND, _BOUND)
+@example(0, 1)
+@settings(max_examples=300, deadline=None)
+def test_rational_reconstruction_round_trip(n, d):
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    assert _rational(n * pow(d, -1, P) % P, P, _BOUND) == (n, d)
+
+
+@given(st.sampled_from(("n", "-n", "d")), st.integers(1, _BOUND + 1))
+@example("n", 1)
+@example("-n", 1)
+@example("d", 1)
+@example("d", _BOUND)
+@settings(max_examples=300, deadline=None)
+def test_rational_reconstruction_past_bound(past, other):
+    """Just past the bound, n/d itself is never returned; anything that is
+    returned is in bounds, in lowest terms and congruent to n/d."""
+    n, d = {"n": (_BOUND + 1, other), "-n": (-_BOUND - 1, other),
+            "d": (other, _BOUND + 1)}[past]
+    assume(gcd(n, d) == 1)
+    x = n * pow(d, -1, P) % P
+    frac = _rational(x, P, _BOUND)
+    assert frac != (n, d)
+    if frac is not None:
+        num, den = frac
+        assert abs(num) <= _BOUND and 0 < den <= _BOUND
+        assert gcd(num, den) == 1 and (num - den * x) % P == 0
+
+
+def test_is_prime_matches_trial_division():
+    small = [n for n in range(2000)
+             if n > 1 and all(n % f for f in range(2, isqrt(n) + 1))]
+    assert [n for n in range(2000) if _is_prime(n)] == small
+    # strong pseudoprimes to the smallest bases, and P and its neighbours
+    for n in (2047, 3215031751, 3825123056546413051, P - 2, P + 2):
+        assert not _is_prime(n)
+    assert _is_prime(P) and _is_prime(2**31 - 1)
+
+
+def test_nullspace_lift_needs_crt(monkeypatch):
+    """Entries above 2**30 cannot be lifted from one 61-bit prime: the
+    fallback combines two or more primes below P by CRT."""
+    kernels = _logged_kernels(monkeypatch)
+    for mat in ([[2**40 + 1, 3**26]],
+                [[P, 1, 0]],
+                [[3**40, 0, -(2**45 + 7)], [0, 5**20, 11**17]],
+                [[Fraction(2**35, 3**23), 1, 7**13]]):
+        kernels.clear()
+        width = len(mat[0])
+        assert nullspace(mat) == bareiss_nullspace(mat, width), mat
+        assert kernels[0] == P
+        fallback = kernels[1:]
+        assert len(fallback) >= 2 and all(p < P for p in fallback), mat
+        assert all(_is_prime(p) for p in fallback)
+        assert fallback == sorted(set(fallback), reverse=True)

@@ -142,27 +142,28 @@ def test_guess_matches_full_exact_path(monkeypatch):
     system's, byte for byte, also where reduction mod P loses every row
     (oracle * P), where den = 0 mod P (oracle / P), and where rank drops
     only mod P (an oracle with P added to its middle or last term) so that
-    the proposed basis fails verification and all rows decide."""
-    ranks, bareiss = [], []   # echelon (rank, width, height) per d; all rows?
-    rank_filter, bareiss_rows = guessing.modular_nullspace, exact._bareiss
+    the basis lifted from the pivot rows fails verification and all rows
+    decide mod further primes."""
+    ranks, kernels = [], []  # echelon (rank, width, height) per d; fallback?
+    rank_filter, kernel_mod = guessing.modular_nullspace, exact._kernel_mod
 
-    def logged_rank(echelon, exact_row, vanishes):
+    def logged_rank(echelon, residue_row, exact_row, vanishes):
         ranks.append((echelon.rank, echelon.width, echelon.height))
-        return rank_filter(echelon, exact_row, vanishes)
+        return rank_filter(echelon, residue_row, exact_row, vanishes)
 
-    def logged_bareiss(rows, width):
-        bareiss.append(len(rows) >= width)
-        return bareiss_rows(rows, width)
+    def logged_kernel(rows, width, p):
+        kernels.append(p != P)   # mod P: the pivot rows; below P: fallback
+        return kernel_mod(rows, width, p)
 
     monkeypatch.setattr(guessing, "modular_nullspace", logged_rank)
-    monkeypatch.setattr(exact, "_bareiss", logged_bareiss)
+    monkeypatch.setattr(exact, "_kernel_mod", logged_kernel)
 
     def compare(values):
         prefix = SequencePrefix(values)
         ranks.clear()
-        bareiss.clear()
+        kernels.clear()
         result = guess(prefix).to_json()
-        paths = list(ranks), list(bareiss)
+        paths = list(ranks), list(kernels)
         assert result == _guess_full_exact(prefix).to_json(), values
         return paths
 
@@ -177,7 +178,7 @@ def test_guess_matches_full_exact_path(monkeypatch):
     for name in sorted(ORACLES):
         values = oracle_sequence(name, rng.randint(26, 32)).values
         _, fallback = compare(values)
-        assert fallback == [False], name   # verified on the pivot rows
+        assert fallback == [False], name   # checked on the pivot rows
         ranks_times_p, _ = compare([v * P for v in values])
         assert {rank for rank, _, _ in ranks_times_p} == {0}
         over_p = [v / P for v in values]

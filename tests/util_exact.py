@@ -1,12 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately naive: truncated power-series arithmetic by direct
-differentiation/convolution, plain Gaussian elimination over Fraction, and
-a dense linear solver.  These stay separate from the code paths they check.
+differentiation/convolution, plain Gaussian elimination over Fraction,
+fraction-free Bareiss elimination over the integers, and a dense linear
+solver.  These stay separate from the code paths they check.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
@@ -166,6 +167,51 @@ def naive_nullspace(matrix, width):
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
+    return basis
+
+
+def bareiss_nullspace(matrix, width):
+    """Nullspace basis of a matrix of ints and Fractions, as
+    `exact.nullspace` returns it, by fraction-free Bareiss elimination of
+    every nonzero row (denominators cleared row by row) with leftmost-pivot,
+    first-nonzero-row pivoting, then Fraction back-substitution for each
+    free column; each vector scaled to ints with content 1 and a positive
+    first nonzero entry."""
+    rows = []
+    for row in matrix:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        if any(row):
+            rows.append([int(Fraction(x) * den) for x in row])
+    pivot_cols = []
+    prev = 1
+    for col in range(width):
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(pv * x - f * y) // prev
+                       for x, y in zip(rows[i], rows[r])]
+        prev = pv
+        pivot_cols.append(col)
+    basis = []
+    for free in [c for c in range(width) if c not in pivot_cols]:
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for level in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[level]
+            row = rows[level]
+            s = sum((row[c] * vec[c] for c in range(pc + 1, width)),
+                    Fraction(0))
+            vec[pc] = -s / row[pc]
+        den = lcm(*(x.denominator for x in vec))
+        ints = [int(x * den) for x in vec]
+        content = gcd(*ints)
+        sign = -1 if next(v for v in ints if v) < 0 else 1
+        basis.append([sign * v // content for v in ints])
     return basis
 
 
