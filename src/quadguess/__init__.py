@@ -10,10 +10,8 @@ from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
                               PrefixFormatError, QuadGuessError)
-from quadguess.exact import (falling_weight, format_rational, nullspace,
-                             parse_rational)
-from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
-                                guess, normalize)
+from quadguess.exact import falling_weight, format_rational, parse_rational
+from quadguess.guessing import GuessConfig, GuessResult, guess, normalize
 from quadguess.monomials import (QuadMonomial, index_of_pair,
                                  monomial_of_index, monomial_of_orders, nu)
 from quadguess.prefix import (SequencePrefix, dump_prefix, load_prefix,

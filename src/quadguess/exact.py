@@ -5,23 +5,22 @@ denominator) and int.  `falling_weight` is the one weight function and
 `normalize_vector` the one normalization of a kernel vector.
 
 `modular_nullspace` holds the whole elimination policy: every basis it
-returns is a kernel mod primes, lifted to Q and checked on the exact rows.
-It first ranks the matrix modulo the prime P = 2**61 - 1 with a
-`ColumnEchelon`, built from residues a caller may evaluate without the
-exact rows (reduction mod P is a ring homomorphism): full rank mod P
-proves a trivial nullspace over Q.  The echelon grows by columns and
-shrinks by rows without re-eliminating, so `guess` keeps one per search
-and adds only the new columns of each ansatz size.  Otherwise Gaussian
-elimination mod P of the residue rows at the echelon's pivots gives the
-kernel mod P, rational reconstruction lifts each of its vectors, and each
-lift is checked exactly against every row.  When a vector does not lift or
-does not vanish, the exact rows are reduced mod further primes below P and
-their kernels are combined by CRT until the lift checks, so results are
-exact and reproducible byte for byte.  `nullspace` takes rows of ints and
-Fractions, clears denominators row by row, reduces them mod P, builds the
-echelon from the columns of the residues and hands all three to it.
+returns is a kernel mod primes, lifted to Q and accepted only when the
+caller's exact check says it vanishes.  It reads the matrix only through
+residues, which a caller evaluates from its input reduced mod a prime
+(reduction is a ring homomorphism), never through exact rows.  It first
+ranks the matrix modulo the prime P = 2**61 - 1 with a `ColumnEchelon`:
+full rank mod P proves a trivial nullspace over Q.  The echelon grows by
+columns and shrinks by rows without re-eliminating, so `guess` keeps one
+per search and adds only the new columns of each ansatz size.  Otherwise
+Gaussian elimination mod P of the rows at the echelon's pivots gives the
+kernel mod P and rational reconstruction lifts each of its vectors.  When
+a vector does not lift or does not vanish, the rows mod further primes
+below P decide, and their kernels are combined by CRT until the lift
+checks, so results are exact and reproducible byte for byte.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -30,13 +29,18 @@ from operator import mul
 P = 2**61 - 1
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def parse_rational(text):
-    """Parse "p/q" or "p" into a Fraction.  Raises ValueError on junk."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse "p/q" or "p", ASCII digits with optional signs and surrounding
+    whitespace, into a Fraction.  Raises ValueError on anything else (no
+    underscores, no other digits) and ZeroDivisionError on q = 0."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x):
@@ -53,21 +57,6 @@ def falling_weight(j, p):
     if j < 0 or p < 0:
         raise ValueError("falling_weight needs j >= 0 and p >= 0")
     return prod(range(j + 1, j + p + 1))
-
-
-def _integer_rows(matrix):
-    """Clear denominators row by row; returns integer rows.  Raises
-    TypeError on an entry that is not an int or a Fraction (bools, floats
-    and strings are never coerced)."""
-    out = []
-    for row in matrix:
-        for x in row:
-            if type(x) is not int and not isinstance(x, Fraction):
-                raise TypeError(f"matrix entries must be int or Fraction, "
-                                f"not {x!r}")
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
 
 
 def normalize_vector(vec):
@@ -237,13 +226,13 @@ def _is_prime(n):
     return True
 
 
-def _multimodular_kernel(rows, width, vanishes):
-    """The kernel of nonzero integer rows from their kernels mod the primes
-    below P, taken in descending order as they are needed, combined by CRT
-    over the primes of the best profile seen."""
+def _multimodular_kernel(rows_mod, height, width, vanishes):
+    """The kernel of a matrix of `height` rows from its kernels mod the
+    primes below P, taken in descending order as they are needed, combined
+    by CRT over the primes of the best profile seen."""
     best = None
     for p in filter(_is_prime, range(P - 1, 1, -1)):
-        pivots, basis = _kernel_mod(rows, width, p)
+        pivots, basis = _kernel_mod(map(rows_mod(p), range(height)), width, p)
         if not basis:
             return []
         profile = (-len(pivots), pivots)
@@ -262,35 +251,39 @@ def _multimodular_kernel(rows, width, vanishes):
             return lifted
 
 
-def modular_nullspace(echelon, residue_row, exact_row, vanishes):
-    """Nullspace basis of an integer matrix, read as `nullspace` returns it,
-    from four views of it: `echelon`, a ColumnEchelon of a matrix congruent
-    to it mod P; `residue_row(i)`, row i of that matrix (any
-    representatives mod P); `exact_row(i)`, row i itself; and
-    `vanishes(vec)`, whether vec annihilates every row.
+def modular_nullspace(echelon, rows_mod, vanishes):
+    """Nullspace basis of an integer matrix from three views of it:
+    `echelon`, a ColumnEchelon of a matrix congruent to it mod P;
+    `rows_mod(p)`, a function from n to row n of a matrix congruent to it
+    mod the prime p (any representatives); and `vanishes(vec)`, whether
+    the integer vector vec annihilates every row exactly.
+
+    The basis has one vector per free column of the reduced row echelon
+    form (leftmost pivots), with 1 there and 0 at the other free columns,
+    scaled to ints with content 1 and a positive first nonzero entry, in
+    order of free column; it is [] iff the nullspace is trivial.
 
     Full column rank mod P means full rank over Q (a minor that is nonzero
     mod P is a nonzero integer), so the answer is [] and no row is read.
-    Otherwise the residue rows at the echelon's pivots, whose rank mod P is
-    the matrix's, give the matrix's kernel mod P in its canonical basis:
-    per free column (leftmost pivots), 1 there and 0 at the other free
-    columns.  Each vector is lifted by rational reconstruction over a
-    common denominator and checked exactly.  When every one vanishes, they
+    Otherwise the rows mod P at the echelon's pivots, whose rank mod P is
+    the matrix's, give the matrix's kernel mod P in its canonical basis.
+    Each vector is lifted by rational reconstruction over a common
+    denominator and checked by `vanishes`.  When every one vanishes, they
     are the kernel over Q, byte for byte: independent vectors of ker_Q, as
     many as the nullity mod P, which is at least the nullity over Q, so
     they span it; their last nonzero entries are distinct free columns, so
     they are its unique basis of that form.
 
     When one does not lift or vanish (rank or pivots lost mod P, or entries
-    beyond the bound), the nonzero exact rows decide mod the primes below
-    P, taken in turn.  Full rank mod any of them gives [].  The primes with
-    the best profile so far (highest rank, then smallest pivot list) are
-    combined by CRT, and the lift modulo their product is checked exactly
-    as above, so whatever is returned is the kernel over Q.  This ends:
-    mod p the rank is at most the rank over Q and each pivot is at or right
-    of its place over Q, so no prime beats the profile over Q; every prime
-    with that profile gives the true basis mod p; and every prime that does
-    not divide a nonzero maximal minor at the pivot columns over Q has it,
+    beyond the bound), all rows decide mod the primes below P, taken in
+    turn.  Full rank mod any of them gives [].  The primes with the best
+    profile so far (highest rank, then smallest pivot list) are combined by
+    CRT, and the lift modulo their product is checked as above, so
+    whatever is returned is the kernel over Q.  This ends: mod p the rank
+    is at most the rank over Q and each pivot is at or right of its place
+    over Q, so no prime beats the profile over Q; every prime with that
+    profile gives the true basis mod p; and every prime that does not
+    divide a nonzero maximal minor at the pivot columns over Q has it,
     which leaves out finitely many.  The basis entries over their common
     denominator are minors, at most the Hadamard bound H, so once the
     product of the kept primes exceeds 2 * H**2 the lift recovers them.
@@ -298,40 +291,8 @@ def modular_nullspace(echelon, residue_row, exact_row, vanishes):
     width = echelon.width
     if echelon.rank == width:
         return []
-    _, basis = _kernel_mod(map(residue_row, echelon.pivot_rows()), width, P)
+    _, basis = _kernel_mod(map(rows_mod(P), echelon.pivot_rows()), width, P)
     lifted = _verified_lift(basis, P, vanishes)
     if lifted is not None:
         return lifted
-    rows = [row for row in map(exact_row, range(echelon.height)) if any(row)]
-    return _multimodular_kernel(rows, width, vanishes)
-
-
-def nullspace(matrix, width=None):
-    """Basis of the exact nullspace {v : M v = 0}.
-
-    Per free column of the reduced row echelon form (leftmost pivots), the
-    kernel vector with 1 there and 0 at the other free columns, scaled to
-    ints with content 1 and a positive first nonzero entry; vectors are
-    ordered by free column.  Returns [] iff the nullspace is trivial.
-    Entries must be ints or Fractions; anything else raises TypeError.  The
-    rows, with their denominators cleared, their residues mod P and the
-    column echelon of those go through `modular_nullspace`.
-    """
-    rows = _integer_rows(matrix)
-    if width is None:
-        if not rows:
-            raise ValueError("width required for an empty matrix")
-        width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("matrix is not rectangular")
-    residues = [[x % P for x in row] for row in rows]
-
-    def vanishes(vec):
-        return all(sum(map(mul, row, vec)) == 0 for row in rows)
-
-    echelon = ColumnEchelon(len(rows))
-    for c in range(width):
-        echelon.add([row[c] for row in residues])
-    return modular_nullspace(echelon, residues.__getitem__, rows.__getitem__,
-                             vanishes)
+    return _multimodular_kernel(rows_mod, echelon.height, width, vanishes)

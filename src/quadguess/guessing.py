@@ -1,27 +1,28 @@
 """Fit quadratic differential equations to a sequence prefix.
 
-For growing ansatz size d, build the homogeneous linear system whose
+For growing ansatz size d, form the homogeneous linear system whose
 unknowns are the coefficients c_{k,i} of (c_{k,0} + ... + c_{k,m} z^m)
-applied to monomial slot k+2, evaluate its recurrence rows on the prefix,
-and return the nullspace basis as normalized equations.
+applied to monomial slot k+2, with one row per recurrence row the prefix
+determines, and return its nullspace basis as normalized equations.
 
 The stacked matrix contains every row the prefix can support: the first
 (m+1)(d+1) rows determine the unknowns and the remaining rows are held-out
 verification.  Computing one joint nullspace is at least as strict as
 filtering basis vectors against leftover rows individually.
 
-Column (k, i) is column (k, 0) shifted down i rows, and the columns for d
-are a prefix of those for d + 1, so one search evaluates each monomial's
-row sequence once and every d indexes into it.  `guess` ranks the systems
-mod P in one `exact.ColumnEchelon` per search, on row values evaluated
-from the prefix reduced mod P: each d cuts it to its usable rows and adds
-only its m + 1 new columns, and a size that is full rank there is skipped
-without one exact row.  Otherwise `exact.modular_nullspace` takes the
-kernel mod P from the residue rows at the echelon's pivots and lifts it to
-Q, so exact rows are evaluated only to verify each lifted equation on
-every row, and only for the monomials that equation uses; the whole exact
-system is read only if a lift fails.  `assemble_system` builds the full
-exact system.
+The system is read only modulo primes.  Column (k, i) is column (k, 0)
+shifted down i rows, and the columns for d are a prefix of those for
+d + 1, so one search evaluates each monomial's row sequence once, from
+the prefix reduced mod P, and every d indexes into it.  `guess` ranks the
+systems mod P in one `exact.ColumnEchelon` per search: each d cuts it to
+its usable rows and adds only its m + 1 new columns, and a size that is
+full rank there is skipped.  Otherwise `exact.modular_nullspace` takes the
+kernel mod P from the rows at the echelon's pivots and lifts it to Q.
+Each lifted vector is verified exactly by one evaluator, the one `check`
+uses: normalized to a QuadEquation, its rows are read through
+`QuadEquation.row_numerator` on the unreduced prefix, and its z-multiples
+are accepted from that one pass.  Only if a lift fails are the rows
+evaluated mod further primes, from the prefix reduced mod each of them.
 """
 
 import json
@@ -45,7 +46,8 @@ class GuessConfig:
     classical Bernoulli/Euler/Bell equations).  d runs from d_start to
     d_max (default ceil((N+1)/(m+1)); a given d_max must be at least
     d_start), capped so that every construction row plus min_verify_rows
-    held-out rows fit inside the prefix.
+    held-out rows fit inside the prefix.  Every bound is a plain int, not
+    a bool or a float; d_max may also be None.
     """
 
     m: int = 2
@@ -54,6 +56,10 @@ class GuessConfig:
     min_verify_rows: int = 2
 
     def __post_init__(self):
+        for name in ("m", "d_start", "d_max", "min_verify_rows"):
+            value = getattr(self, name)
+            if type(value) is not int and (value, name) != (None, "d_max"):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.m < 0 or self.d_start < 1 or self.min_verify_rows < 0:
             raise ValueError("invalid search bounds")
         if self.d_max is not None and self.d_max < self.d_start:
@@ -70,11 +76,13 @@ class _SlotRows:
     """Recurrence-row values of the monomial slots on one set of derivative
     sequences: rows[k] lists the z^n coefficients of slot k+2, times den**2,
     for n = 0, 1, ...; each list grows only as far as a read needs and is
-    kept, so every d of a search reads it from there."""
+    kept, so every d of a search reads it from there.  `guess` builds them
+    only on a prefix reduced mod a prime, where they are the residues of
+    the exact values."""
 
-    def __init__(self, derivs, rows=None):
+    def __init__(self, derivs):
         self.derivs = derivs
-        self.rows = {} if rows is None else rows
+        self.rows = {}
 
     def slot(self, k, count):
         """The first `count` row values of slot k+2."""
@@ -92,39 +100,11 @@ class _SlotRows:
                 for seq in (self.slot(k, n + 1) for k in range(d + 1))
                 for i in range(m + 1)]
 
-    def vanishes(self, vec, d, m, count):
-        """Whether the solution vector vec (column_order, integer entries)
-        annihilates rows 0 .. count - 1; reads only the slots it uses."""
-        support = [(self.slot(k, count), i, v)
-                   for (k, i), v in zip(column_order(d, m), vec) if v]
-        return all(sum(c * seq[n - i] for seq, i, c in support if n >= i) == 0
-                   for n in range(count))
-
 
 def _usable_rows(prefix, d):
     """How many rows of the size-d system the prefix determines: row n
     reads indices up to n + r(d), r(d) the largest derivative order."""
     return max(0, prefix.last_index - max_derivative_order(d) + 1)
-
-
-def assemble_system(prefix, d, m, rows=None):
-    """(matrix, usable_rows): rows n = 0, 1, ... of the ansatz recurrence
-    evaluated on the prefix, emitted while every touched index fits.
-
-    Row n's entry for unknown (k, i) is the z^n coefficient of
-    z^i * (monomial slot k+2) on the prefix times den**2, an int, where
-    nums / den is the prefix's scaled view; row n reads indices up to
-    n + r(d) where r(d) is the largest derivative order in the ansatz.
-
-    `rows` maps slot k to the row values already computed for this prefix;
-    pass the same dict to every call on one prefix so that no row is
-    evaluated twice.  It must not be shared between prefixes.
-    """
-    if d < 1 or m < 0:
-        raise ValueError("need d >= 1 and m >= 0")
-    slots = _SlotRows(Derivatives(*prefix.scaled()), rows)
-    usable = _usable_rows(prefix, d)
-    return [slots.row(n, d, m) for n in range(usable)], usable
 
 
 def normalize(vector, d, m):
@@ -142,6 +122,40 @@ def normalize(vector, d, m):
     if terms[-1][2] < 0:  # column order == (monomial index, z-power) order
         terms = [(s, mono, -c) for s, mono, c in terms]
     return QuadEquation(terms)
+
+
+class _Verifier:
+    """Whether solution vectors of the size-d system annihilate its rows
+    0 .. count - 1 on the exact sequence `derivs`.  A vector is normalized
+    to a QuadEquation, whose rows are read through `row_numerator`, the
+    evaluator `check` and `extend` use.  Once a vector E passes, so do its
+    z-multiples z^j * E (entry (k, i) moved to (k, i + j)) whose z-powers
+    stay within m, without a pass of their own: row n of z^j * E is row
+    n - j of E."""
+
+    def __init__(self, derivs, d, m, count):
+        self.derivs = derivs
+        self.d, self.m, self.count = d, m, count
+        self.verified = set()
+
+    def __call__(self, vec):
+        vec = tuple(vec)
+        if vec in self.verified:
+            return True
+        if not self.vanishes(normalize(vec, self.d, self.m)):
+            return False
+        m = self.m
+        self.verified.add(vec)
+        while not any(vec[m::m + 1]):     # no z^m entry: shift by z
+            vec = tuple(x for b in range(0, len(vec), m + 1)
+                        for x in (0,) + vec[b:b + m])
+            self.verified.add(vec)
+        return True
+
+    def vanishes(self, eq):
+        """Whether eq's rows 0 .. count - 1 are zero: one exact pass."""
+        return all(eq.row_numerator(self.derivs, n) == 0
+                   for n in range(self.count))
 
 
 @dataclass(frozen=True)
@@ -181,10 +195,14 @@ class GuessResult:
 def guess(prefix, cfg=GuessConfig()):
     """Search for quadratic equations annihilating the prefix.
 
-    Returns the result at the smallest successful d (larger-d solution
-    spaces only add consequences of the smaller equation).  Raises
-    DegenerateInputError on an all-zero prefix and InsufficientTermsError
-    when not even the first candidate d admits a full system.
+    Returns the result at the smallest d whose system has a nontrivial
+    nullspace.  That d is minimal, and every larger d the prefix admits
+    would succeed too: the columns for d are a prefix of those for d + 1
+    and the size-d system has at least as many rows, so full column rank
+    at d + 1 implies full column rank at d.  Larger-d solution spaces only
+    add consequences of the smaller equation.  Raises DegenerateInputError
+    on an all-zero prefix and InsufficientTermsError when not even the
+    first candidate d admits a full system.
     """
     if prefix.is_zero():
         raise DegenerateInputError("degenerate input: all terms zero")
@@ -193,8 +211,12 @@ def guess(prefix, cfg=GuessConfig()):
     d_cap = cfg.d_max if cfg.d_max is not None else ceil(n_terms / (m + 1))
     attempted = False
     nums, den = prefix.scaled()
-    exact = _SlotRows(Derivatives(nums, den))
-    residue = _SlotRows(Derivatives([x % P for x in nums], den % P))
+    derivs = Derivatives(nums, den)
+
+    def residues(p):
+        return _SlotRows(Derivatives([x % p for x in nums], den % p))
+
+    residue = residues(P)
     echelon = ColumnEchelon(_usable_rows(prefix, cfg.d_start))
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
@@ -207,10 +229,15 @@ def guess(prefix, cfg=GuessConfig()):
             seq = residue.slot(k, usable)
             for i in range(m + 1):
                 echelon.add([0] * i + seq[:usable - i])
-        basis = modular_nullspace(
-            echelon, lambda n: residue.row(n, d, m),
-            lambda n: exact.row(n, d, m),
-            lambda vec: exact.vanishes(vec, d, m, usable))
+
+        def rows_mod(p):
+            slots = residue if p == P else residues(p)
+            for k in range(d + 1):
+                slots.slot(k, usable)
+            return lambda n: slots.row(n, d, m)
+
+        basis = modular_nullspace(echelon, rows_mod,
+                                  _Verifier(derivs, d, m, usable))
         if basis:
             equations = tuple(normalize(v, d, m) for v in basis)
             return GuessResult(status="success", d=d, m=m, basis=equations,

@@ -1,11 +1,13 @@
 import json
+import sys
+from math import factorial
 
 import pytest
 
 from quadguess.cli import main
 from quadguess.equations import equation_to_json
 from quadguess.guessing import GuessResult
-from test_sequences import SQUARE_EQ, ZETA_EQ, ZIGZAG_EQ
+from test_sequences import EXP_EQ, SQUARE_EQ, ZETA_EQ, ZIGZAG_EQ
 
 
 @pytest.fixture
@@ -217,3 +219,71 @@ def test_extend_nonlinear_step_exit_code(tmp_path, capsys):
     assert main(["extend", "--equation", str(eq_file),
                  "--input", str(seed), "--count", "1"]) == 3
     assert "row 0 is quadratic in the unknown term" in capsys.readouterr().err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int/str digit limit (4 300 digits) while
+    the test runs, whatever an earlier test left; restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_oracle_prints_terms_over_the_digit_limit(default_digit_limit,
+                                                   capsys):
+    assert main(["oracle", "--name", "lambertw", "--count", "1800"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1800
+    assert max(map(len, out)) > 4300
+
+
+def test_check_round_trips_a_5000_digit_term(tmp_path, default_digit_limit,
+                                             capsys):
+    """a_n = 10**4999 / n! satisfies y' = y; every term has a 5 000-digit
+    numerator.  check reads them and passes, and a last term raised by 1
+    fails at row 4 with residual 5 * 1."""
+    big = "1" + "0" * 4999
+    terms = [f"{big}/{factorial(n)}" for n in range(6)]
+    eq_file = tmp_path / "exp.json"
+    eq_file.write_text(equation_to_json(EXP_EQ))
+    seq = tmp_path / "big.txt"
+    seq.write_text("\n".join(terms) + "\n")
+    assert main(["check", "--equation", str(eq_file),
+                 "--input", str(seq)]) == 0
+    assert capsys.readouterr().out == "pass: 5 rows vanish\n"
+    terms[-1] = big[:-3] + "120/120"      # 10**4999 / 5! + 1
+    seq.write_text("\n".join(terms) + "\n")
+    assert main(["check", "--equation", str(eq_file), "--input", str(seq),
+                 "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "passed": False, "rows_checked": 5, "first_failure": 4,
+        "residual": "5"}
+
+
+@pytest.mark.parametrize("term", ["1_000", "\u0663/4", "3/\u0664",
+                                  "\uff11", "3 / 4", "1/2/3", "0x10"])
+def test_coerced_rationals_are_usage_errors(tmp_path, zigzag_eq_file,
+                                            term, capsys):
+    """int() would read underscores and non-ASCII digits; the parser takes
+    only ASCII [+-]digits(/[+-]digits), in prefix files (text and JSON) and
+    in equation coefficients alike."""
+    text = tmp_path / "seq.txt"
+    text.write_text(f"1\n{term}\n1\n", encoding="utf-8")
+    array = tmp_path / "seq.json"
+    array.write_text(json.dumps(["1", term, "1"]), encoding="utf-8")
+    obj = json.loads(equation_to_json(ZIGZAG_EQ))
+    obj["terms"][0]["c"] = term
+    eq_file = tmp_path / "eq.json"
+    eq_file.write_text(json.dumps(obj), encoding="utf-8")
+    good = tmp_path / "good.txt"
+    good.write_text("1\n1\n1\n")
+    for eq, seq in ((zigzag_eq_file, text), (zigzag_eq_file, array),
+                    (eq_file, good)):
+        assert main(["check", "--equation", str(eq),
+                     "--input", str(seq)]) == 2, (eq, seq)
+        assert "error:" in capsys.readouterr().err

@@ -3,17 +3,35 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadguess import exact, guessing
-from quadguess.equations import QuadEquation, render_text
+from quadguess.equations import Derivatives, QuadEquation, render_text
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import P, nullspace
-from quadguess.guessing import (GuessConfig, GuessResult, assemble_system,
-                                column_order, guess, normalize)
+from quadguess.exact import P
+from quadguess.guessing import (GuessConfig, GuessResult, _SlotRows,
+                                _usable_rows, _Verifier, column_order, guess,
+                                normalize)
 from quadguess.monomials import monomial_of_index, monomial_of_orders
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
-from util_exact import equation_vector, in_span, term_coeff_bruteforce
+from util_exact import (bareiss_nullspace, equation_vector, in_span,
+                        term_coeff_bruteforce)
+
+
+def _exact_slots(prefix):
+    """Slot rows on the prefix's unreduced derivative sequences."""
+    return _SlotRows(Derivatives(*prefix.scaled()))
+
+
+def _exact_system(prefix, d, m, slots=None):
+    """(matrix, usable): rows 0 .. usable - 1 of the size-d system on the
+    prefix, read from `slots` (one `_exact_slots(prefix)` reused across d,
+    or a fresh one)."""
+    slots = _exact_slots(prefix) if slots is None else slots
+    usable = _usable_rows(prefix, d)
+    return [slots.row(n, d, m) for n in range(usable)], usable
 
 
 def test_column_count():
@@ -24,7 +42,7 @@ def test_assemble_second_derivative_column():
     # column (k=5, i=0) hosts f''; its row-n entry is (n+1)(n+2) a_{n+2},
     # times den**2 for the prefix scaled to nums / den
     prefix = oracle_sequence("zigzag-egf", 20)
-    matrix, usable = assemble_system(prefix, d=5, m=2)
+    matrix, usable = _exact_system(prefix, d=5, m=2)
     assert usable == 18
     col = column_order(5, 2).index((5, 0))
     _, den = prefix.scaled()
@@ -34,7 +52,7 @@ def test_assemble_second_derivative_column():
 
 def test_assemble_usable_rows_respects_prefix():
     prefix = oracle_sequence("exp", 10)
-    _, usable = assemble_system(prefix, d=5, m=2)
+    _, usable = _exact_system(prefix, d=5, m=2)
     assert usable == 10 - 2  # rows read two indices ahead at d = 5
 
 
@@ -54,14 +72,14 @@ def _reference_matrix(prefix, d, m, usable):
 
 
 def test_assemble_shared_rows_match_per_entry_reference():
-    """One row dict reused across d gives exactly the matrices of per-entry
-    evaluation: d growing then a smaller d again, and a smaller d whose
-    rows must extend the lists a larger d left (usable 38 -> 39)."""
+    """One set of slot rows reused across d gives exactly the matrices of
+    per-entry evaluation: d growing then a smaller d again, and a smaller d
+    whose rows must extend the lists a larger d left (usable 38 -> 39)."""
     prefix = oracle_sequence("zeta-rescaled", 40)
     for order in ((3, 4, 5, 6, 7, 4), (7, 4)):
-        rows = {}
+        slots = _exact_slots(prefix)
         for d in order:
-            matrix, usable = assemble_system(prefix, d, 2, rows)
+            matrix, usable = _exact_system(prefix, d, 2, slots)
             assert matrix == _reference_matrix(prefix, d, 2, usable)
             assert all(type(x) is int for row in matrix for x in row)
 
@@ -103,22 +121,22 @@ def test_guess_minimality_of_d():
     result = guess(prefix)
     assert result.succeeded
     for d in range(3, result.d):
-        matrix, _ = assemble_system(prefix, d, result.m)
-        assert nullspace(matrix, width=(result.m + 1) * (d + 1)) == []
+        matrix, _ = _exact_system(prefix, d, result.m)
+        assert bareiss_nullspace(matrix, (result.m + 1) * (d + 1)) == []
 
 
 def _guess_full_exact(prefix, cfg=GuessConfig()):
-    """guess's search with the full exact system at every d: the reference
-    path assemble_system, then nullspace, then normalize."""
+    """guess's search with the full exact system at every d: the exact slot
+    rows, then Bareiss elimination of all of them, then normalize."""
     m = cfg.m
     d_cap = cfg.d_max if cfg.d_max is not None else ceil(len(prefix) / (m + 1))
-    rows = {}
+    slots = _exact_slots(prefix)
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
-        matrix, usable = assemble_system(prefix, d, m, rows)
+        matrix, usable = _exact_system(prefix, d, m, slots)
         if usable < construction + cfg.min_verify_rows:
             break
-        basis = nullspace(matrix, width=construction)
+        basis = bareiss_nullspace(matrix, construction)
         if basis:
             return GuessResult(status="success", d=d, m=m,
                                basis=tuple(normalize(v, d, m) for v in basis),
@@ -138,8 +156,8 @@ def _prime_denominator_prefix(rng, count):
 
 def test_guess_matches_full_exact_path(monkeypatch):
     """guess ranks each d in one column echelon mod P per search and reads
-    exact rows only where it must; its result equals the full exact
-    system's, byte for byte, also where reduction mod P loses every row
+    the sequence exactly only to verify lifted equations; its result
+    equals the full exact system's, byte for byte, also where reduction mod P loses every row
     (oracle * P), where den = 0 mod P (oracle / P), and where rank drops
     only mod P (an oracle with P added to its middle or last term) so that
     the basis lifted from the pivot rows fails verification and all rows
@@ -147,9 +165,9 @@ def test_guess_matches_full_exact_path(monkeypatch):
     ranks, kernels = [], []  # echelon (rank, width, height) per d; fallback?
     rank_filter, kernel_mod = guessing.modular_nullspace, exact._kernel_mod
 
-    def logged_rank(echelon, residue_row, exact_row, vanishes):
+    def logged_rank(echelon, rows_mod, vanishes):
         ranks.append((echelon.rank, echelon.width, echelon.height))
-        return rank_filter(echelon, residue_row, exact_row, vanishes)
+        return rank_filter(echelon, rows_mod, vanishes)
 
     def logged_kernel(rows, width, p):
         kernels.append(p != P)   # mod P: the pivot rows; below P: fallback
@@ -196,6 +214,131 @@ def test_guess_matches_full_exact_path(monkeypatch):
         assert fallback == []
         assert all(rank == width for rank, width, _ in per_d)
         assert len({height for _, _, height in per_d}) == 3  # cut twice
+
+
+def _bruteforce_rows(values, d, m, count):
+    """Rows 0 .. count - 1 of the size-d system, entry by entry by series
+    arithmetic on the terms."""
+    return [[term_coeff_bruteforce(values, i, mono.p, mono.q, n)
+             for k, i in column_order(d, m)
+             for mono in [monomial_of_index(k + 2)]]
+            for n in range(count)]
+
+
+def _vanishes_bruteforce(rows, vec):
+    return all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
+
+
+def _z_multiple(vec, j, m):
+    """z^j * vec, entry (k, i) moved to (k, i + j), with the entries moved
+    past z^m dropped."""
+    return [vec[b + i - j] if i >= j else 0
+            for b in range(0, len(vec), m + 1) for i in range(m + 1)]
+
+
+def _counted(verifier):
+    """Count the exact passes a _Verifier makes, in passes[0]."""
+    passes = [0]
+    vanishes = verifier.vanishes
+
+    def counted(eq):
+        passes[0] += 1
+        return vanishes(eq)
+
+    verifier.vanishes = counted
+    return passes
+
+
+_short_prefixes = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    min_size=5, max_size=12)
+
+
+@st.composite
+def _systems(draw, noise=True):
+    """(values, d, m, count, rows, vec): a short random prefix, the first
+    count brute-force rows of one size on it, and an integer vector: a
+    random combination of the kernel basis (Bareiss) of the columns with
+    z-powers up to some top <= m, zero above top, plus, half the time if
+    `noise`, random noise."""
+    values = draw(_short_prefixes)
+    d, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    top = draw(st.integers(0, m))
+    usable = _usable_rows(SequencePrefix(values), d)
+    assume(usable > 0)
+    count = draw(st.integers(1, usable))
+    width = (m + 1) * (d + 1)
+    rows = _bruteforce_rows(values, d, m, count)
+    low = [j for j, (_, i) in enumerate(column_order(d, m)) if i <= top]
+    kernel = bareiss_nullspace([[row[j] for j in low] for row in rows],
+                               len(low))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(kernel),
+                           max_size=len(kernel)))
+    options = [st.just([0] * width)]
+    if noise:
+        options.append(st.lists(st.integers(-3, 3), min_size=width,
+                                max_size=width))
+    vec = list(draw(st.one_of(options)))
+    for c, v in zip(coeffs, kernel):
+        for j, x in zip(low, v):
+            vec[j] += c * x
+    assume(any(vec))
+    return values, d, m, count, rows, vec
+
+
+@given(_systems())
+@settings(max_examples=200, deadline=None)
+def test_verifier_matches_bruteforce(system):
+    """guess's exact check of one vector, through row_numerator on the
+    unreduced derivative sequences, equals series arithmetic row by row."""
+    values, d, m, count, rows, vec = system
+    prefix = SequencePrefix(values)
+    verifier = _Verifier(Derivatives(*prefix.scaled()), d, m, count)
+    assert verifier(vec) == _vanishes_bruteforce(rows, vec)
+
+
+@given(_systems(noise=False))
+@settings(max_examples=200, deadline=None)
+def test_verifier_shifts_match_bruteforce(system):
+    """After a vector passes, its z-multiples that keep every z-power
+    within m pass without an exact pass of their own.  A multiple that
+    would move a nonzero entry past z^m (dropped here) is not one of them:
+    it gets its own exact pass, and both answers equal series arithmetic."""
+    values, d, m, count, rows, vec = system
+    prefix = SequencePrefix(values)
+    verifier = _Verifier(Derivatives(*prefix.scaled()), d, m, count)
+    passes = _counted(verifier)
+    assert verifier(vec) and passes[0] == 1
+    for j in range(1, m + 1):
+        shifted = _z_multiple(vec, j, m)
+        if not any(shifted):
+            continue
+        fits = not any(vec[b + i] for b in range(0, len(vec), m + 1)
+                       for i in range(m + 1 - j, m + 1))
+        before = passes[0]
+        assert verifier(shifted) == _vanishes_bruteforce(rows, shifted)
+        assert passes[0] == before + (not fits), (vec, j)
+
+
+def test_verifier_exact_passes_at_150_terms(monkeypatch):
+    """guess verifies one equation per oracle at 150 terms and accepts its
+    z-multiples from the first pass; exp's basis has two generators."""
+    passes = []
+    vanishes = _Verifier.vanishes
+
+    def counted(self, eq):
+        passes.append(eq)
+        return vanishes(self, eq)
+
+    monkeypatch.setattr(_Verifier, "vanishes", counted)
+    counts = {}
+    for name in sorted(ORACLES):
+        passes.clear()
+        result = guess(oracle_sequence(name, 150))
+        assert result.succeeded
+        assert set(passes) <= set(result.basis)
+        counts[name] = len(passes)
+    assert counts == {name: 2 if name == "exp" else 1 for name in ORACLES}
 
 
 def test_guess_soundness_all_rows():
@@ -269,6 +412,17 @@ def test_normalize_clears_content_and_denominators():
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError):
         normalize([Fraction(0)] * 12, d=3, m=2)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", True), ("m", 2.0), ("d_start", "3"), ("d_start", False),
+    ("d_max", 4.0), ("d_max", True), ("min_verify_rows", 1.5),
+    ("min_verify_rows", None)])
+def test_config_rejects_non_int_bounds(field, value):
+    """A bound that is not a plain int is rejected up front: a bool would
+    reach the JSON output as true, a float would fail deep in range()."""
+    with pytest.raises(ValueError, match=field):
+        GuessConfig(**{field: value})
 
 
 def test_config_validation():

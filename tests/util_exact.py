@@ -4,6 +4,8 @@ Deliberately naive: truncated power-series arithmetic by direct
 differentiation/convolution, plain Gaussian elimination over Fraction,
 fraction-free Bareiss elimination over the integers, and a dense linear
 solver.  These stay separate from the code paths they check.
+`echelon_nullspace` is not a reference but a driver: it feeds a matrix to
+`exact.modular_nullspace` through the views `guess` gives it.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from math import comb, gcd, lcm
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError)
+from quadguess.exact import ColumnEchelon, modular_nullspace
 
 
 def bernoulli_numbers(count):
@@ -170,18 +173,46 @@ def naive_nullspace(matrix, width):
     return basis
 
 
+def echelon_nullspace(matrix, width=None):
+    """`exact.modular_nullspace` of a matrix of ints and Fractions: rows
+    with their denominators cleared row by row, their column echelon mod P,
+    their rows mod each prime it asks for, and an exact check of every
+    row."""
+    rows = []
+    for row in matrix:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(Fraction(x) * den) for x in row])
+    if width is None:
+        width = len(rows[0])
+    assert all(len(row) == width for row in rows), "matrix is not rectangular"
+    echelon = ColumnEchelon(len(rows))
+    for c in range(width):
+        echelon.add([row[c] for row in rows])
+
+    def rows_mod(p):
+        return lambda n: [x % p for x in rows[n]]
+
+    def vanishes(vec):
+        return all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
+
+    return modular_nullspace(echelon, rows_mod, vanishes)
+
+
 def bareiss_nullspace(matrix, width):
     """Nullspace basis of a matrix of ints and Fractions, as
-    `exact.nullspace` returns it, by fraction-free Bareiss elimination of
-    every nonzero row (denominators cleared row by row) with leftmost-pivot,
-    first-nonzero-row pivoting, then Fraction back-substitution for each
-    free column; each vector scaled to ints with content 1 and a positive
-    first nonzero entry."""
+    `exact.modular_nullspace` returns it, by fraction-free Bareiss
+    elimination of every nonzero row (denominators cleared and content
+    divided out row by row, which keeps the minors small) with
+    leftmost-pivot, first-nonzero-row pivoting, then Fraction
+    back-substitution for each free column; each vector scaled to ints with
+    content 1 and a positive first nonzero entry."""
     rows = []
     for row in matrix:
         den = lcm(*(Fraction(x).denominator for x in row))
         if any(row):
-            rows.append([int(Fraction(x) * den) for x in row])
+            ints = [int(Fraction(x) * den) for x in row]
+            content = gcd(*ints)
+            rows.append([x // content for x in ints])
     pivot_cols = []
     prev = 1
     for col in range(width):
