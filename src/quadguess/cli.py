@@ -168,8 +168,6 @@ _COMMANDS = {"guess": _cmd_guess, "extend": _cmd_extend,
 
 
 def main(argv=None):
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)   # exact terms may have any length
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

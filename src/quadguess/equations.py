@@ -31,7 +31,8 @@ from math import lcm
 from operator import mul
 
 from quadguess.errors import EquationFormatError
-from quadguess.exact import falling_weight, format_rational, parse_rational
+from quadguess.exact import (falling_weight, format_rational, parse_int,
+                             parse_rational)
 from quadguess.monomials import monomial_of_orders
 
 
@@ -247,8 +248,8 @@ def equation_from_obj(obj):
     terms = []
     for pos, item in enumerate(obj["terms"]):
         try:
-            s, p, q = item["s"], item["p"], item["q"]
-            coeff = parse_rational(str(item["c"]))
+            s, p, q, c = item["s"], item["p"], item["q"], item["c"]
+            coeff = Fraction(c) if type(c) is int else parse_rational(str(c))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise EquationFormatError(f"term {pos}: {exc}") from exc
         for key, value in (("s", s), ("p", p), ("q", q)):
@@ -270,7 +271,7 @@ def equation_from_obj(obj):
 
 def equation_from_json(text):
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=parse_int)   # of any length
     except json.JSONDecodeError as exc:
         raise EquationFormatError(f"invalid JSON: {exc}") from exc
     return equation_from_obj(obj)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from quadguess.exact import format_rational
+
 
 class QuadGuessError(Exception):
     """Base class for all quadguess errors."""
@@ -20,7 +22,7 @@ class InconsistentInitialTermsError(QuadGuessError):
         self.row = row
         self.residual = residual
         super().__init__(f"row {row} does not vanish on the initial terms "
-                         f"(residual {residual})")
+                         f"(residual {format_rational(residual)})")
 
 
 class LeadingCoefficientZeroError(QuadGuessError):

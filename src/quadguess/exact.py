@@ -21,6 +21,7 @@ checks, so results are exact and reproducible byte for byte.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -32,23 +33,45 @@ P = 2**61 - 1
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
+def parse_int(digits):
+    """int(digits) for an ASCII digit string with an optional sign, of any
+    length: past the interpreter's int/str digit limit, the only
+    ValueError such a string raises, through Decimal, which is exact but
+    slower."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
+def _str(n):
+    """str(n) for an int of any length (past the int/str digit limit
+    through Decimal, like parse_int)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def parse_rational(text):
     """Parse "p/q" or "p", ASCII digits with optional signs and surrounding
-    whitespace, into a Fraction.  Raises ValueError on anything else (no
-    underscores, no other digits) and ZeroDivisionError on q = 0."""
+    whitespace, into a Fraction, of any length.  Raises ValueError on
+    anything else (no underscores, no other digits) and ZeroDivisionError
+    on q = 0."""
     match = _RATIONAL.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"not a rational: {text!r}")
     num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
+    return Fraction(parse_int(num), parse_int(den) if den else 1)
 
 
 def format_rational(x):
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
+    """Render a Fraction as "p/q", or "p" when the denominator is 1, of any
+    length."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _str(x.numerator)
+    return f"{_str(x.numerator)}/{_str(x.denominator)}"
 
 
 def falling_weight(j, p):

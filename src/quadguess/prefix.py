@@ -71,13 +71,26 @@ class SequencePrefix:
         return SequencePrefix(out)
 
 
+# Longest echo of a malformed entry that an error message shows in full.
+_ECHO = 60
+
+
+def _echo(item):
+    """repr of a malformed entry, cut to its first _ECHO characters."""
+    shown = repr(item)
+    if len(shown) <= _ECHO:
+        return shown
+    return f"{shown[:_ECHO]}... ({len(shown)} characters)"
+
+
 def parse_prefix_text(text, source="<input>"):
     """Parse a prefix from text: either a JSON array of rational strings or
-    one rational per line (blank lines skipped)."""
+    one rational per line (blank lines skipped).  JSON integers are read
+    as strings, so terms of any length parse."""
     stripped = text.lstrip()
     if stripped.startswith("["):
         try:
-            items = json.loads(text)
+            items = json.loads(text, parse_int=str)
         except json.JSONDecodeError as exc:
             raise PrefixFormatError(f"{source}: invalid JSON: {exc}") from exc
         if not isinstance(items, list):
@@ -88,7 +101,7 @@ def parse_prefix_text(text, source="<input>"):
                 values.append(parse_rational(str(item)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise PrefixFormatError(
-                    f"{source}: entry {pos}: malformed rational {item!r}"
+                    f"{source}: entry {pos}: malformed rational {_echo(item)}"
                 ) from exc
         if not values:
             raise PrefixFormatError(f"{source}: empty sequence")
@@ -102,7 +115,7 @@ def parse_prefix_text(text, source="<input>"):
         try:
             values.append(parse_rational(line))
         except (ValueError, ZeroDivisionError) as exc:
-            raise PrefixFormatError(f"malformed rational {line!r}",
+            raise PrefixFormatError(f"malformed rational {_echo(line)}",
                                     line=lineno) from exc
     if not values:
         raise PrefixFormatError(f"{source}: empty sequence")

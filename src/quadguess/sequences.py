@@ -1,14 +1,18 @@
 """Check equations against prefixes, extend sequences term by term, and
 generate reference sequences from classical integer triangles.
 
-Extension realizes the recurrence as a recursion: row n introduces the
-single unknown a_{n + max_shift}, solved in integer numerators like check;
-rows that introduce nothing new must vanish on the initial terms.  Both
-read rows through `QuadEquation.row_numerator`, one convolution per group
-of terms that share their lower derivative order, on one `Derivatives`
-whose orders and group series `extend` keeps in step as the sequence
-grows: each step appends a zero, rescales to a common denominator when
-the new term needs one, and then sets the new term."""
+`check` and `extend` are one walk over the terms (`_walk`).  It starts from
+an empty `Derivatives` and puts the terms in one at a time: append a zero,
+rescale to a common denominator when the term's denominator does not
+divide den, set the term.  So it holds only the denominator of the terms
+so far, never the whole prefix's.  Row n reads terms up to
+n + max_shift and is read through `QuadEquation.row_numerator` as soon as
+that term is in: one convolution per group of terms that share their lower
+derivative order, in integer numerators.  A row on given terms must
+vanish; `check` reports the first that does not, over the denominator at
+that point (`Fraction` normalizes the residual).  Extension realizes the
+recurrence as a recursion: each later row introduces the single unknown
+a_{n + max_shift}, which it solves."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,15 +42,13 @@ class CheckReport:
 def check(eq, prefix):
     """Evaluate every fully determined row (n = 0 .. N - max_shift) of the
     equation on the prefix; pass iff all vanish exactly."""
-    last = prefix.last_index - eq.max_shift
-    derivs = Derivatives(*prefix.scaled())
-    for n in range(0, last + 1):
-        numerator = eq.row_numerator(derivs, n)
-        if numerator != 0:
-            residual = Fraction(numerator, eq.coeff_den * derivs.den ** 2)
-            return CheckReport(passed=False, rows_checked=n + 1,
-                               first_failure=n, residual=residual)
-    return CheckReport(passed=True, rows_checked=max(0, last + 1))
+    failure = _walk(eq, prefix.values, 0)
+    if failure is not None:
+        n, residual = failure
+        return CheckReport(passed=False, rows_checked=n + 1,
+                           first_failure=n, residual=residual)
+    return CheckReport(passed=True,
+                       rows_checked=max(0, len(prefix) - eq.max_shift))
 
 
 def _slope(eq, derivs, n):
@@ -68,6 +70,46 @@ def _slope(eq, derivs, n):
     return slope
 
 
+def _set_term(derivs, term):
+    """Make term the last entry of the sequence derivs holds, rescaling to
+    a common denominator first when den is not a multiple of term's."""
+    if derivs.den % term.denominator:
+        derivs.scale(lcm(derivs.den, term.denominator) // derivs.den)
+    derivs.set_last(term.numerator * (derivs.den // term.denominator))
+
+
+def _walk(eq, values, count):
+    """The one row loop of check and extend: read rows 0, 1, ... of eq on
+    the terms values, then grow them by count terms (values must be a
+    list when count > 0).  Row n reads terms up to t = n + max_shift, each
+    put in just before the first row that reads it.  Rows with
+    t < len(values) read only given terms; the first that does not vanish
+    is returned as (n, residual).  Each later row is linear in term t,
+    which it solves and appends to values.  Returns None when every given
+    row vanishes."""
+    shift = eq.max_shift
+    known = len(values)
+    derivs = Derivatives([], 1)
+    for n in range(known - shift + count):
+        t = n + shift
+        while len(derivs.nums) < min(t + 1, known):
+            derivs.append_zero()
+            _set_term(derivs, values[len(derivs.nums) - 1])
+        if t < known:
+            numerator = eq.row_numerator(derivs, n)
+            if numerator:
+                return n, Fraction(numerator, eq.coeff_den * derivs.den ** 2)
+            continue
+        derivs.append_zero()
+        slope = _slope(eq, derivs, n)
+        if slope == 0:
+            raise LeadingCoefficientZeroError(n)
+        term = Fraction(-eq.row_numerator(derivs, n), slope * derivs.den)
+        values.append(term)
+        _set_term(derivs, term)
+    return None
+
+
 def extend(eq, initial, count):
     """Append `count` new terms to `initial` using the recurrence of eq.
 
@@ -81,27 +123,13 @@ def extend(eq, initial, count):
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     values = list(initial.values)
-    shift = eq.max_shift
-    if len(values) < shift:
+    if len(values) < eq.max_shift:
         raise InsufficientTermsError(
-            f"extension needs at least {shift} initial terms, got {len(values)}")
-    report = check(eq, initial)
-    if not report.passed:
-        raise InconsistentInitialTermsError(report.first_failure,
-                                            report.residual)
-    # copies the prefix's cached scaled view, which must not grow
-    derivs = Derivatives(*initial.scaled())
-    for _ in range(count):
-        n = len(derivs.nums) - shift
-        derivs.append_zero()
-        slope = _slope(eq, derivs, n)
-        if slope == 0:
-            raise LeadingCoefficientZeroError(n)
-        term = Fraction(-eq.row_numerator(derivs, n), slope * derivs.den)
-        values.append(term)
-        if derivs.den % term.denominator:
-            derivs.scale(lcm(derivs.den, term.denominator) // derivs.den)
-        derivs.set_last(term.numerator * (derivs.den // term.denominator))
+            f"extension needs at least {eq.max_shift} initial terms, "
+            f"got {len(values)}")
+    failure = _walk(eq, values, count)
+    if failure is not None:
+        raise InconsistentInitialTermsError(*failure)
     return SequencePrefix(values)
 
 

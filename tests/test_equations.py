@@ -481,3 +481,15 @@ def test_rescaled_equation_roundtrip():
         assert eq_scaled.row_value(scaled, n) == \
             lam ** n * eq.row_value(prefix, n)
     assert eq_scaled.rescaled(1 / lam) == eq
+
+
+def test_equation_json_past_the_digit_limit(default_digit_limit):
+    """A 5 001-digit coefficient reads from a JSON integer or string and
+    writes back, at the default int/str digit limit."""
+    digits = "1" + "0" * 4999 + "1"
+    big = 10 ** 5000 + 1
+    for c, coeff in ((digits, big), (f'"-{digits}/3"', Fraction(-big, 3))):
+        eq = equation_from_json(
+            '{"terms": [{"s": 0, "p": 0, "q": -1, "c": %s}]}' % c)
+        assert eq.terms[0][2] == coeff
+        assert equation_from_json(equation_to_json(eq)) == eq

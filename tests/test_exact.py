@@ -40,6 +40,19 @@ def test_parse_rational_forms():
         parse_rational("1/0")
 
 
+def test_rationals_past_the_digit_limit(default_digit_limit):
+    """5 001-digit numerators and denominators parse and print at the
+    default int/str digit limit."""
+    big = 7 * (10 ** 5001 - 1) // 9 * 10 + 3     # 77...773
+    for x in (Fraction(big), Fraction(-big), Fraction(big, 2 ** 16700 + 1),
+              Fraction(-1, big)):
+        text = format_rational(x)
+        assert len(text) > 5001
+        assert parse_rational(text) == x
+    assert parse_rational("-" + "0" * 5000 + "12/" + "0" * 5000 + "8") == \
+        Fraction(-3, 2)
+
+
 def test_falling_weight():
     for k in range(6):
         assert falling_weight(k, 1) == k + 1

@@ -12,7 +12,8 @@ from quadguess.errors import (InconsistentInitialTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
                               QuadGuessError)
 from quadguess.guessing import GuessConfig, guess
-from quadguess.monomials import monomial_of_orders
+from quadguess.monomials import (QuadMonomial, monomial_of_index,
+                                 monomial_of_orders)
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, extend, oracle_sequence
 from util_exact import (bernoulli_numbers, check_bruteforce,
@@ -236,6 +237,119 @@ def test_extend_matches_bruteforce_reference(terms, initial, count):
     expected = _outcome(lambda: extend_bruteforce(eq, initial, count))
     assert _outcome(lambda: extend(eq, SequencePrefix(initial), count)) \
         == expected
+
+
+def _monomial_of_index(k):
+    """monomial_of_index, plus the constant monomial for k = 1."""
+    if k == 1:
+        return QuadMonomial(index=1, p=-1, q=-1)
+    return monomial_of_index(k)
+
+
+# (s, K, c): z-power 0 .. 4 and monomial index 2 .. 16 (orders up to 4),
+# or 1 for the constant 1; z-powers above the orders give negative shifts
+_INDEX_TERMS = st.tuples(st.integers(0, 4), st.integers(1, 16), _COEFFS)
+# denominators that rise and fall from term to term
+_TERM_VALUES = st.builds(Fraction, st.integers(-4, 4),
+                         st.sampled_from([1, 2, 3, 5, 7, 2 ** 30]))
+_PREFIXES = st.one_of(
+    st.lists(_TERM_VALUES, min_size=1, max_size=10),
+    st.integers(1, 8).map(lambda n: [Fraction(0)] * n))
+# a change to the first, a middle or the last term
+_PERTURBATIONS = st.none() | st.tuples(
+    st.sampled_from(["first", "middle", "last"]),
+    st.sampled_from([Fraction(1, 7), Fraction(-1, 2 ** 30), Fraction(3)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=st.lists(_INDEX_TERMS, min_size=1, max_size=5),
+       values=_PREFIXES, grow=st.integers(0, 8), perturb=_PERTURBATIONS)
+# negative max_shift: z^2 * f and z^3 * f * f' read a_(n - 2)
+@example(terms=[(2, 2, 1), (3, 5, -1)],
+         values=[1, Fraction(1, 2), Fraction(3, 2 ** 30)], grow=0,
+         perturb=None)
+# vacuous: f'' reads a_(n + 2), and two terms determine no row
+@example(terms=[(0, 7, 1), (0, 5, -1)], values=[1, 1], grow=0,
+         perturb=None)
+# zeta-rescaled grown from its first term, its last term moved by 1/7
+@example(terms=[(1, 7, 2), (0, 4, 5), (1, 5, -4), (0, 3, -2)],
+         values=[Fraction(1, 6)], grow=8, perturb=("last", Fraction(1, 7)))
+def test_check_walk_matches_bruteforce(terms, values, grow, perturb):
+    """check, which reads each row as soon as its last term is in, reports
+    what direct series arithmetic on the whole prefix reports.  With
+    `grow`, the prefix is first made consistent: its first max(shift, 1)
+    terms are extended by the reference, when that succeeds."""
+    try:
+        eq = QuadEquation([(s, _monomial_of_index(k), c)
+                           for s, k, c in terms])
+    except ValueError:  # every coefficient cancelled
+        assume(False)
+    a = list(values)
+    if grow:
+        try:
+            a = extend_bruteforce(eq, a[:max(eq.max_shift, 1)], grow)
+        except QuadGuessError:
+            pass
+    if perturb is not None:
+        where, delta = perturb
+        at = {"first": 0, "middle": len(a) // 2, "last": len(a) - 1}[where]
+        a[at] += delta
+    report = check(eq, SequencePrefix(a))
+    assert (report.passed, report.rows_checked, report.first_failure,
+            report.residual) == check_bruteforce(eq, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_INDEX_TERMS, min_size=1, max_size=4),
+       values=_PREFIXES, count=st.integers(0, 3))
+@example(terms=[(0, 2, 1)], values=[0, 0, Fraction(1, 3)], count=1)
+def test_extend_warm_up_failure_is_checks_report(terms, values, count):
+    """On initial terms that check rejects, extend raises
+    InconsistentInitialTermsError at check's first failing row with its
+    residual; on terms that check passes it raises no such error."""
+    try:
+        eq = QuadEquation([(s, _monomial_of_index(k), c)
+                           for s, k, c in terms])
+    except ValueError:
+        assume(False)
+    initial = SequencePrefix(values)
+    assume(len(initial) >= eq.max_shift)
+    report = check(eq, initial)
+    try:
+        extend(eq, initial, count)
+    except InconsistentInitialTermsError as exc:
+        assert not report.passed
+        assert (exc.row, exc.residual) == (report.first_failure,
+                                           report.residual)
+    except QuadGuessError:
+        assert report.passed
+    else:
+        assert report.passed
+
+
+def test_extend_warm_up_residual_past_the_digit_limit(default_digit_limit):
+    """The error for a warm-up row prints a 5 001-digit residual at the
+    default int/str digit limit."""
+    with pytest.raises(InconsistentInitialTermsError) as exc:
+        extend(_eq((0, 0, -1, 1)), SequencePrefix([10 ** 5000]), 1)
+    assert exc.value.residual == 10 ** 5000
+    assert str(exc.value).endswith("(residual 1" + "0" * 5000 + ")")
+
+
+@pytest.mark.parametrize("eq,name,seed", ROUND_TRIPS,
+                         ids=[name for _, name, _ in ROUND_TRIPS])
+def test_extend_warm_up_fails_at_the_last_row(eq, name, seed):
+    """The oracle's last initial term moved by 1/7 spoils only the last
+    warm-up row; extend reports that row with check's residual."""
+    values = list(oracle_sequence(name, seed + 6))
+    values[-1] += Fraction(1, 7)
+    initial = SequencePrefix(values)
+    report = check(eq, initial)
+    assert report.first_failure == len(values) - 1 - eq.max_shift
+    with pytest.raises(InconsistentInitialTermsError) as exc:
+        extend(eq, initial, 5)
+    assert (exc.value.row, exc.value.residual) == (report.first_failure,
+                                                   report.residual)
 
 
 def test_extend_too_short_initial():
