@@ -7,8 +7,7 @@ coefficients of each derivative order p, times den, built once per order
 through `exact.falling_weight`, the one weight function, and of linear
 combinations of them.  One evaluator, `term_numerator`, gives the z^m
 coefficient of a product F * f^(q) as the one dot product of two such
-sequences, an integer numerator over den**2.  `guess` reads the row of
-each monomial slot f^(p) * f^(q) through it.
+sequences, an integer numerator over den**2.
 
 `check` and `extend` read whole equations through
 `QuadEquation.row_numerator`, which factors the products: the terms that

@@ -9,15 +9,17 @@ returns is a kernel mod primes, lifted to Q and accepted only when the
 caller's exact check says it vanishes.  It reads the matrix only through
 residues, which a caller evaluates from its input reduced mod a prime
 (reduction is a ring homomorphism), never through exact rows.  It first
-ranks the matrix modulo the prime P = 2**61 - 1 with a `ColumnEchelon`:
-full rank mod P proves a trivial nullspace over Q.  The echelon grows by
-columns and shrinks by rows without re-eliminating, so `guess` keeps one
-per search and adds only the new columns of each ansatz size.  Otherwise
-Gaussian elimination mod P of the rows at the echelon's pivots gives the
-kernel mod P and rational reconstruction lifts each of its vectors.  When
-a vector does not lift or does not vanish, the rows mod further primes
-below P decide, and their kernels are combined by CRT until the lift
-checks, so results are exact and reproducible byte for byte.
+ranks the matrix modulo the Mersenne prime P = 2**61 - 1 with a
+`ColumnEchelon` of packed columns, one int each, whose slots a Mersenne
+fold reduces at once: full rank mod P proves a trivial nullspace over Q.
+The echelon grows by columns and shrinks by rows without re-eliminating,
+so `guess` keeps one per search and adds only the new columns of each
+ansatz size.  Otherwise Gaussian elimination mod P of the rows at the
+echelon's pivots gives the kernel mod P and rational reconstruction lifts
+each of its vectors.  When a vector does not lift or does not vanish, the
+rows mod further primes below P decide, and their kernels are combined by
+CRT until the lift checks, so results are exact and reproducible byte for
+byte.
 """
 
 import re
@@ -95,22 +97,46 @@ def normalize_vector(vec):
     return ints
 
 
+def slot_bits(height):
+    """Bits per slot of `height` packed rows: whole bytes that hold a sum
+    of `height` products of residues mod P (136 for 65 to 2**14 rows)."""
+    return -(-(max(height, 1) * P * P).bit_length() // 8) * 8
+
+
+def pack(values, bits):
+    """The int whose `bits`-bit slots, lowest first, hold `values`."""
+    size = bits // 8
+    return int.from_bytes(b"".join(x.to_bytes(size, "little")
+                                   for x in values), "little")
+
+
+def _fold(c, low, high):
+    """Every slot lo + 2**61 * hi of c to lo + hi, at once (2**61 = 1 mod
+    P; low and high mask each slot's low 61 bits and the rest)."""
+    return (c & low) + (c >> 61 & high)
+
+
 class ColumnEchelon:
     """A column echelon mod P of an integer matrix that grows by columns
-    and shrinks by rows.
+    and shrinks by rows.  A column is packed: slot n of `bits` bits holds
+    row n (see `pack`), and `_fold` reduces every slot at once.
 
-    `basis` lists (pivot row, column[pivot:] mod P) for the added columns
-    that are independent of the columns before them, each reduced against
-    the earlier ones: zero above its pivot, 1 at it, and 0 at every earlier
-    pivot.  `rank` is the rank mod P of the current matrix, so the matrix
-    has full column rank mod P iff rank == width; its rows at the pivots,
-    restricted to those columns, form a submatrix nonsingular mod P.
+    `basis` lists (pivot row, u) for the added columns that are independent
+    of the columns before them: u = P - t in every slot, for the column t
+    reduced against the earlier ones (zero above its pivot, 1 at it, 0 mod
+    P at every earlier pivot, slots in [0, P]), so eliminating adds f * u
+    and no slot borrows.  `rank` is the rank mod P of the current matrix,
+    so the matrix has full column rank mod P iff rank == width; its rows at
+    the pivots, restricted to those columns, form a submatrix nonsingular
+    mod P.
     """
 
     def __init__(self, height):
-        self.height = height
+        self.bits = slot_bits(height)
+        self._ones = pack([1] * height, self.bits)
         self.width = 0
         self.basis = []
+        self.cut(height)
 
     @property
     def rank(self):
@@ -120,26 +146,35 @@ class ColumnEchelon:
         return sorted(pivot for pivot, _ in self.basis)
 
     def add(self, column):
-        """Append a column of `height` integers (any representatives mod P)."""
-        col = [x % P for x in column]
-        for pivot, tail in self.basis:
-            f = col[pivot]
+        """Append a packed column of any representatives mod P (slots at
+        or past `height` are ignored)."""
+        bits, ones, low, high = self.bits, self._ones, self._low, self._high
+        slot = (1 << bits) - 1
+        c = _fold(column, low, high)           # drops the cut rows
+        for pivot, u in self.basis:
+            f = (c >> bits * pivot & slot) % P
             if f:
-                col[pivot:] = [(x - f * y) % P
-                               for x, y in zip(col[pivot:], tail)]
-        pivot = next((n for n, x in enumerate(col) if x), None)
-        if pivot is not None:
-            inv = pow(col[pivot], -1, P)
-            self.basis.append((pivot, [x * inv % P for x in col[pivot:]]))
+                c = _fold(c + f * u, low, high)
+        c = _fold(c, low, high)                # slots in [0, 2P)
+        c -= (c + ones >> 61 & ones) * P       # in [0, P)
+        if c:
+            pivot = ((c & -c).bit_length() - 1) // bits
+            t = c * pow(c >> bits * pivot & slot, -1, P)
+            self.basis.append((pivot, low - _fold(_fold(t, low, high),
+                                                  low, high)))
         self.width += 1
 
     def cut(self, height):
         """Keep the first `height` rows (at most the current height).  A
         basis column whose pivot is cut is zero on the kept rows and is
         dropped; the others stay reduced, so nothing is re-eliminated."""
-        self.basis = [(pivot, tail[:height - pivot])
-                      for pivot, tail in self.basis if pivot < height]
+        bits, mask = self.bits, (1 << self.bits * height) - 1
         self.height = height
+        self._ones &= mask                     # 1 in every row's slot
+        self._low = self._ones * P             # P, the low 61 bits
+        self._high = self._ones * ((1 << bits - 61) - 1)
+        self.basis = [(pivot, u & mask)
+                      for pivot, u in self.basis if pivot < height]
 
 
 def _kernel_mod(rows, width, p):

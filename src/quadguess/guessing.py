@@ -13,11 +13,13 @@ filtering basis vectors against leftover rows individually.
 The system is read only modulo primes.  Column (k, i) is column (k, 0)
 shifted down i rows, and the columns for d are a prefix of those for
 d + 1, so one search evaluates each monomial's row sequence once, from
-the prefix reduced mod P, and every d indexes into it.  `guess` ranks the
-systems mod P in one `exact.ColumnEchelon` per search: each d cuts it to
-its usable rows and adds only its m + 1 new columns, and a size that is
-full rank there is skipped.  Otherwise `exact.modular_nullspace` takes the
-kernel mod P from the rows at the echelon's pivots and lifts it to Q.
+the prefix reduced mod P, and every d reads it from there: one int packs
+it, the one product of the slot's two packed derivative sequences.
+`guess` ranks the systems mod P in one `exact.ColumnEchelon` per search:
+each d cuts it to its usable rows and adds only its m + 1 new columns,
+and a size that is full rank there is skipped.  Otherwise
+`exact.modular_nullspace` takes the kernel mod P from the rows at the
+echelon's pivots and lifts it to Q.
 Each lifted vector is verified exactly by one evaluator, the one `check`
 uses: normalized to a QuadEquation, its rows are read through
 `QuadEquation.row_numerator` on the unreduced prefix, and its z-multiples
@@ -30,11 +32,10 @@ from dataclasses import dataclass
 from math import ceil
 
 from quadguess.equations import (Derivatives, QuadEquation,
-                                 equation_from_obj, equation_to_obj,
-                                 term_numerator)
+                                 equation_from_obj, equation_to_obj)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import (P, ColumnEchelon, modular_nullspace,
-                             normalize_vector)
+                             normalize_vector, pack)
 from quadguess.monomials import max_derivative_order, monomial_of_index
 
 
@@ -73,32 +74,44 @@ def column_order(d, m):
 
 
 class _SlotRows:
-    """Recurrence-row values of the monomial slots on one set of derivative
-    sequences: rows[k] lists the z^n coefficients of slot k+2, times den**2,
-    for n = 0, 1, ...; each list grows only as far as a read needs and is
-    kept, so every d of a search reads it from there.  `guess` builds them
-    only on a prefix reduced mod a prime, where they are the residues of
-    the exact values."""
+    """Recurrence-row residues mod a prime p of the monomial slots on
+    nums / den: `slot(k, count)` packs (`exact.pack`) rows 0 .. count - 1
+    of slot k+2, its z^n coefficients times den**2, below count * p**2,
+    as one product of its two derivative sequences mod p, packed.  It is
+    kept for every d of a search."""
 
-    def __init__(self, derivs):
-        self.derivs = derivs
-        self.rows = {}
+    def __init__(self, nums, den, p, bits):
+        self.derivs = Derivatives([x % p for x in nums], den % p)
+        self.p, self.bits = p, bits
+        self.kept = {}
+
+    def _packed(self, order, count):
+        """Coefficients 0 .. count - 1 of f^(order) mod p, packed."""
+        p = self.p
+        return pack([x % p for x in self.derivs[order][:count]], self.bits)
 
     def slot(self, k, count):
-        """The first `count` row values of slot k+2."""
-        seq = self.rows.setdefault(k, [])
-        if len(seq) < count:
+        """Rows 0 .. count - 1 (or more) of slot k+2, packed."""
+        have, packed = self.kept.get(k, (0, 0))
+        if have < count:
             mono = monomial_of_index(k + 2)
-            seq.extend(term_numerator(self.derivs, n, mono.p, mono.q)
-                       for n in range(len(seq), count))
-        return seq
+            packed = self._packed(mono.p, count)
+            if mono.q == -1:                 # linear: den * f^(p)
+                packed *= self.derivs.den
+            else:                            # the product's low slots
+                other = packed if mono.q == mono.p else \
+                    self._packed(mono.q, count)
+                packed = packed * other & (1 << self.bits * count) - 1
+            self.kept[k] = count, packed
+        return packed
 
-    def row(self, n, d, m):
-        """Row n of the size-d system: entry (k, i) is row n - i of slot
-        k+2 (0 for n < i), in column_order."""
-        return [seq[n - i] if n >= i else 0
-                for seq in (self.slot(k, n + 1) for k in range(d + 1))
-                for i in range(m + 1)]
+    def rows(self, d, m, count):
+        """A function from n < count to row n of the size-d system: entry
+        (k, i) is row n - i of slot k+2 (0 for n < i), in column_order."""
+        bits, slots = self.bits, [self.slot(k, count) for k in range(d + 1)]
+        entry = (1 << bits) - 1
+        return lambda n: [packed >> bits * (n - i) & entry if n >= i else 0
+                          for packed in slots for i in range(m + 1)]
 
 
 def _usable_rows(prefix, d):
@@ -213,11 +226,12 @@ def guess(prefix, cfg=GuessConfig()):
     nums, den = prefix.scaled()
     derivs = Derivatives(nums, den)
 
+    echelon = ColumnEchelon(_usable_rows(prefix, cfg.d_start))
+
     def residues(p):
-        return _SlotRows(Derivatives([x % p for x in nums], den % p))
+        return _SlotRows(nums, den, p, echelon.bits)
 
     residue = residues(P)
-    echelon = ColumnEchelon(_usable_rows(prefix, cfg.d_start))
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
         usable = _usable_rows(prefix, d)
@@ -226,15 +240,12 @@ def guess(prefix, cfg=GuessConfig()):
         attempted = True
         echelon.cut(usable)
         for k in range(echelon.width // (m + 1), d + 1):
-            seq = residue.slot(k, usable)
+            rows = residue.slot(k, usable)
             for i in range(m + 1):
-                echelon.add([0] * i + seq[:usable - i])
+                echelon.add(rows << echelon.bits * i)   # row n - i at n
 
         def rows_mod(p):
-            slots = residue if p == P else residues(p)
-            for k in range(d + 1):
-                slots.slot(k, usable)
-            return lambda n: slots.row(n, d, m)
+            return (residue if p == P else residues(p)).rows(d, m, usable)
 
         basis = modular_nullspace(echelon, rows_mod,
                                   _Verifier(derivs, d, m, usable))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quadguess import exact
 from quadguess.exact import (P, ColumnEchelon, _is_prime, _rational,
                              falling_weight, format_rational,
-                             normalize_vector, parse_rational)
+                             normalize_vector, pack, parse_rational)
 from util_exact import (bareiss_nullspace, echelon_nullspace, naive_rank,
                         rank_mod_p)
 
@@ -180,50 +180,77 @@ def test_nullspace_equals_bareiss_on_all_rows_randomized():
         assert echelon_nullspace(mat, width=cols) == expected, (trial, mat)
 
 
-def test_column_echelon_matches_rank_from_scratch():
-    """Columns added one at a time, with row cuts between some additions:
-    after every step the echelon's rank and full-rank verdict are those of
-    the current matrix, ranked mod P from scratch, and its pivot rows of
-    the columns independent of the columns before them form a submatrix
-    that is nonsingular mod P."""
-    rng = random.Random(97)
-    entries = (0, 1, -1, 2, -2, P, -P, 2 * P, P + 1)
-    cuts = 0
-    for trial in range(300):
-        height = rng.randint(1, 8)
-        echelon = ColumnEchelon(height)
-        columns = []
+_ECHELON_ENTRIES = (0, 1, -1, 2, -2, P, -P, 2 * P, P + 1, P - 1)
 
-        def check():
-            rows = [list(row) for row in zip(*columns)]
-            rank = rank_mod_p(rows, P)
-            assert echelon.rank == rank, (trial, columns)
-            assert (echelon.rank == echelon.width) == (rank == len(columns))
-            kept = [c for c in range(len(columns))
-                    if rank_mod_p([row[:c + 1] for row in rows], P)
-                    > rank_mod_p([row[:c] for row in rows], P)]
-            minor = [[columns[c][n] for c in kept]
-                     for n in echelon.pivot_rows()]
-            assert rank_mod_p(minor, P) == len(kept), (trial, columns)
 
-        for _ in range(rng.randint(1, 9)):
-            if columns and rng.random() < 0.3:
-                height = rng.randint(0, height)
-                echelon.cut(height)
-                columns = [col[:height] for col in columns]
-                cuts += 1
-                check()
-            if columns and rng.random() < 0.3:
-                # a combination of earlier columns: rank deficiency is common
-                a, b = rng.choice(columns), rng.choice(columns)
-                c, e = rng.randint(-3, 3), rng.randint(-3, 3)
-                column = [c * x + e * y for x, y in zip(a, b)]
-            else:
-                column = [rng.choice(entries) for _ in range(height)]
-            echelon.add(column)
-            columns.append(column)
+@st.composite
+def _echelon_scripts(draw):
+    """(height, steps): a matrix of 1 to 40 rows built in 1 to 9 steps,
+    each (cut, column, largest): a cut to at most the current height about a
+    third of the time (None otherwise), then the column added, with entries
+    of _ECHELON_ENTRIES or, about a third of the time, a combination of
+    two earlier columns (rank deficiency is common).  `largest` packs each
+    entry's largest representative below 2**bits, not the entry mod P**2."""
+    height = start = draw(st.integers(1, 40))
+    columns, steps = [], []
+    for _ in range(draw(st.integers(1, 9))):
+        cut = None
+        if columns and draw(st.integers(0, 9)) < 3:
+            cut = height = draw(st.integers(0, height))
+            columns = [col[:height] for col in columns]
+        if columns and draw(st.integers(0, 9)) < 3:
+            a, b = (draw(st.sampled_from(columns)) for _ in "ab")
+            c, e = (draw(st.integers(-3, 3)) for _ in "ce")
+            column = [c * x + e * y for x, y in zip(a, b)]
+        else:
+            column = draw(st.lists(st.sampled_from(_ECHELON_ENTRIES),
+                                   min_size=height, max_size=height))
+        columns.append(column)
+        steps.append((cut, column, draw(st.booleans())))
+    return start, steps
+
+
+@given(_echelon_scripts())
+@example((3, [(None, [0, 1, 0], False), (None, [1, 2, 0], True),
+              (1, [P - 1], False)]))            # the cut lands on pivot 1
+@example((2, [(None, [P, 1], True), (None, [-P, -1], False),
+              (1, [2 * P], True), (0, [], False)]))
+@settings(max_examples=300, deadline=None)
+def test_column_echelon_matches_rank_from_scratch(script):
+    """Columns added one at a time, with row cuts between some additions,
+    packed from representatives as large as a slot holds, with full slots
+    past the current height: after every step the echelon's rank and
+    full-rank verdict are those of the current matrix, ranked mod P from
+    scratch, and its pivot rows of the columns independent of the columns
+    before them form a submatrix that is nonsingular mod P."""
+    height, steps = script
+    echelon = ColumnEchelon(height)
+    top = (1 << echelon.bits) - 1
+    columns = []
+
+    def check():
+        rows = [list(row) for row in zip(*columns)]
+        rank = rank_mod_p(rows, P)
+        assert echelon.rank == rank, columns
+        assert (echelon.rank == echelon.width) == (rank == len(columns))
+        kept = [c for c in range(len(columns))
+                if rank_mod_p([row[:c + 1] for row in rows], P)
+                > rank_mod_p([row[:c] for row in rows], P)]
+        minor = [[columns[c][n] for c in kept]
+                 for n in echelon.pivot_rows()]
+        assert rank_mod_p(minor, P) == len(kept), columns
+
+    for cut, column, largest in steps:
+        if cut is not None:
+            echelon.cut(cut)
+            columns = [col[:cut] for col in columns]
             check()
-    assert cuts > 100
+        slots = [top - (top - x) % P if largest else x % (P * P)
+                 for x in column]
+        past = [top] * (height + 1 - len(column))   # ignored: cut or beyond
+        echelon.add(pack(slots + past, echelon.bits))
+        columns.append(column)
+        check()
 
 
 def test_nullspace_invariant_under_positive_row_scaling(monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadguess import exact, guessing
-from quadguess.equations import Derivatives, QuadEquation, render_text
+from quadguess.equations import (Derivatives, QuadEquation, render_text,
+                                 term_numerator)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import P
 from quadguess.guessing import (GuessConfig, GuessResult, _SlotRows,
@@ -21,17 +22,21 @@ from util_exact import (bareiss_nullspace, equation_vector, in_span,
 
 
 def _exact_slots(prefix):
-    """Slot rows on the prefix's unreduced derivative sequences."""
-    return _SlotRows(Derivatives(*prefix.scaled()))
+    """The prefix's unreduced derivative sequences, for `_exact_system`."""
+    return Derivatives(*prefix.scaled())
 
 
 def _exact_system(prefix, d, m, slots=None):
     """(matrix, usable): rows 0 .. usable - 1 of the size-d system on the
-    prefix, read from `slots` (one `_exact_slots(prefix)` reused across d,
+    prefix, entry (k, i) of row n the term_numerator of slot k+2 at row
+    n - i, read from `slots` (one `_exact_slots(prefix)` reused across d,
     or a fresh one)."""
     slots = _exact_slots(prefix) if slots is None else slots
     usable = _usable_rows(prefix, d)
-    return [slots.row(n, d, m) for n in range(usable)], usable
+    monos = [monomial_of_index(k + 2) for k in range(d + 1)]
+    return [[term_numerator(slots, n - i, mono.p, mono.q)
+             for mono in monos for i in range(m + 1)]
+            for n in range(usable)], usable
 
 
 def test_column_count():
@@ -72,9 +77,10 @@ def _reference_matrix(prefix, d, m, usable):
 
 
 def test_assemble_shared_rows_match_per_entry_reference():
-    """One set of slot rows reused across d gives exactly the matrices of
-    per-entry evaluation: d growing then a smaller d again, and a smaller d
-    whose rows must extend the lists a larger d left (usable 38 -> 39)."""
+    """One set of derivative sequences reused across d gives exactly the
+    matrices of per-entry evaluation: d growing then a smaller d again, and
+    a smaller d that reads more rows than a larger d did (usable 38 ->
+    39)."""
     prefix = oracle_sequence("zeta-rescaled", 40)
     for order in ((3, 4, 5, 6, 7, 4), (7, 4)):
         slots = _exact_slots(prefix)
@@ -82,6 +88,60 @@ def test_assemble_shared_rows_match_per_entry_reference():
             matrix, usable = _exact_system(prefix, d, 2, slots)
             assert matrix == _reference_matrix(prefix, d, 2, usable)
             assert all(type(x) is int for row in matrix for x in row)
+
+
+# P, the largest prime below it, a Fermat prime and the smallest odd prime
+_SLOT_PRIMES = (P, next(filter(exact._is_prime, range(P - 1, 0, -1))),
+                65537, 3)
+
+
+@st.composite
+def _slot_cases(draw):
+    """(nums, den, p, k, counts): a sequence nums / den (random, all zero
+    or, the slot-bound maximum, all p - 1 with den = p - 1), a prime of
+    _SLOT_PRIMES, a monomial slot k+2 that reads at least one row, linear
+    (q = -1) or a product, and the row counts read from it in turn."""
+    p = draw(st.sampled_from(_SLOT_PRIMES))
+    size = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(("random", "zero", "top")))
+    if kind == "random":
+        nums = draw(st.lists(st.integers(-10**40, 10**40), min_size=size,
+                             max_size=size))
+        den = draw(st.integers(1, 10**40))
+    else:
+        nums, den = [0 if kind == "zero" else p - 1] * size, p - 1
+    k = draw(st.integers(0, 20))
+    rows = size - monomial_of_index(k + 2).p
+    assume(rows > 0)
+    counts = draw(st.lists(st.integers(1, rows), min_size=1, max_size=4))
+    return nums, den, p, k, counts
+
+
+@given(_slot_cases())
+@example(([P - 1] * 24, P - 1, P, 1, [24, 3, 24]))    # f^2: every bound
+@example(([65536] * 6, 65536, 65537, 2, [2, 5, 1]))    # f' = f^(1) * 1
+@example(([1, 2, 3], P, P, 0, [3]))                    # den = 0 mod P
+@example(([7], 5, 3, 0, [1]))
+@settings(max_examples=300, deadline=None)
+def test_packed_slot_rows_match_term_numerator(case):
+    """Slot k's packed rows mod p are its term_numerator rows mod p, at
+    every count read, also after a larger count packed it (rows cut after
+    packing) and before a larger count packs it again; every slot is below
+    count * p**2 for the count that packed it."""
+    nums, den, p, k, counts = case
+    mono = monomial_of_index(k + 2)
+    derivs = Derivatives(nums, den)
+    bits = exact.slot_bits(max(counts))
+    slots = _SlotRows(nums, den, p, bits)
+    packed = 0
+    for count in counts:
+        rows = slots.slot(k, count)
+        packed = max(packed, count)
+        values = [rows >> bits * n & (1 << bits) - 1 for n in range(count)]
+        assert max(values) < packed * p * p
+        assert [x % p for x in values] == [
+            term_numerator(derivs, n, mono.p, mono.q) % p
+            for n in range(count)], (count, values)
 
 
 def test_guess_exp_contains_first_order_equation():

@@ -14,7 +14,7 @@ from math import comb, gcd, lcm
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError)
-from quadguess.exact import ColumnEchelon, modular_nullspace
+from quadguess.exact import P, ColumnEchelon, modular_nullspace, pack
 
 
 def bernoulli_numbers(count):
@@ -187,7 +187,7 @@ def echelon_nullspace(matrix, width=None):
     assert all(len(row) == width for row in rows), "matrix is not rectangular"
     echelon = ColumnEchelon(len(rows))
     for c in range(width):
-        echelon.add([row[c] for row in rows])
+        echelon.add(pack([row[c] % P for row in rows], echelon.bits))
 
     def rows_mod(p):
         return lambda n: [x % p for x in rows[n]]
