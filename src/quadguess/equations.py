@@ -30,8 +30,8 @@ from math import lcm
 from operator import mul
 
 from quadguess.errors import EquationFormatError
-from quadguess.exact import (falling_weight, format_rational, parse_int,
-                             parse_rational)
+from quadguess.exact import (as_rational, falling_weight, format_rational,
+                             parse_int, parse_rational)
 from quadguess.monomials import monomial_of_orders
 
 
@@ -218,8 +218,9 @@ class QuadEquation:
 
     def rescaled(self, lam):
         """Equation satisfied by b_n = a_n * lam^n whenever self is
-        satisfied by a_n: each coefficient picks up lam^(s - p - max(q,0))."""
-        lam = Fraction(lam)
+        satisfied by a_n: each coefficient picks up lam^(s - p - max(q,0)).
+        lam is a nonzero int or Fraction."""
+        lam = as_rational(lam, "rescale factor")
         if lam == 0:
             raise ValueError("rescale factor must be nonzero")
         out = []

@@ -17,9 +17,10 @@ so `guess` keeps one per search and adds only the new columns of each
 ansatz size.  Otherwise Gaussian elimination mod P of the rows at the
 echelon's pivots gives the kernel mod P and rational reconstruction lifts
 each of its vectors.  When a vector does not lift or does not vanish, the
-rows mod further primes below P decide, and their kernels are combined by
-CRT until the lift checks, so results are exact and reproducible byte for
-byte.
+loop climbs the Mersenne primes past P (2**89 - 1, 2**107 - 1, ...),
+reading all rows mod each; the kernels of the best profile, P's too, are
+combined by CRT until the lift checks, so results are exact and
+reproducible byte for byte.
 """
 
 import re
@@ -76,6 +77,15 @@ def format_rational(x):
     return f"{_str(x.numerator)}/{_str(x.denominator)}"
 
 
+def as_rational(x, what, *args):
+    """x as a Fraction if it is an int (not a bool) or a Fraction; else a
+    TypeError naming `what.format(*args)`: nothing else is coerced."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x if type(x) is Fraction else Fraction(x)
+    raise TypeError(f"{what.format(*args)} must be an int or a Fraction, "
+                    f"not {type(x).__name__}")
+
+
 def falling_weight(j, p):
     """(j+p)!/j! as an exact integer: the z^j coefficient weight of the
     p-th derivative (a_{j+p} enters with this factor)."""
@@ -97,10 +107,10 @@ def normalize_vector(vec):
     return ints
 
 
-def slot_bits(height):
+def slot_bits(height, p=P):
     """Bits per slot of `height` packed rows: whole bytes that hold a sum
-    of `height` products of residues mod P (136 for 65 to 2**14 rows)."""
-    return -(-(max(height, 1) * P * P).bit_length() // 8) * 8
+    of `height` products of residues mod p (mod P, 136 for 65-2**14 rows)."""
+    return -(-(max(height, 1) * p * p).bit_length() // 8) * 8
 
 
 def pack(values, bits):
@@ -178,26 +188,32 @@ class ColumnEchelon:
 
 
 def _kernel_mod(rows, width, p):
-    """(pivots, basis) of integer rows (any representatives) mod the prime
-    p: the pivot columns of their row echelon form, leftmost first, and for
-    each free column, in order, the kernel vector with 1 there and 0 at the
-    other free columns, entries in [0, p).  Gaussian elimination, then
-    back-substitution per free column."""
+    """(pivots, basis) of integer rows (any representatives) mod the
+    Mersenne prime p = 2**e - 1: the pivot columns of their row echelon
+    form, leftmost first, and for each free column, in order, the kernel
+    vector with 1 there and 0 at the other free columns, entries in [0, p).
+    Gaussian elimination adds f * (p - t) for the normalized pivot row t (0
+    kept as 0) and folds at 2**e = 1 mod p, so entries stay below 3 * 2**e;
+    then back-substitution per free column."""
+    e = p.bit_length()
     rows = [[x % p for x in row] for row in rows]
     pivots = []
     for col in range(width):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p),
+                     None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         head = rows[r]
         inv = pow(head[col], -1, p)
         head[col:] = tail = [x * inv % p for x in head[col:]]
+        negated = [p - y if y else 0 for y in tail]
         for row in rows[r + 1:]:
-            f = row[col]
+            f = row[col] % p
             if f:
-                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
+                row[col:] = [((s := x + f * y) & p) + (s >> e)
+                             for x, y in zip(row[col:], negated)]
         pivots.append(col)
     basis = []
     for free in sorted(set(range(width)).difference(pivots)):
@@ -246,67 +262,14 @@ def _lift(vec, m):
     return normalize_vector([num * (den // at) for num, at in parts])
 
 
-def _verified_lift(basis, m, vanishes):
-    """Every vector of a kernel basis mod m lifted by `_lift`, or None as
-    soon as one does not lift or does not vanish."""
-    lifted = []
-    for vec in basis:
-        vec = _lift(vec, m)
-        if vec is None or not vanishes(vec):
-            return None
-        lifted.append(vec)
-    return lifted
-
-
-# Miller-Rabin with these witnesses is exact below 3.3 * 10**24 > P.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _multimodular_kernel(rows_mod, height, width, vanishes):
-    """The kernel of a matrix of `height` rows from its kernels mod the
-    primes below P, taken in descending order as they are needed, combined
-    by CRT over the primes of the best profile seen."""
-    best = None
-    for p in filter(_is_prime, range(P - 1, 1, -1)):
-        pivots, basis = _kernel_mod(map(rows_mod(p), range(height)), width, p)
-        if not basis:
-            return []
-        profile = (-len(pivots), pivots)
-        if best is None or profile < best:
-            best, modulus, images = profile, p, basis
-        elif profile == best:
-            inv = pow(modulus, -1, p)
-            images = [[a + modulus * ((b - a) * inv % p)
-                       for a, b in zip(old, new)]
-                      for old, new in zip(images, basis)]
-            modulus *= p
-        else:
-            continue
-        lifted = _verified_lift(images, modulus, vanishes)
-        if lifted is not None:
-            return lifted
+# The exponents e of the Mersenne primes 2**e - 1 from P's on (OEIS
+# A000043), 716 504 546 bits in all: the moduli `modular_nullspace` climbs.
+_MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+             9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503,
+             132049, 216091, 756839, 859433, 1257787, 1398269, 2976221,
+             3021377, 6972593, 13466917, 20996011, 24036583, 25964951,
+             30402457, 32582657, 37156667, 42643801, 43112609, 57885161,
+             74207281, 77232917, 82589933, 136279841)
 
 
 def modular_nullspace(echelon, rows_mod, vanishes):
@@ -333,24 +296,51 @@ def modular_nullspace(echelon, rows_mod, vanishes):
     they are its unique basis of that form.
 
     When one does not lift or vanish (rank or pivots lost mod P, or entries
-    beyond the bound), all rows decide mod the primes below P, taken in
-    turn.  Full rank mod any of them gives [].  The primes with the best
-    profile so far (highest rank, then smallest pivot list) are combined by
-    CRT, and the lift modulo their product is checked as above, so
-    whatever is returned is the kernel over Q.  This ends: mod p the rank
-    is at most the rank over Q and each pivot is at or right of its place
-    over Q, so no prime beats the profile over Q; every prime with that
-    profile gives the true basis mod p; and every prime that does not
-    divide a nonzero maximal minor at the pivot columns over Q has it,
-    which leaves out finitely many.  The basis entries over their common
-    denominator are minors, at most the Hadamard bound H, so once the
-    product of the kept primes exceeds 2 * H**2 the lift recovers them.
+    beyond the bound), the loop climbs the Mersenne primes 2**e - 1 past P
+    (`_MERSENNE`), reading all rows mod each.  Full rank mod any of them
+    gives [].  The moduli with the best profile so far (highest rank, then
+    smallest pivot list), P's included, are combined by CRT, and the lift
+    modulo their product is checked as above, so whatever is returned is
+    the kernel over Q.  Mod p the rank is at most the rank over Q and each
+    pivot is at or right of its place over Q, so no modulus beats the
+    profile over Q, and every modulus with that profile gives the true
+    basis mod p (at P, the pivot rows span all rows mod P).  Fix a nonzero
+    maximal minor at the pivot columns over Q: a modulus with a worse
+    profile divides it, so the bad moduli total at most log2 H bits, H the
+    Hadamard bound of the maximal minors.  The basis entries over their
+    common denominator are such minors, at most H, so the lift recovers
+    them once the kept moduli exceed 2 * H**2.  The table's 716 504 546
+    bits exceed 3 * log2 H + 2 whenever H < 2**(2 * 10**8), and for every
+    such matrix the loop returns; past the table it raises ArithmeticError.
     """
     width = echelon.width
     if echelon.rank == width:
         return []
-    _, basis = _kernel_mod(map(rows_mod(P), echelon.pivot_rows()), width, P)
-    lifted = _verified_lift(basis, P, vanishes)
-    if lifted is not None:
-        return lifted
-    return _multimodular_kernel(rows_mod, echelon.height, width, vanishes)
+    best = None
+    for e in _MERSENNE:
+        p = 2**e - 1
+        rows = echelon.pivot_rows() if p == P else range(echelon.height)
+        pivots, basis = _kernel_mod(map(rows_mod(p), rows), width, p)
+        if not basis:
+            return []
+        profile = (-len(pivots), pivots)
+        if best is None or profile < best:
+            best, modulus, images = profile, p, basis
+        elif profile == best:
+            inv = pow(modulus, -1, p)
+            images = [[a + modulus * ((b - a) * inv % p)
+                       for a, b in zip(old, new)]
+                      for old, new in zip(images, basis)]
+            modulus *= p
+        else:
+            continue
+        lifted = []
+        for vec in images:
+            vec = _lift(vec, modulus)
+            if vec is None or not vanishes(vec):
+                break
+            lifted.append(vec)
+        else:
+            return lifted
+    raise ArithmeticError("no kernel lift checks modulo the Mersenne primes "
+                          f"up to 2**{_MERSENNE[-1]} - 1")

@@ -24,18 +24,21 @@ Each lifted vector is verified exactly by one evaluator, the one `check`
 uses: normalized to a QuadEquation, its rows are read through
 `QuadEquation.row_numerator` on the unreduced prefix, and its z-multiples
 are accepted from that one pass.  Only if a lift fails are the rows
-evaluated mod further primes, from the prefix reduced mod each of them.
+evaluated mod the further Mersenne primes that `modular_nullspace`
+climbs, from the prefix reduced mod each of them, packed once per search
+like the rows mod P.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import ceil
 
 from quadguess.equations import (Derivatives, QuadEquation,
                                  equation_from_obj, equation_to_obj)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import (P, ColumnEchelon, modular_nullspace,
-                             normalize_vector, pack)
+                             normalize_vector, pack, slot_bits)
 from quadguess.monomials import max_derivative_order, monomial_of_index
 
 
@@ -226,12 +229,13 @@ def guess(prefix, cfg=GuessConfig()):
     nums, den = prefix.scaled()
     derivs = Derivatives(nums, den)
 
-    echelon = ColumnEchelon(_usable_rows(prefix, cfg.d_start))
+    height = _usable_rows(prefix, cfg.d_start)
+    echelon = ColumnEchelon(height)
 
+    @cache
     def residues(p):
-        return _SlotRows(nums, den, p, echelon.bits)
+        return _SlotRows(nums, den, p, slot_bits(height, p))
 
-    residue = residues(P)
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
         usable = _usable_rows(prefix, d)
@@ -240,15 +244,12 @@ def guess(prefix, cfg=GuessConfig()):
         attempted = True
         echelon.cut(usable)
         for k in range(echelon.width // (m + 1), d + 1):
-            rows = residue.slot(k, usable)
+            rows = residues(P).slot(k, usable)
             for i in range(m + 1):
                 echelon.add(rows << echelon.bits * i)   # row n - i at n
-
-        def rows_mod(p):
-            return (residue if p == P else residues(p)).rows(d, m, usable)
-
-        basis = modular_nullspace(echelon, rows_mod,
-                                  _Verifier(derivs, d, m, usable))
+        basis = modular_nullspace(
+            echelon, lambda p: residues(p).rows(d, m, usable),
+            _Verifier(derivs, d, m, usable))
         if basis:
             equations = tuple(normalize(v, d, m) for v in basis)
             return GuessResult(status="success", d=d, m=m, basis=equations,

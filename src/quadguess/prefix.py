@@ -10,16 +10,18 @@ from fractions import Fraction
 from math import lcm
 
 from quadguess.errors import PrefixFormatError
-from quadguess.exact import format_rational, parse_rational
+from quadguess.exact import as_rational, format_rational, parse_rational
 
 
 class SequencePrefix:
-    """Immutable list of exact rational terms."""
+    """Immutable list of exact rational terms, each an int or a Fraction
+    (anything else raises TypeError naming its index)."""
 
     __slots__ = ("values", "_scaled")
 
     def __init__(self, values):
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(as_rational(v, "term {}", i)
+                       for i, v in enumerate(values))
         if not values:
             raise ValueError("a prefix needs at least one term")
         self.values = values
@@ -59,8 +61,9 @@ class SequencePrefix:
         return self._scaled
 
     def rescaled(self, lam):
-        """New prefix with a_n -> a_n / lam^n (lam a nonzero rational)."""
-        lam = Fraction(lam)
+        """New prefix with a_n -> a_n / lam^n (lam a nonzero int or
+        Fraction)."""
+        lam = as_rational(lam, "rescale factor")
         if lam == 0:
             raise ValueError("rescale factor must be nonzero")
         scale = Fraction(1)

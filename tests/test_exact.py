@@ -1,14 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadguess import exact
-from quadguess.exact import (P, ColumnEchelon, _is_prime, _rational,
+from quadguess.exact import (_MERSENNE, P, ColumnEchelon, _rational,
                              falling_weight, format_rational,
                              normalize_vector, pack, parse_rational)
 from util_exact import (bareiss_nullspace, echelon_nullspace, naive_rank,
@@ -130,7 +130,8 @@ def _logged_kernels(monkeypatch):
 
 def test_nullspace_rank_lost_mod_p(monkeypatch):
     """Rank over Q is full, but the rows are dependent mod P: the lift from
-    P fails its check, and the first prime below P sees the rank over Q."""
+    P fails its check, and the next Mersenne prime, 2**89 - 1, sees the
+    rank over Q."""
     kernels = _logged_kernels(monkeypatch)
     for mat, expected in (([[P, 0], [0, 1]], []),
                           ([[1, 1, 0], [0, P, 1], [0, 0, P]], []),
@@ -138,7 +139,7 @@ def test_nullspace_rank_lost_mod_p(monkeypatch):
                           ([[P, 0, 0], [0, 1, 0]], [[0, 0, 1]])):
         kernels.clear()
         assert echelon_nullspace(mat) == expected
-        assert len(kernels) == 2 and kernels[0] == P > kernels[1], mat
+        assert kernels == [P, 2**89 - 1], mat
 
 
 def test_nullspace_fallback_when_chosen_rows_lose_rank():
@@ -323,29 +324,112 @@ def test_rational_reconstruction_past_bound(past, other):
         assert gcd(num, den) == 1 and (num - den * x) % P == 0
 
 
-def test_is_prime_matches_trial_division():
-    small = [n for n in range(2000)
-             if n > 1 and all(n % f for f in range(2, isqrt(n) + 1))]
-    assert [n for n in range(2000) if _is_prime(n)] == small
-    # strong pseudoprimes to the smallest bases, and P and its neighbours
-    for n in (2047, 3215031751, 3825123056546413051, P - 2, P + 2):
-        assert not _is_prime(n)
-    assert _is_prime(P) and _is_prime(2**31 - 1)
-
-
 def test_nullspace_lift_needs_crt(monkeypatch):
-    """Entries above 2**30 cannot be lifted from one 61-bit prime: the
-    fallback combines two or more primes below P by CRT."""
-    kernels = _logged_kernels(monkeypatch)
+    """Entries above 2**30 cannot be lifted from P alone: the kernels run
+    over ascending Mersenne moduli from P, and the lift that checks is
+    modulo the CRT product of at least two of them.  Entries of about
+    2**300 need the ladder up to 2**521 - 1; entries that are multiples of
+    (2**61 - 1) * (2**89 - 1) lose rank at the first two moduli."""
+    kernels, lifts = [], []  # (modulus, rank) per kernel; lift moduli
+    kernel_mod, lift = exact._kernel_mod, exact._lift
+
+    def logged_kernel(rows, width, p):
+        pivots, basis = kernel_mod(rows, width, p)
+        kernels.append((p, len(pivots)))
+        return pivots, basis
+
+    def logged_lift(vec, m):
+        lifts.append(m)
+        return lift(vec, m)
+
+    monkeypatch.setattr(exact, "_kernel_mod", logged_kernel)
+    monkeypatch.setattr(exact, "_lift", logged_lift)
+    both = P * (2**89 - 1)
+    runs = []
     for mat in ([[2**40 + 1, 3**26]],
                 [[P, 1, 0]],
                 [[3**40, 0, -(2**45 + 7)], [0, 5**20, 11**17]],
-                [[Fraction(2**35, 3**23), 1, 7**13]]):
+                [[Fraction(2**35, 3**23), 1, 7**13]],
+                [[3**190, -(5**129), 7**107]],
+                [[both * 3**40, 0, -both * (2**45 + 7)],
+                 [0, both * 5**20, both * 11**17]]):
         kernels.clear()
+        lifts.clear()
         width = len(mat[0])
         assert echelon_nullspace(mat) == bareiss_nullspace(mat, width), mat
-        assert kernels[0] == P
-        fallback = kernels[1:]
-        assert len(fallback) >= 2 and all(p < P for p in fallback), mat
-        assert all(_is_prime(p) for p in fallback)
-        assert fallback == sorted(set(fallback), reverse=True)
+        moduli = [p for p, _ in kernels]
+        assert moduli == [2**e - 1 for e in _MERSENNE[:len(moduli)]], mat
+        assert any(lifts[-1] == prod(moduli[i:])
+                   for i in range(len(moduli) - 1)), mat
+        runs.append((list(kernels), lifts[-1]))
+    # P's kernel counts: the first input lifts modulo P * (2**89 - 1)
+    assert runs[0] == ([(P, 1), (2**89 - 1, 1)], P * (2**89 - 1))
+    # entries near 2**300 reach 2**521 - 1
+    assert runs[-2][0][-1] == (2**521 - 1, 1)
+    # rank 0 mod P and mod 2**89 - 1, then the rank over Q
+    assert [rank for _, rank in runs[-1][0][:3]] == [0, 0, 2]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(rows, width, p): a Mersenne modulus p of the first five, and rows
+    of any representatives (0, 1, p - 1, p, p + 1, 2p, or up to
+    height * p**2, the bound of an unpacked slot row), a third of them
+    combinations of earlier rows."""
+    p = 2**draw(st.sampled_from(_MERSENNE[:5])) - 1
+    height, width = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(st.sampled_from((0, 1, p - 1, p, p + 1, 2 * p)),
+                      st.integers(0, height * p * p))
+    rows = []
+    for _ in range(height):
+        if rows and draw(st.integers(0, 2)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(entry), draw(entry)
+            rows.append([f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width,
+                                      max_size=width)))
+    return rows, width, p
+
+
+@given(_kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_kernel_mod_matches_rank_mod_p(case):
+    """_kernel_mod mod a Mersenne prime: its pivots are the columns that
+    raise the rank mod p, and each free column's vector has 1 there, 0 at
+    the other free columns, entries in [0, p), and annihilates every row
+    mod p."""
+    rows, width, p = case
+    pivots, basis = exact._kernel_mod(rows, width, p)
+    assert pivots == [c for c in range(width)
+                      if rank_mod_p([row[:c + 1] for row in rows], p)
+                      > rank_mod_p([row[:c] for row in rows], p)]
+    free = [c for c in range(width) if c not in pivots]
+    assert len(basis) == len(free)
+    for col, vec in zip(free, basis):
+        assert [vec[c] for c in free] == [int(c == col) for c in free]
+        assert all(0 <= x < p for x in vec)
+        assert all(sum(x * v for x, v in zip(row, vec)) % p == 0
+                   for row in rows)
+
+
+def _lucas_lehmer(e):
+    """Whether 2**e - 1 is prime, for an odd prime e (Lucas-Lehmer)."""
+    m, s = 2**e - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_mersenne_table():
+    """The moduli of the fallback are Mersenne primes from P on, in
+    ascending order; their exponents are prime, and Lucas-Lehmer confirms
+    every listed 2**e - 1 with e <= 4423."""
+    assert _MERSENNE[0] == 61 and 2**61 - 1 == P
+    assert list(_MERSENNE) == sorted(set(_MERSENNE))
+    assert all(all(e % f for f in range(2, isqrt(e) + 1)) for e in _MERSENNE)
+    small = [e for e in _MERSENNE if e <= 4423]
+    assert len(small) == 12
+    assert all(_lucas_lehmer(e) for e in small)
+    # negative controls: prime exponents whose 2**e - 1 is composite
+    assert not any(_lucas_lehmer(e) for e in (11, 23, 29, 67, 101))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil
 
@@ -90,9 +91,8 @@ def test_assemble_shared_rows_match_per_entry_reference():
             assert all(type(x) is int for row in matrix for x in row)
 
 
-# P, the largest prime below it, a Fermat prime and the smallest odd prime
-_SLOT_PRIMES = (P, next(filter(exact._is_prime, range(P - 1, 0, -1))),
-                65537, 3)
+# P, the next Mersenne prime, a Fermat prime and the smallest odd prime
+_SLOT_PRIMES = (P, 2**89 - 1, 65537, 3)
 
 
 @st.composite
@@ -131,7 +131,7 @@ def test_packed_slot_rows_match_term_numerator(case):
     nums, den, p, k, counts = case
     mono = monomial_of_index(k + 2)
     derivs = Derivatives(nums, den)
-    bits = exact.slot_bits(max(counts))
+    bits = exact.slot_bits(max(counts), p)
     slots = _SlotRows(nums, den, p, bits)
     packed = 0
     for count in counts:
@@ -217,11 +217,14 @@ def _prime_denominator_prefix(rng, count):
 def test_guess_matches_full_exact_path(monkeypatch):
     """guess ranks each d in one column echelon mod P per search and reads
     the sequence exactly only to verify lifted equations; its result
-    equals the full exact system's, byte for byte, also where reduction mod P loses every row
-    (oracle * P), where den = 0 mod P (oracle / P), and where rank drops
-    only mod P (an oracle with P added to its middle or last term) so that
-    the basis lifted from the pivot rows fails verification and all rows
-    decide mod further primes."""
+    equals the full exact system's, byte for byte, also where reduction
+    mod P loses every row (oracle * P), where den = 0 mod P (oracle / P),
+    where rank drops only mod P (an oracle with P added to its middle or
+    last term) so that the basis lifted from the pivot rows fails
+    verification and all rows decide mod further Mersenne primes, and
+    where the kernel's entries are past the 2**30 bound of a lift from P
+    alone (an oracle rescaled by 3**40 / (2**50 + 1)), the fallback's
+    usual trigger: it runs for at least 5 of those 7."""
     ranks, kernels = [], []  # echelon (rank, width, height) per d; fallback?
     rank_filter, kernel_mod = guessing.modular_nullspace, exact._kernel_mod
 
@@ -230,7 +233,7 @@ def test_guess_matches_full_exact_path(monkeypatch):
         return rank_filter(echelon, rows_mod, vanishes)
 
     def logged_kernel(rows, width, p):
-        kernels.append(p != P)   # mod P: the pivot rows; below P: fallback
+        kernels.append(p != P)   # mod P: the pivot rows; past P: fallback
         return kernel_mod(rows, width, p)
 
     monkeypatch.setattr(guessing, "modular_nullspace", logged_rank)
@@ -274,6 +277,32 @@ def test_guess_matches_full_exact_path(monkeypatch):
         assert fallback == []
         assert all(rank == width for rank, width, _ in per_d)
         assert len({height for _, _, height in per_d}) == 3  # cut twice
+    lam = Fraction(3**40, 2**50 + 1)
+    rescaled_fallbacks = 0
+    for name in sorted(ORACLES):
+        values = oracle_sequence(name, rng.randint(28, 32)).rescaled(lam)
+        _, fallback = compare(list(values))
+        rescaled_fallbacks += True in fallback
+    assert rescaled_fallbacks >= 5
+
+
+def test_guess_packs_each_modulus_once(monkeypatch):
+    """guess keeps one _SlotRows per modulus for the whole search: on
+    bell-egf with P added to term 30, where every d from the oracle's own
+    on is rank-deficient only mod P and takes the fallback, the residues
+    mod each modulus are packed once, not once per d."""
+    built = Counter()
+    slot_rows = guessing._SlotRows
+
+    def counted(nums, den, p, bits):
+        built[p] += 1
+        return slot_rows(nums, den, p, bits)
+
+    monkeypatch.setattr(guessing, "_SlotRows", counted)
+    values = list(oracle_sequence("bell-egf", 60).values)
+    values[30] += P
+    guess(SequencePrefix(values))
+    assert len(built) >= 2 and set(built.values()) == {1}, built
 
 
 def _bruteforce_rows(values, d, m, count):
