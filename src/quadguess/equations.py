@@ -2,10 +2,11 @@
 
 A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
 row n is the z^n Taylor coefficient of the equation on a sequence prefix.
-For the prefix scaled to nums / den, `Derivatives` holds the Taylor
-coefficients of each derivative order p, times den, built once per order
-through `exact.falling_weight`, the one weight function, and of linear
-combinations of them.  One evaluator, `term_numerator`, gives the z^m
+For the prefix scaled to nums / den, `Derivatives` is one store of the
+Taylor coefficients, times den, of combinations sum(c * z^e * f^(p)),
+every entry by one rule through `exact.falling_weight`, the one weight
+function; an order p is the combination f^(p), and f^(-1) = 1 is
+den, 0, 0, ...  One evaluator, `term_numerator`, gives the z^m
 coefficient of a product F * f^(q) as the one dot product of two such
 sequences, an integer numerator over den**2.
 
@@ -16,7 +17,7 @@ groups of the z^(n - s0) coefficient of f^(q) * G_q, where s0 is the
 group's smallest z-power and G_q = sum of c * z^(s - s0) * f^(p) is a
 combination that `Derivatives` builds once.  So each row costs one dot
 product per distinct lower order, not one per product term; linear and
-constant terms form the group q = -1, where f^(-1) = 1 and the row is
+constant terms form the group q = -1, whose row is one coefficient,
 den * G_q[n - s0].  Every step is a ring operation, so the same evaluator
 on nums and den reduced mod P gives the rows mod P.
 
@@ -26,91 +27,74 @@ with p >= q >= -1 (not both -1).
 
 import json
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from quadguess.errors import EquationFormatError
-from quadguess.exact import (as_rational, falling_weight, format_rational,
-                             parse_int, parse_rational)
+from quadguess.exact import (as_rational, clear_denominators,
+                             falling_weight, format_rational, parse_int,
+                             parse_rational)
 from quadguess.monomials import monomial_of_orders
 
 
 class Derivatives:
-    """Taylor coefficients, times den, of derivatives of the sequence
-    nums / den and of linear combinations of them.  `derivs[p]` for an
-    order p holds falling_weight(j, p) * nums[j + p] for
-    j = 0 .. len(nums) - p - 1, the coefficients of f^(p).  `derivs[key]`
-    for a combination key, a tuple of (e, p, c), holds those of
-    sum(c * z^e * f^(p)), where f^(-1) is the constant 1: entry u is
-    sum(c * derivs[p][u - e]), for u < len(nums) - max(max(p, 0) - e).
-    Each sequence is built on first use and kept; `append_zero`, `scale`
-    and `set_last` keep every built one in step with `nums` as a sequence
-    grows."""
+    """Taylor coefficients, times den, of linear combinations of the
+    derivatives of the sequence nums / den, in one store.  `derivs[key]`
+    for a key ((e, p, c), ...) holds those of sum(c * z^e * f^(p)), where
+    f^(-1) is the constant 1: entry u (`_entry`) sums, over the terms
+    with u >= e, c * falling_weight(u - e, p) * nums[u - e + p] for
+    p >= 0 and c * den at u = e for p = -1, for
+    u < len(nums) - max(max(p, 0) - e).  An order p is short for
+    ((0, p, 1),), so derivs[-1] is den, 0, 0, ..., as long as nums.  Each
+    sequence is built on first use and kept; `append_zero`, `set_last`
+    and `scale` keep every built one in step with nums as it grows."""
 
-    __slots__ = ("nums", "den", "_orders", "_combos")
+    __slots__ = ("nums", "den", "_seqs")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
-        self._orders = {}
-        self._combos = {}
+        self._seqs = {}
 
     def __getitem__(self, key):
-        seq = self._orders.get(key)
+        seq = self._seqs.get(key)
         if seq is None:
-            seq = self._combos.get(key)
-            if seq is None:
-                seq = self._build(key)
-        return seq
-
-    def _build(self, key):
-        """Build and keep the sequence of an order or combination key."""
-        if type(key) is int:
-            seq = self._orders[key] = [falling_weight(j, key) * x
-                                       for j, x in enumerate(self.nums[key:])]
-        else:
-            seq = self._combos[key] = []
+            if type(key) is int:
+                return self[((0, key, 1),)]
+            seq = self._seqs[key] = []
             self._grow(key, seq)
         return seq
 
     def _entry(self, key, u):
-        """Entry u of combination key, from the built orders."""
+        """Entry u of key's sequence."""
         total = 0
         for e, p, c in key:
             j = u - e
-            if j >= 0:
-                if p >= 0:
-                    total += c * self[p][j]
-                elif j == 0:
-                    total += c * self.den
+            if p >= 0 and j >= 0:
+                total += c * falling_weight(j, p) * self.nums[j + p]
+            elif j == 0:                   # f^(-1) = 1
+                total += c * self.den
         return total
 
     def _grow(self, key, seq):
-        """Append the entries of combination key that nums now determines."""
+        """Append the entries of key's sequence that nums now determines."""
         top = len(self.nums) - max(max(p, 0) - e for e, p, _ in key)
         seq.extend(self._entry(key, u) for u in range(len(seq), top))
 
     def append_zero(self):
-        """Append a 0 to nums, and to every built order it reaches; extend
-        every built combination by the entry that now fits."""
+        """Append a 0 to nums and extend every built sequence by the entry
+        that now fits."""
         self.nums.append(0)
-        for p, seq in self._orders.items():
-            if len(self.nums) > p:
-                seq.append(0)
-        for key, seq in self._combos.items():
+        for key, seq in self._seqs.items():
             self._grow(key, seq)
 
     def set_last(self, x):
-        """Replace the last nums entry by x, in every built order too, and
-        recompute the combination entries that read it."""
+        """Replace the last nums entry by x and recompute the entries of
+        every built sequence that read it."""
         self.nums[-1] = x
         t = len(self.nums) - 1
-        for p, seq in self._orders.items():
-            if t >= p:
-                seq[-1] = falling_weight(t - p, p) * x
-        for key, seq in self._combos.items():
+        for key, seq in self._seqs.items():
             for e, p, _ in key:
-                u = t - p + e      # entry u reads self[p][t - p]
+                u = t - p + e      # entry u reads nums[t] through f^(p)
                 if p >= 0 and 0 <= u < len(seq):
                     seq[u] = self._entry(key, u)
 
@@ -118,46 +102,48 @@ class Derivatives:
         """Multiply den, nums and every built sequence by factor."""
         self.den *= factor
         self.nums = [x * factor for x in self.nums]
-        for p, seq in self._orders.items():
-            self._orders[p] = [x * factor for x in seq]
-        for key, seq in self._combos.items():
-            self._combos[key] = [x * factor for x in seq]
+        for key, seq in self._seqs.items():
+            self._seqs[key] = [x * factor for x in seq]
 
 
 def term_numerator(derivs, m, p, q):
     """The z^m coefficient of F * f^(q) times den**2 on the sequence
-    derivs.nums / derivs.den, an int, where F is f^(p) for an order p and
-    the combination for a combination key p (see Derivatives).  Order -1
-    stands for the constant 1, and the coefficient is 0 for m < 0.
+    derivs.nums / derivs.den, an int, where F is derivs[p] for an order
+    or combination key p (see Derivatives), and 0 for m < 0.  For
+    f^(-1) = 1 it is one coefficient of F times den, no dot product.
     Requires len(derivs[p]) > m and, for q >= 0, len(derivs[q]) > m."""
     if m < 0:
         return 0
-    den = derivs.den
-    if p == -1:                      # constant term
-        return den * den if m == 0 else 0
-    if q == -1:                      # linear: one coefficient of F
-        return derivs[p][m] * den
+    if q == -1:                      # F times the constant 1
+        return derivs[p][m] * derivs.den
     return sum(map(mul, derivs[p][:m + 1], derivs[q][m::-1]))
 
 
 class QuadEquation:
     """Sum of terms coeff * z^s * f^(p) * f^(q), coefficients exact and
-    nonzero, terms sorted by (monomial index, z-power).  `coeff_den` is the
-    lcm of the coefficients' denominators, and `int_terms` holds the terms
-    with their coefficients times it, as ints.  `groups` factors int_terms
-    by lower order: one (q, s0, ((s - s0, p, c), ...)) per distinct q,
-    ascending, where s0 is the smallest z-power among the group's terms."""
+    nonzero, terms sorted by (monomial index, z-power).  Terms are given as
+    (s, monomial, coeff), s an int and coeff an int or a Fraction (not a
+    bool; anything else raises TypeError naming its position).
+    `coeff_den` is the lcm of the coefficients' denominators, and
+    `int_terms` holds the terms with their coefficients times it, as ints.
+    `groups` factors int_terms by lower order: one
+    (q, s0, ((s - s0, p, c), ...)) per distinct q, ascending, where s0 is
+    the smallest z-power among the group's terms."""
 
     __slots__ = ("terms", "coeff_den", "int_terms", "groups")
 
     def __init__(self, terms):
         merged = {}
         monos = {}
-        for s, mono, coeff in terms:
+        for pos, (s, mono, coeff) in enumerate(terms):
+            if type(s) is not int:
+                raise TypeError(f"term {pos}: z-power must be an int, "
+                                f"not {type(s).__name__}")
             if s < 0:
                 raise ValueError("z-power must be >= 0")
             key = (mono.index, s)
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
+            merged[key] = merged.get(key, 0) + as_rational(
+                coeff, "term {}: coefficient", pos)
             monos[key] = mono
         cleaned = []
         for key in sorted(merged):
@@ -166,10 +152,9 @@ class QuadEquation:
         if not cleaned:
             raise ValueError("an equation needs at least one nonzero term")
         self.terms = tuple(cleaned)
-        self.coeff_den = lcm(*(c.denominator for _, _, c in cleaned))
-        self.int_terms = tuple(
-            (s, mono, c.numerator * (self.coeff_den // c.denominator))
-            for s, mono, c in cleaned)
+        ints, self.coeff_den = clear_denominators([c for _, _, c in cleaned])
+        self.int_terms = tuple((s, mono, c)
+                               for (s, mono, _), c in zip(cleaned, ints))
         by_q = {}
         for s, mono, c in self.int_terms:
             by_q.setdefault(mono.q, []).append((s, mono.p, c))

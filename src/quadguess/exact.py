@@ -94,11 +94,17 @@ def falling_weight(j, p):
     return prod(range(j + 1, j + p + 1))
 
 
+def clear_denominators(values):
+    """(nums, den) for ints and Fractions values: den is the lcm of their
+    denominators and nums the ints v * den."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def normalize_vector(vec):
     """Scale a vector of ints and Fractions to ints with content 1 and a
     positive first nonzero entry."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    ints, _ = clear_denominators(vec)
     content = gcd(*ints)
     if content > 1:
         ints = [v // content for v in ints]

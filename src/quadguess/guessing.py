@@ -79,32 +79,31 @@ def column_order(d, m):
 class _SlotRows:
     """Recurrence-row residues mod a prime p of the monomial slots on
     nums / den: `slot(k, count)` packs (`exact.pack`) rows 0 .. count - 1
-    of slot k+2, its z^n coefficients times den**2, below count * p**2,
-    as one product of its two derivative sequences mod p, packed.  It is
-    kept for every d of a search."""
+    of slot k+2, its z^n coefficients times den**2, below count * p**2:
+    the low count slots (carries only move up) of one product of its two
+    derivative sequences mod p, each packed once; f^(-1) packs to den.
+    It is kept for every d of a search."""
 
     def __init__(self, nums, den, p, bits):
         self.derivs = Derivatives([x % p for x in nums], den % p)
         self.p, self.bits = p, bits
+        self.orders = {}
         self.kept = {}
 
-    def _packed(self, order, count):
-        """Coefficients 0 .. count - 1 of f^(order) mod p, packed."""
-        p = self.p
-        return pack([x % p for x in self.derivs[order][:count]], self.bits)
+    def _packed(self, order):
+        """The coefficients of f^(order) mod p, packed, kept."""
+        if order not in self.orders:
+            self.orders[order] = pack(
+                [x % self.p for x in self.derivs[order]], self.bits)
+        return self.orders[order]
 
     def slot(self, k, count):
         """Rows 0 .. count - 1 (or more) of slot k+2, packed."""
         have, packed = self.kept.get(k, (0, 0))
         if have < count:
             mono = monomial_of_index(k + 2)
-            packed = self._packed(mono.p, count)
-            if mono.q == -1:                 # linear: den * f^(p)
-                packed *= self.derivs.den
-            else:                            # the product's low slots
-                other = packed if mono.q == mono.p else \
-                    self._packed(mono.q, count)
-                packed = packed * other & (1 << self.bits * count) - 1
+            packed = (self._packed(mono.p) * self._packed(mono.q)
+                      & (1 << self.bits * count) - 1)
             self.kept[k] = count, packed
         return packed
 

@@ -7,10 +7,10 @@ denominator), so recurrence rows are evaluated in integer arithmetic.
 
 import json
 from fractions import Fraction
-from math import lcm
 
 from quadguess.errors import PrefixFormatError
-from quadguess.exact import as_rational, format_rational, parse_rational
+from quadguess.exact import (as_rational, clear_denominators,
+                             format_rational, parse_rational)
 
 
 class SequencePrefix:
@@ -55,9 +55,7 @@ class SequencePrefix:
     def scaled(self):
         """(nums, den): integer numerators over one common denominator."""
         if self._scaled is None:
-            den = lcm(*(v.denominator for v in self.values))
-            nums = [int(v * den) for v in self.values]
-            self._scaled = (nums, den)
+            self._scaled = clear_denominators(self.values)
         return self._scaled
 
     def rescaled(self, lam):

@@ -64,9 +64,8 @@ def _slope(eq, derivs, n):
             continue
         if q == p and m == 0:
             raise NonlinearStepError(n)
-        # a linear term's second factor is the constant 1, den when scaled
-        other = derivs.den if q == -1 else derivs[q][0]
-        slope += coeff * ((2 if q == p else 1) * falling_weight(m, p) * other)
+        slope += coeff * ((2 if q == p else 1) * falling_weight(m, p)
+                          * derivs[q][0])
     return slope
 
 

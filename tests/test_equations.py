@@ -4,13 +4,14 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, note, settings
 from hypothesis import strategies as st
 
 from quadguess.equations import (Derivatives, QuadEquation,
                                  equation_from_json, equation_to_json,
                                  render_latex, render_text, term_numerator)
 from quadguess.errors import EquationFormatError
+from quadguess.exact import falling_weight
 from quadguess.monomials import (QuadMonomial, monomial_of_index,
                                  monomial_of_orders)
 from quadguess.prefix import SequencePrefix
@@ -146,6 +147,55 @@ def test_row_locality():
             Fraction(*_term_row(altered, s, mono, n))
 
 
+# combination keys ((e, p, c), ...): z-shifts e > 0 and f^(-1) terms too
+_KEYS = st.one_of(
+    st.integers(-1, 3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 3),
+                       st.sampled_from([-3, -1, 1, 2, 5])),
+             min_size=1, max_size=4).map(tuple))
+_STEPS = st.one_of(
+    st.just(("append_zero", None)),
+    st.tuples(st.just("set_last"), st.integers(-50, 50)),
+    st.tuples(st.just("scale"), st.sampled_from([1, 2, 3, 2 ** 30])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nums=st.lists(st.integers(-50, 50), max_size=6),
+       den=st.sampled_from([1, 2, 6, 7]),
+       steps=st.lists(_STEPS, max_size=10), data=st.data())
+@example(nums=[], den=1,
+         steps=[("append_zero", None), ("set_last", 3), ("scale", 2 ** 30),
+                ("append_zero", None), ("set_last", -5), ("scale", 1)],
+         data=None)
+def test_derivatives_store_stays_in_step(nums, den, steps, data):
+    """Sequences read before and between random append_zero / set_last /
+    scale steps equal, entry by entry, those of a fresh Derivatives of
+    the state after each step; derivs[p] is falling_weight(j, p) *
+    nums[j + p] and derivs[-1] is den, 0, 0, ..., as long as nums."""
+    derivs = Derivatives(nums, den)
+    read = [-1, 2, ((1, -1, 2), (0, 1, -1)), ((2, 0, 3), (3, -1, 1))]
+    for step in [None] + steps:
+        if step is not None:
+            name, arg = step
+            if name == "append_zero":
+                derivs.append_zero()
+            elif derivs.nums:
+                getattr(derivs, name)(arg)
+        if data is not None:
+            read += data.draw(st.lists(_KEYS, max_size=3))
+        for key in read:
+            derivs[key]
+        note(f"nums={derivs.nums} den={derivs.den}")
+        fresh = Derivatives(derivs.nums, derivs.den)
+        for key in read:
+            assert derivs[key] == fresh[key], key
+        size = len(derivs.nums)
+        assert derivs[-1] == ([derivs.den] + [0] * (size - 1))[:size]
+        for p in range(4):
+            assert derivs[p] == [falling_weight(j, p) * derivs.nums[j + p]
+                                 for j in range(size - p)]
+
+
 def _monomial(p, q):
     """monomial_of_orders, plus the constant monomial for (-1, -1)."""
     if (p, q) == (-1, -1):
@@ -240,6 +290,37 @@ def test_equation_merges_and_sorts_terms():
 def test_equation_rejects_empty():
     with pytest.raises(ValueError):
         QuadEquation([(0, monomial_of_orders(0, -1), 0)])
+
+
+@pytest.mark.parametrize("s,coeff,message", [
+    (0, 0.1, "term 1: coefficient must be an int or a Fraction, not float"),
+    (0, True, "term 1: coefficient must be an int or a Fraction, not bool"),
+    (0, "1/3", "term 1: coefficient must be an int or a Fraction, not str"),
+    (1.0, 1, "term 1: z-power must be an int, not float"),
+    (True, 1, "term 1: z-power must be an int, not bool"),
+])
+def test_equation_rejects_coerced_terms(s, coeff, message):
+    """A float, bool or string coefficient and a float or bool z-power
+    raise TypeError naming the term; nothing is coerced."""
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        QuadEquation([(0, monomial_of_orders(1, -1), 1),
+                      (s, monomial_of_orders(0, -1), coeff)])
+
+
+def test_equation_takes_ints_and_fractions_and_reloads():
+    """int and Fraction coefficients are kept exactly, and the JSON of a
+    library-built equation reads back to the same equation."""
+    eq = QuadEquation([(2, monomial_of_orders(1, 0), 3),
+                       (0, monomial_of_orders(2, -1), Fraction(-1, 3)),
+                       (1, monomial_of_orders(0, -1), Fraction(4))])
+    assert [(s, c) for s, _, c in eq.terms] == [
+        (1, 4), (2, 3), (0, Fraction(-1, 3))]
+    assert all(type(c) is Fraction for _, _, c in eq.terms)
+    assert eq.coeff_den == 3
+    assert [c for _, _, c in eq.int_terms] == [12, 9, -1]
+    assert equation_from_json(equation_to_json(eq)) == eq
+    assert equation_from_json(equation_to_json(eq.rescaled(7))) == \
+        eq.rescaled(7)
 
 
 def test_equation_json_roundtrip():
