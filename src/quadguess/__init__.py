@@ -2,18 +2,18 @@
 quadratic recurrences from a finite prefix of an exact rational sequence,
 and extend sequences from such equations."""
 
-from quadguess.equations import (QuadEquation, equation_from_json,
-                                 equation_from_obj, equation_to_json,
-                                 equation_to_obj, render_latex, render_text)
+from quadguess.equations import (QuadEquation, QuadMonomial,
+                                 equation_from_json, equation_from_obj,
+                                 equation_to_json, equation_to_obj,
+                                 monomial_of_orders, render_latex,
+                                 render_text)
 from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
                               PrefixFormatError, QuadGuessError)
-from quadguess.exact import falling_weight, format_rational, parse_rational
-from quadguess.guessing import GuessConfig, GuessResult, guess, normalize
-from quadguess.monomials import (QuadMonomial, index_of_pair,
-                                 monomial_of_index, monomial_of_orders, nu)
+from quadguess.exact import format_rational, parse_rational
+from quadguess.guessing import GuessConfig, GuessResult, guess
 from quadguess.prefix import (SequencePrefix, dump_prefix, load_prefix,
                               parse_prefix_text)
 from quadguess.sequences import (ORACLES, CheckReport, check, extend,

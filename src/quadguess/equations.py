@@ -22,10 +22,11 @@ den * G_q[n - s0].  Every step is a ring operation, so the same evaluator
 on nums and den reduced mod P gives the rows mod P.
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
-with p >= q >= -1 (not both -1).
+with p >= q >= -1; p = q = -1 is the constant term.
 """
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -33,7 +34,28 @@ from quadguess.errors import EquationFormatError
 from quadguess.exact import (as_rational, clear_denominators,
                              falling_weight, format_rational, parse_int,
                              parse_rational)
-from quadguess.monomials import monomial_of_orders
+
+
+@dataclass(frozen=True, order=True)
+class QuadMonomial:
+    """The product f^(p) * f^(q) of two derivatives of the unknown series,
+    for ints (not bools) p >= q >= -1, where order -1 is the constant
+    factor 1: (0, -1) is f and (-1, -1) the constant 1.  Anything else
+    raises ValueError.  Monomials order lexicographically by (p, q)."""
+
+    p: int
+    q: int
+
+    def __post_init__(self):
+        if not (type(self.p) is type(self.q) is int
+                and self.p >= self.q >= -1):
+            raise ValueError(f"orders must be ints with p >= q >= -1, "
+                             f"not ({self.p!r}, {self.q!r})")
+
+
+def monomial_of_orders(p, q):
+    """The QuadMonomial of derivative orders p and q, in either order."""
+    return QuadMonomial(p, q) if p >= q else QuadMonomial(q, p)
 
 
 class Derivatives:
@@ -121,9 +143,10 @@ def term_numerator(derivs, m, p, q):
 
 class QuadEquation:
     """Sum of terms coeff * z^s * f^(p) * f^(q), coefficients exact and
-    nonzero, terms sorted by (monomial index, z-power).  Terms are given as
-    (s, monomial, coeff), s an int and coeff an int or a Fraction (not a
-    bool; anything else raises TypeError naming its position).
+    nonzero, terms sorted by (p, q, z-power).  Terms are given as
+    (s, monomial, coeff): s an int, monomial a QuadMonomial and coeff an
+    int or a Fraction (not a bool; anything else raises TypeError naming
+    its position).
     `coeff_den` is the lcm of the coefficients' denominators, and
     `int_terms` holds the terms with their coefficients times it, as ints.
     `groups` factors int_terms by lower order: one
@@ -134,21 +157,20 @@ class QuadEquation:
 
     def __init__(self, terms):
         merged = {}
-        monos = {}
         for pos, (s, mono, coeff) in enumerate(terms):
             if type(s) is not int:
                 raise TypeError(f"term {pos}: z-power must be an int, "
                                 f"not {type(s).__name__}")
             if s < 0:
                 raise ValueError("z-power must be >= 0")
-            key = (mono.index, s)
+            if type(mono) is not QuadMonomial:
+                raise TypeError(f"term {pos}: monomial must be a "
+                                f"QuadMonomial, not {type(mono).__name__}")
+            key = (mono, s)
             merged[key] = merged.get(key, 0) + as_rational(
                 coeff, "term {}: coefficient", pos)
-            monos[key] = mono
-        cleaned = []
-        for key in sorted(merged):
-            if merged[key] != 0:
-                cleaned.append((key[1], monos[key], merged[key]))
+        cleaned = [(s, mono, c) for (mono, s), c in sorted(merged.items())
+                   if c != 0]
         if not cleaned:
             raise ValueError("an equation needs at least one nonzero term")
         self.terms = tuple(cleaned)
@@ -174,10 +196,10 @@ class QuadEquation:
 
     @property
     def max_shift(self):
-        """max over terms of (max(p, q, 0) - s): row n reads prefix indices
+        """max over terms of (max(p, 0) - s): row n reads prefix indices
         up to n + max_shift, and row n introduces term n + max_shift when
         extending."""
-        return max(t[1].max_order - t[0] for t in self.terms)
+        return max(max(mono.p, 0) - s for s, mono, _ in self.terms)
 
     def row_numerator(self, derivs, n):
         """Row n times coeff_den * den**2 on the sequence derivs.nums /
@@ -203,14 +225,15 @@ class QuadEquation:
 
     def rescaled(self, lam):
         """Equation satisfied by b_n = a_n * lam^n whenever self is
-        satisfied by a_n: each coefficient picks up lam^(s - p - max(q,0)).
+        satisfied by a_n: each coefficient picks up
+        lam^(s - max(p, 0) - max(q, 0)), as f^(-1) = 1 does not scale.
         lam is a nonzero int or Fraction."""
         lam = as_rational(lam, "rescale factor")
         if lam == 0:
             raise ValueError("rescale factor must be nonzero")
         out = []
         for s, mono, coeff in self.terms:
-            exp = s - mono.p - max(mono.q, 0)
+            exp = s - max(mono.p, 0) - max(mono.q, 0)
             out.append((s, mono, coeff * lam ** exp))
         return QuadEquation(out)
 
@@ -244,10 +267,10 @@ def equation_from_obj(obj):
                     f"not {value!r}")
         if s < 0:
             raise EquationFormatError(f"term {pos}: z-power must be >= 0")
-        if not (p >= q >= -1) or (p, q) == (-1, -1):
-            raise EquationFormatError(
-                f"term {pos}: orders must satisfy p >= q >= -1, not both -1")
-        terms.append((s, monomial_of_orders(p, q), coeff))
+        try:
+            terms.append((s, QuadMonomial(p, q), coeff))
+        except ValueError as exc:
+            raise EquationFormatError(f"term {pos}: {exc}") from exc
     try:
         return QuadEquation(terms)
     except ValueError as exc:
@@ -263,7 +286,7 @@ def equation_from_json(text):
 
 
 # ---------------------------------------------------------------------------
-# Rendering, in text or LaTeX, highest (monomial index, z-power) term first.
+# Rendering, in text or LaTeX, highest (p, q, z-power) term first.
 # Term z^s * f^(p) * f^(q) has recurrence row n (a(t) = 0 for t < 0):
 #   linear (q = -1)  (n-s+1)...(n-s+p) * a(n-s+p)
 #   product          Sum_{k=0..n-s} (k+1)...(k+p) * (n-s-k+1)...(n-s-k+q)

@@ -2,8 +2,9 @@
 
 For growing ansatz size d, form the homogeneous linear system whose
 unknowns are the coefficients c_{k,i} of (c_{k,0} + ... + c_{k,m} z^m)
-applied to monomial slot k+2, with one row per recurrence row the prefix
-determines, and return its nullspace basis as normalized equations.
+applied to monomial slot k (`slot`), with one row per recurrence row the
+prefix determines, and return its nullspace basis as normalized
+equations.
 
 The stacked matrix contains every row the prefix can support: the first
 (m+1)(d+1) rows determine the unknowns and the remaining rows are held-out
@@ -32,14 +33,13 @@ like the rows mod P.
 import json
 from dataclasses import dataclass
 from functools import cache
-from math import ceil
+from math import ceil, isqrt
 
-from quadguess.equations import (Derivatives, QuadEquation,
+from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
                                  equation_from_obj, equation_to_obj)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import (P, ColumnEchelon, modular_nullspace,
                              normalize_vector, pack, slot_bits)
-from quadguess.monomials import max_derivative_order, monomial_of_index
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,16 @@ class GuessConfig:
                              f"d_start = {self.d_start}")
 
 
+def slot(k):
+    """The monomial of slot k >= 0: the slots run through the pairs
+    p >= q >= -1 but the constant in lexicographic order, f, f^2, f', f'f,
+    (f')^2, f'', ..., so slot k is (p, k - (p + 1)(p + 2)/2) for
+    p = (isqrt(8k + 9) - 3) // 2, and p never decreases with k.  Slot -1
+    is the constant."""
+    p = (isqrt(8 * k + 9) - 3) // 2
+    return QuadMonomial(p, k - (p + 1) * (p + 2) // 2)
+
+
 def column_order(d, m):
     """Unknown ids (k, i) in k-major order; the system's column order."""
     return [(k, i) for k in range(d + 1) for i in range(m + 1)]
@@ -79,7 +89,7 @@ def column_order(d, m):
 class _SlotRows:
     """Recurrence-row residues mod a prime p of the monomial slots on
     nums / den: `slot(k, count)` packs (`exact.pack`) rows 0 .. count - 1
-    of slot k+2, its z^n coefficients times den**2, below count * p**2:
+    of slot k, its z^n coefficients times den**2, below count * p**2:
     the low count slots (carries only move up) of one product of its two
     derivative sequences mod p, each packed once; f^(-1) packs to den.
     It is kept for every d of a search."""
@@ -98,10 +108,10 @@ class _SlotRows:
         return self.orders[order]
 
     def slot(self, k, count):
-        """Rows 0 .. count - 1 (or more) of slot k+2, packed."""
+        """Rows 0 .. count - 1 (or more) of slot k, packed."""
         have, packed = self.kept.get(k, (0, 0))
         if have < count:
-            mono = monomial_of_index(k + 2)
+            mono = slot(k)
             packed = (self._packed(mono.p) * self._packed(mono.q)
                       & (1 << self.bits * count) - 1)
             self.kept[k] = count, packed
@@ -109,7 +119,7 @@ class _SlotRows:
 
     def rows(self, d, m, count):
         """A function from n < count to row n of the size-d system: entry
-        (k, i) is row n - i of slot k+2 (0 for n < i), in column_order."""
+        (k, i) is row n - i of slot k (0 for n < i), in column_order."""
         bits, slots = self.bits, [self.slot(k, count) for k in range(d + 1)]
         entry = (1 << bits) - 1
         return lambda n: [packed >> bits * (n - i) & entry if n >= i else 0
@@ -118,14 +128,15 @@ class _SlotRows:
 
 def _usable_rows(prefix, d):
     """How many rows of the size-d system the prefix determines: row n
-    reads indices up to n + r(d), r(d) the largest derivative order."""
-    return max(0, prefix.last_index - max_derivative_order(d) + 1)
+    reads indices up to n + r(d), r(d) = slot(d).p the largest derivative
+    order of slots 0 .. d."""
+    return max(0, prefix.last_index - slot(d).p + 1)
 
 
 def normalize(vector, d, m):
     """Turn a nonzero solution vector (ints and Fractions) into a
     QuadEquation: drop zeros, clear denominators, divide by the content,
-    and make the coefficient of the highest (monomial index, z-power) term
+    and make the coefficient of the highest (p, q, z-power) term
     positive."""
     ints = normalize_vector(vector)
     if not any(ints):
@@ -133,8 +144,8 @@ def normalize(vector, d, m):
     terms = []
     for (k, i), coeff in zip(column_order(d, m), ints):
         if coeff != 0:
-            terms.append((i, monomial_of_index(k + 2), coeff))
-    if terms[-1][2] < 0:  # column order == (monomial index, z-power) order
+            terms.append((i, slot(k), coeff))
+    if terms[-1][2] < 0:  # column order == (p, q, z-power) order
         terms = [(s, mono, -c) for s, mono, c in terms]
     return QuadEquation(terms)
 

@@ -250,7 +250,10 @@ ORACLES = {
 
 
 def oracle_sequence(name, count):
-    """First `count` terms of a named reference sequence."""
+    """First `count` terms of a named reference sequence.  Raises TypeError
+    when `count` is not an int and ValueError when it is below 1."""
+    if type(count) is not int:  # rejects bools and floats
+        raise TypeError(f"count must be an int, not {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     try:

@@ -3,6 +3,8 @@ import sys
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadguess.cli import main
 from quadguess.equations import equation_to_json
@@ -199,6 +201,25 @@ def test_equation_file_validation(tmp_path, zigzag_file, capsys):
     path.write_text('{"terms": "no"}')
     assert main(["check", "--equation", str(path),
                  "--input", zigzag_file]) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(-3, 12), gap=st.integers(1, 2 ** 70))
+@example(q=0, gap=1)
+@example(q=-1, gap=1)       # p = -2, q = -1
+def test_equation_file_with_p_below_q_is_usage_error(tmp_path_factory, q,
+                                                     gap):
+    """A term with p < q in an equation file exits 2, for check and
+    extend alike."""
+    path = tmp_path_factory.mktemp("eq") / "eq.json"
+    path.write_text(json.dumps({"terms": [
+        {"s": 0, "p": 1, "q": -1, "c": "1"},
+        {"s": 1, "p": q - gap, "q": q, "c": "-2/3"}]}))
+    seq = path.parent / "seq.txt"
+    seq.write_text("1\n1\n1\n")
+    for command in (["check"], ["extend", "--count", "2"]):
+        assert main([*command, "--equation", str(path),
+                     "--input", str(seq)]) == 2
 
 
 def test_json_prefix_input(tmp_path, capsys):

@@ -4,18 +4,18 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, note, settings
+from hypothesis import HealthCheck, assume, example, given, note, settings
 from hypothesis import strategies as st
 
-from quadguess.equations import (Derivatives, QuadEquation,
+from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
                                  equation_from_json, equation_to_json,
-                                 render_latex, render_text, term_numerator)
+                                 monomial_of_orders, render_latex,
+                                 render_text, term_numerator)
 from quadguess.errors import EquationFormatError
 from quadguess.exact import falling_weight
-from quadguess.monomials import (QuadMonomial, monomial_of_index,
-                                 monomial_of_orders)
+from quadguess.guessing import guess, normalize
 from quadguess.prefix import SequencePrefix
-from quadguess.sequences import oracle_sequence
+from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import row_bruteforce, term_coeff_bruteforce
 
 
@@ -82,7 +82,7 @@ def test_compile_term_below_shift_is_zero():
 
 def test_compile_term_constant_monomial():
     prefix = _random_prefix(random.Random(5), 6)
-    mono = QuadMonomial(index=1, p=-1, q=-1)
+    mono = QuadMonomial(-1, -1)
     value, scale = _term_row(prefix, 2, mono, 2)
     assert value == 1 * scale
     assert _term_row(prefix, 2, mono, 3)[0] == 0
@@ -108,7 +108,7 @@ def test_compiler_vs_series_oracle():
             continue
         mono = monomial_of_orders(p, q)
         for n in range(0, 13):
-            if n - s + mono.max_order > prefix.last_index:
+            if n - s + max(p, 0) > prefix.last_index:
                 break
             value, scale = _term_row(prefix, s, mono, n)
             assert value == term_coeff_bruteforce(
@@ -139,7 +139,7 @@ def test_row_locality():
         mono = monomial_of_orders(p, q)
         n = rng.randint(s, 8)
         top = n + QuadEquation([(s, mono, 1)]).max_shift
-        assert top == n - s + mono.max_order
+        assert top == n - s + p
         base = _random_prefix(rng, top + 3)
         altered = SequencePrefix(list(base)[:top + 1] +
                                  [v + 1 for v in list(base)[top + 1:]])
@@ -196,13 +196,6 @@ def test_derivatives_store_stays_in_step(nums, den, steps, data):
                                  for j in range(size - p)]
 
 
-def _monomial(p, q):
-    """monomial_of_orders, plus the constant monomial for (-1, -1)."""
-    if (p, q) == (-1, -1):
-        return QuadMonomial(index=1, p=-1, q=-1)
-    return monomial_of_orders(p, q)
-
-
 # (s, p, q, c): few lower orders q, so that products share them; p = q
 # gives squares, q = -1 linear terms and p = q = -1 the constant 1
 _TERMS = st.tuples(st.integers(0, 3), st.integers(-1, 2)).flatmap(
@@ -232,7 +225,8 @@ def test_row_numerator_matches_bruteforce(terms, values):
     series arithmetic, for every row the prefix determines, all read from
     one Derivatives."""
     try:
-        eq = QuadEquation([(s, _monomial(p, q), c) for s, p, q, c in terms])
+        eq = QuadEquation([(s, QuadMonomial(p, q), c)
+                           for s, p, q, c in terms])
     except ValueError:  # every coefficient cancelled
         assume(False)
     prefix = SequencePrefix(values)
@@ -284,7 +278,7 @@ def test_equation_merges_and_sorts_terms():
         (0, monomial_of_orders(1, 0), -3),
     ])
     assert len(eq.terms) == 1
-    assert eq.terms[0][1].index == 7
+    assert eq.terms[0][1] == QuadMonomial(2, -1)
 
 
 def test_equation_rejects_empty():
@@ -338,12 +332,109 @@ def test_equation_json_roundtrip():
 def test_equation_json_validation():
     with pytest.raises(EquationFormatError):
         equation_from_json('{"terms": []}')
-    with pytest.raises(EquationFormatError):
-        equation_from_json('{"terms": [{"s": 0, "p": -1, "q": -1, "c": "1"}]}')
+    for p, q in ((0, 1), (-1, 0), (2, -2), (-2, -2)):
+        with pytest.raises(EquationFormatError, match="^term 0: orders"):
+            equation_from_json(json.dumps(
+                {"terms": [{"s": 0, "p": p, "q": q, "c": "1"}]}))
     with pytest.raises(EquationFormatError):
         equation_from_json('{"terms": [{"s": -1, "p": 0, "q": -1, "c": "1"}]}')
     with pytest.raises(EquationFormatError):
         equation_from_json('not json')
+    # p = q = -1 is the constant term
+    constant = equation_from_json(
+        '{"terms": [{"s": 2, "p": -1, "q": -1, "c": "1"}]}')
+    assert constant.terms == ((2, QuadMonomial(-1, -1), 1),)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=st.one_of(st.integers(), st.booleans(), st.floats(), st.none()),
+       q=st.one_of(st.integers(), st.booleans(), st.floats(), st.none()))
+@example(p=-1, q=-1)
+@example(p=True, q=False)
+@example(p=1.0, q=0)
+@example(p=0, q=1)
+def test_monomial_raises_iff_orders_are_not_ordered_ints(p, q):
+    """QuadMonomial(p, q) is built iff p and q are ints, not bools, with
+    p >= q >= -1; otherwise it raises ValueError."""
+    if type(p) is int and type(q) is int and p >= q >= -1:
+        mono = QuadMonomial(p, q)
+        assert (mono.p, mono.q) == (p, q)
+    else:
+        with pytest.raises(ValueError, match="^orders must be ints"):
+            QuadMonomial(p, q)
+
+
+def test_equation_rejects_a_monomial_of_another_type():
+    with pytest.raises(TypeError, match="^term 1: monomial must be a "
+                                        "QuadMonomial, not tuple$"):
+        QuadEquation([(0, QuadMonomial(1, -1), 1), (0, (0, -1), 1)])
+
+
+def _reloads(eq):
+    """Whether eq's JSON reads back to eq."""
+    return equation_from_json(equation_to_json(eq)) == eq
+
+
+# up to 5 000-digit numerators and denominators, past the int/str limit
+_COEFFS = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                    st.integers(1, 10 ** 6))
+# (s, p, q, c) with p >= q >= -1, the constant (-1, -1) included
+_ANY_TERMS = st.tuples(st.integers(0, 4), st.integers(-1, 5)).flatmap(
+    lambda sp: st.tuples(st.just(sp[0]), st.just(sp[1]),
+                         st.integers(-1, max(sp[1], -1)), _COEFFS))
+_FACTORS = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                     st.integers(1, 10 ** 30))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(terms=st.lists(_ANY_TERMS, min_size=1, max_size=6),
+       digits=st.sampled_from([0, 20, 3000, 4400, 5000]), lam=_FACTORS)
+@example(terms=[(0, -1, -1, Fraction(1)), (0, 0, -1, Fraction(-1))],
+         digits=0, lam=Fraction(2))
+@example(terms=[(1, -1, -1, Fraction(-1, 3)), (0, 2, 1, Fraction(7, 9))],
+         digits=5000, lam=Fraction(-2, 3))
+def test_library_equations_reload(default_digit_limit, terms, digits, lam):
+    """Every equation the library builds reads back from its own JSON as
+    an equal equation: from random terms (the constant 1 included, and
+    every other coefficient's numerator or denominator times
+    10**digits + 1, up to 5 001 digits), rescaled, and normalized from its
+    vector."""
+    big = 10 ** digits + 1
+    try:
+        eq = QuadEquation([(s, QuadMonomial(p, q), c / big if pos % 2
+                            else c * big)
+                           for pos, (s, p, q, c) in enumerate(terms)])
+    except ValueError:  # every coefficient cancelled
+        assume(False)
+    assert _reloads(eq)
+    assert _reloads(eq.rescaled(lam))
+    if all(mono.p >= 0 for _, mono, _ in eq.terms):
+        # the vector of eq in the (k, i) columns of guess's system
+        slots = [(mono.p + 1) * (mono.p + 2) // 2 + mono.q
+                 for _, mono, _ in eq.terms]
+        d, m = max(slots), max(s for s, _, _ in eq.terms)
+        vec = [0] * ((d + 1) * (m + 1))
+        for k, (s, _, c) in zip(slots, eq.terms):
+            vec[k * (m + 1) + s] = c
+        normalized = normalize(vec, d, m)
+        assert _reloads(normalized)
+        ratio = normalized.terms[0][2] / eq.terms[0][2]
+        assert normalized == QuadEquation([(s, mono, c * ratio)
+                                           for s, mono, c in eq.terms])
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLES)), count=st.integers(26, 40),
+       lam=st.sampled_from([1, Fraction(2, 5), Fraction(-3, 7)]))
+def test_guessed_equations_reload(name, count, lam):
+    """Every equation guess emits, on oracle prefixes rescaled by lam^n,
+    reads back from its own JSON as an equal equation."""
+    values = oracle_sequence(name, count).values
+    result = guess(SequencePrefix([v * lam ** n
+                                   for n, v in enumerate(values)]))
+    for eq in result.basis:
+        assert _reloads(eq)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -382,11 +473,10 @@ def test_render_latex_goldens():
 
 
 def _equation(*terms):
-    """Equation from (s, p, q, coeff) tuples; p = -1 is the constant 1."""
-    constant = QuadMonomial(index=1, p=-1, q=-1)
-    return QuadEquation([
-        (s, constant if p == -1 else monomial_of_orders(p, q), Fraction(c))
-        for s, p, q, c in terms])
+    """Equation from (s, p, q, coeff) tuples; p = q = -1 is the constant
+    1."""
+    return QuadEquation([(s, QuadMonomial(p, q), Fraction(c))
+                         for s, p, q, c in terms])
 
 
 RENDER_GOLDENS = [
@@ -550,18 +640,35 @@ def test_rendered_recurrence_evaluates_to_rows():
         checked += 1
 
 
+RESCALE_INPUTS = [
+    ZETA_EQ,
+    _equation((0, -1, -1, "1"), (0, 0, -1, "-1")),              # -y + 1
+    _equation((0, 1, -1, "1"), (2, -1, -1, "-3")),              # y' - 3z^2
+    _equation((2, -1, -1, "-3/4"), (1, 2, 2, "1"), (0, 1, 0, "2")),
+]
+
+
 def test_rescaled_equation_roundtrip():
-    """eq annihilates a_n iff eq.rescaled(lam) annihilates lam^n a_n."""
+    """eq annihilates a_n iff eq.rescaled(lam) annihilates lam^n a_n: row
+    n picks up lam^n, on equations with constant terms too.  So -y + 1
+    (f = 1) is its own rescaling, and y' - 3z^2 (f = z^3) rescaled passes
+    check on lam^n a_n."""
     lam = Fraction(3, 2)
     rng = random.Random(43)
     prefix = _random_prefix(rng, 12)
     scaled = SequencePrefix([v * lam ** n for n, v in enumerate(prefix)])
-    eq = ZETA_EQ
-    eq_scaled = eq.rescaled(lam)
-    for n in range(0, 10):
-        assert eq_scaled.row_value(scaled, n) == \
-            lam ** n * eq.row_value(prefix, n)
-    assert eq_scaled.rescaled(1 / lam) == eq
+    for eq in RESCALE_INPUTS:
+        eq_scaled = eq.rescaled(lam)
+        for n in range(prefix.last_index - eq.max_shift + 1):
+            assert eq_scaled.row_value(scaled, n) == \
+                lam ** n * eq.row_value(prefix, n), (eq, n)
+        assert eq_scaled.rescaled(1 / lam) == eq
+    one, cube = RESCALE_INPUTS[1:3]
+    assert one.rescaled(2) == one
+    cubes = [0, 0, 0, 1, 0, 0, 0, 0]
+    assert check(cube, SequencePrefix(cubes)).passed
+    assert check(cube.rescaled(lam), SequencePrefix(
+        [v * lam ** n for n, v in enumerate(cubes)])).passed
 
 
 def test_equation_json_past_the_digit_limit(default_digit_limit):

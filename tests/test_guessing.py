@@ -8,14 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadguess import exact, guessing
-from quadguess.equations import (Derivatives, QuadEquation, render_text,
+from quadguess.equations import (Derivatives, QuadEquation,
+                                 monomial_of_orders, render_text,
                                  term_numerator)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import P
 from quadguess.guessing import (GuessConfig, GuessResult, _SlotRows,
                                 _usable_rows, _Verifier, column_order, guess,
-                                normalize)
-from quadguess.monomials import monomial_of_index, monomial_of_orders
+                                normalize, slot)
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import (bareiss_nullspace, equation_vector, in_span,
@@ -29,12 +29,12 @@ def _exact_slots(prefix):
 
 def _exact_system(prefix, d, m, slots=None):
     """(matrix, usable): rows 0 .. usable - 1 of the size-d system on the
-    prefix, entry (k, i) of row n the term_numerator of slot k+2 at row
+    prefix, entry (k, i) of row n the term_numerator of slot k at row
     n - i, read from `slots` (one `_exact_slots(prefix)` reused across d,
     or a fresh one)."""
     slots = _exact_slots(prefix) if slots is None else slots
     usable = _usable_rows(prefix, d)
-    monos = [monomial_of_index(k + 2) for k in range(d + 1)]
+    monos = [slot(k) for k in range(d + 1)]
     return [[term_numerator(slots, n - i, mono.p, mono.q)
              for mono in monos for i in range(m + 1)]
             for n in range(usable)], usable
@@ -70,7 +70,7 @@ def _reference_matrix(prefix, d, m, usable):
     for n in range(usable):
         row = []
         for k, i in column_order(d, m):
-            mono = monomial_of_index(k + 2)
+            mono = slot(k)
             row.append(term_coeff_bruteforce(a, i, mono.p, mono.q, n)
                        * den**2)
         matrix.append(row)
@@ -99,7 +99,7 @@ _SLOT_PRIMES = (P, 2**89 - 1, 65537, 3)
 def _slot_cases(draw):
     """(nums, den, p, k, counts): a sequence nums / den (random, all zero
     or, the slot-bound maximum, all p - 1 with den = p - 1), a prime of
-    _SLOT_PRIMES, a monomial slot k+2 that reads at least one row, linear
+    _SLOT_PRIMES, a monomial slot k that reads at least one row, linear
     (q = -1) or a product, and the row counts read from it in turn."""
     p = draw(st.sampled_from(_SLOT_PRIMES))
     size = draw(st.integers(1, 24))
@@ -111,7 +111,7 @@ def _slot_cases(draw):
     else:
         nums, den = [0 if kind == "zero" else p - 1] * size, p - 1
     k = draw(st.integers(0, 20))
-    rows = size - monomial_of_index(k + 2).p
+    rows = size - slot(k).p
     assume(rows > 0)
     counts = draw(st.lists(st.integers(1, rows), min_size=1, max_size=4))
     return nums, den, p, k, counts
@@ -129,7 +129,7 @@ def test_packed_slot_rows_match_term_numerator(case):
     packing) and before a larger count packs it again; every slot is below
     count * p**2 for the count that packed it."""
     nums, den, p, k, counts = case
-    mono = monomial_of_index(k + 2)
+    mono = slot(k)
     derivs = Derivatives(nums, den)
     bits = exact.slot_bits(max(counts), p)
     slots = _SlotRows(nums, den, p, bits)
@@ -310,7 +310,7 @@ def _bruteforce_rows(values, d, m, count):
     arithmetic on the terms."""
     return [[term_coeff_bruteforce(values, i, mono.p, mono.q, n)
              for k, i in column_order(d, m)
-             for mono in [monomial_of_index(k + 2)]]
+             for mono in [slot(k)]]
             for n in range(count)]
 
 

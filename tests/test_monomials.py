@@ -1,65 +1,40 @@
 import pytest
 
-from quadguess.monomials import (index_of_pair, max_derivative_order,
-                                 monomial_of_index, monomial_of_orders, nu)
+from quadguess.equations import QuadMonomial, monomial_of_orders
+from quadguess.guessing import slot
 
 
-def test_nu_examples():
-    assert nu(1) == (1, 1)
-    assert nu(2) == (2, 1)
-    assert nu(6) == (3, 3)
-    assert nu(7) == (4, 1)
-
-
-def test_nu_rejects_small_index():
-    with pytest.raises(ValueError):
-        nu(0)
-
-
-def test_index_of_pair_examples():
-    assert index_of_pair(1, 1) == 1
-    assert index_of_pair(3, 2) == 5
-    assert index_of_pair(4, 2) == 8
-    with pytest.raises(ValueError):
-        index_of_pair(2, 3)
-    with pytest.raises(ValueError):
-        index_of_pair(2, 0)
-
-
-def test_nu_bijection_first_500():
-    seen = set()
-    for k in range(1, 501):
-        i, j = nu(k)
-        assert i >= j >= 1
-        assert index_of_pair(i, j) == k
-        assert (i, j) not in seen
-        seen.add((i, j))
+def test_slot_bijection_first_500():
+    """slot(k) for k < 500 is each pair p >= q >= -1 but the constant
+    once, in lexicographic order."""
+    pairs = sorted((p, q) for p in range(32) for q in range(-1, p + 1))
+    assert [(slot(k).p, slot(k).q) for k in range(500)] == pairs[:500]
+    assert slot(-1) == QuadMonomial(-1, -1)
 
 
 def test_monomial_table():
-    # slots 2..10: f, f^2, f', f'f, (f')^2, f'', f''f, f''f', (f'')^2
+    # slots 0..8: f, f^2, f', f'f, (f')^2, f'', f''f, f''f', (f'')^2
     expected = [(0, -1), (0, 0), (1, -1), (1, 0), (1, 1),
                 (2, -1), (2, 0), (2, 1), (2, 2)]
-    got = [(monomial_of_index(k).p, monomial_of_index(k).q)
-           for k in range(2, 11)]
+    got = [(slot(k).p, slot(k).q) for k in range(9)]
     assert got == expected
-    with pytest.raises(ValueError):
-        monomial_of_index(1)
 
 
 def test_monomial_of_orders_roundtrip():
-    for k in range(2, 60):
-        mono = monomial_of_index(k)
+    for k in range(60):
+        mono = slot(k)
         assert monomial_of_orders(mono.p, mono.q) == mono
         assert monomial_of_orders(mono.q, mono.p) == mono  # order-insensitive
+    assert monomial_of_orders(-1, -1) == QuadMonomial(-1, -1)
     with pytest.raises(ValueError):
-        monomial_of_orders(-1, -1)
+        monomial_of_orders(0, -2)
 
 
 def test_max_derivative_order():
-    assert max_derivative_order(5) == 2  # slot 7 is f''
-    assert max_derivative_order(1) == 0
-    assert max_derivative_order(2) == 1
+    """slot(d).p, the rows a size-d system reads ahead, is the largest
+    derivative order among slots 0 .. d."""
+    assert slot(5).p == 2  # slot 5 is f''
+    assert slot(1).p == 0
+    assert slot(2).p == 1
     for d in range(1, 30):
-        assert max_derivative_order(d) == max(
-            monomial_of_index(k).p for k in range(2, d + 3))
+        assert slot(d).p == max(slot(k).p for k in range(d + 1))

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadguess.equations import QuadEquation
+from quadguess.equations import QuadEquation, monomial_of_orders
 from quadguess.errors import PrefixFormatError
-from quadguess.monomials import monomial_of_orders
 from quadguess.prefix import SequencePrefix, dump_prefix, parse_prefix_text
 from quadguess.sequences import oracle_sequence
 

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadguess.equations import QuadEquation
+from quadguess.equations import QuadEquation, monomial_of_orders
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
                               QuadGuessError)
-from quadguess.guessing import GuessConfig, guess
-from quadguess.monomials import (QuadMonomial, monomial_of_index,
-                                 monomial_of_orders)
+from quadguess.guessing import GuessConfig, guess, slot
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, extend, oracle_sequence
 from util_exact import (bernoulli_numbers, check_bruteforce,
@@ -103,6 +101,14 @@ def test_oracle_unknown_name():
         oracle_sequence("fibonacci", 5)
     with pytest.raises(ValueError):
         oracle_sequence("exp", 0)
+
+
+@pytest.mark.parametrize("count", [True, 3.0, "3", None])
+def test_oracle_count_must_be_an_int(count):
+    """A bool, float, string or None count raises TypeError, as extend's
+    does, instead of being taken as 1 or failing inside a generator."""
+    with pytest.raises(TypeError, match="^count must be an int, not "):
+        oracle_sequence("exp", count)
 
 
 def test_check_zeta_first_terms():
@@ -239,15 +245,9 @@ def test_extend_matches_bruteforce_reference(terms, initial, count):
         == expected
 
 
-def _monomial_of_index(k):
-    """monomial_of_index, plus the constant monomial for k = 1."""
-    if k == 1:
-        return QuadMonomial(index=1, p=-1, q=-1)
-    return monomial_of_index(k)
-
-
-# (s, K, c): z-power 0 .. 4 and monomial index 2 .. 16 (orders up to 4),
-# or 1 for the constant 1; z-powers above the orders give negative shifts
+# (s, K, c): z-power 0 .. 4 and monomial slot(K - 2) for K = 2 .. 16
+# (orders up to 4), or the constant 1 (slot -1) for K = 1; z-powers above
+# the orders give negative shifts
 _INDEX_TERMS = st.tuples(st.integers(0, 4), st.integers(1, 16), _COEFFS)
 # denominators that rise and fall from term to term
 _TERM_VALUES = st.builds(Fraction, st.integers(-4, 4),
@@ -280,7 +280,7 @@ def test_check_walk_matches_bruteforce(terms, values, grow, perturb):
     `grow`, the prefix is first made consistent: its first max(shift, 1)
     terms are extended by the reference, when that succeeds."""
     try:
-        eq = QuadEquation([(s, _monomial_of_index(k), c)
+        eq = QuadEquation([(s, slot(k - 2), c)
                            for s, k, c in terms])
     except ValueError:  # every coefficient cancelled
         assume(False)
@@ -308,7 +308,7 @@ def test_extend_warm_up_failure_is_checks_report(terms, values, count):
     InconsistentInitialTermsError at check's first failing row with its
     residual; on terms that check passes it raises no such error."""
     try:
-        eq = QuadEquation([(s, _monomial_of_index(k), c)
+        eq = QuadEquation([(s, slot(k - 2), c)
                            for s, k, c in terms])
     except ValueError:
         assume(False)

@@ -263,7 +263,7 @@ def equation_vector(eq, d, m):
     """Coefficient vector of an equation in (k, i) column order."""
     vec = [Fraction(0)] * ((m + 1) * (d + 1))
     for s, mono, coeff in eq.terms:
-        k = mono.index - 2
+        k = (mono.p + 1) * (mono.p + 2) // 2 + mono.q   # slot(k) is mono
         assert 0 <= k <= d and 0 <= s <= m
         vec[k * (m + 1) + s] = coeff
     return vec
