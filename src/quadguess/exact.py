@@ -14,12 +14,13 @@ ranks the matrix modulo the Mersenne prime P = 2**61 - 1 with a
 fold reduces at once: full rank mod P proves a trivial nullspace over Q.
 The echelon grows by columns and shrinks by rows without re-eliminating,
 so `guess` keeps one per search and adds only the new columns of each
-ansatz size.  Otherwise Gaussian elimination mod P of the rows at the
-echelon's pivots gives the kernel mod P and rational reconstruction lifts
-each of its vectors.  When a vector does not lift or does not vanish, the
-loop climbs the Mersenne primes past P (2**89 - 1, 2**107 - 1, ...),
-reading all rows mod each; the kernels of the best profile, P's too, are
-combined by CRT until the lift checks, so results are exact and
+ansatz size.  Otherwise the echelon replays the multipliers it recorded
+while eliminating and so gives the kernel mod P itself, with no second
+elimination, and rational reconstruction lifts each of its vectors.
+Only when a vector does not lift or does not vanish are all rows read:
+the loop climbs the Mersenne primes past P (2**89 - 1, 2**107 - 1, ...),
+eliminating all rows mod each; the kernels of the best profile, P's too,
+are combined by CRT until the lift checks, so results are exact and
 reproducible byte for byte.
 """
 
@@ -132,19 +133,37 @@ def _fold(c, low, high):
     return (c & low) + (c >> 61 & high)
 
 
+def _reduce(c, low, high, ones):
+    """Every slot of c to its residue mod P in [0, P): two folds take a
+    slot of up to 176 bits (`slot_bits` of fewer than 2**54 rows) to
+    [0, 2P)."""
+    c = _fold(_fold(c, low, high), low, high)
+    return c - (c + ones >> 61 & ones) * P
+
+
+def _negated(c, f, low, high):
+    """P - c * f mod P in every slot, in [0, P], for slots of c in [0, P)
+    and 0 <= f < P."""
+    return low - _fold(_fold(c * f, low, high), low, high)
+
+
 class ColumnEchelon:
     """A column echelon mod P of an integer matrix that grows by columns
     and shrinks by rows.  A column is packed: slot n of `bits` bits holds
     row n (see `pack`), and `_fold` reduces every slot at once.
 
-    `basis` lists (pivot row, u) for the added columns that are independent
-    of the columns before them: u = P - t in every slot, for the column t
-    reduced against the earlier ones (zero above its pivot, 1 at it, 0 mod
-    P at every earlier pivot, slots in [0, P]), so eliminating adds f * u
-    and no slot borrows.  `rank` is the rank mod P of the current matrix,
-    so the matrix has full column rank mod P iff rank == width; its rows at
-    the pivots, restricted to those columns, form a submatrix nonsingular
-    mod P.
+    `basis` lists (column, pivot row, u) for the added columns that are
+    independent of the columns before them: u = P - t in every slot, for
+    the column t reduced against the earlier ones (zero above its pivot, 1
+    at it, 0 mod P at every earlier pivot, slots in [0, P]), so eliminating
+    adds f * u and no slot borrows.  A folded column plus at most `height`
+    such products stays below 2**bits in every slot (`slot_bits`), so an
+    added column is folded before and after its elimination, not between
+    its steps.  `rank` is the rank mod P of the current matrix, so the
+    matrix has full column rank mod P iff rank == width.  Every added
+    column also records the multipliers f of its elimination, keyed by
+    basis column, and its pivot inverse if it joined the basis: `kernel`
+    reads the kernel mod P off those records.
     """
 
     def __init__(self, height):
@@ -152,32 +171,32 @@ class ColumnEchelon:
         self._ones = pack([1] * height, self.bits)
         self.width = 0
         self.basis = []
+        self._steps = []       # per column: ([(basis column, f), ...], inv)
         self.cut(height)
 
     @property
     def rank(self):
         return len(self.basis)
 
-    def pivot_rows(self):
-        return sorted(pivot for pivot, _ in self.basis)
-
     def add(self, column):
         """Append a packed column of any representatives mod P (slots at
         or past `height` are ignored)."""
-        bits, ones, low, high = self.bits, self._ones, self._low, self._high
+        bits, low, high = self.bits, self._low, self._high
         slot = (1 << bits) - 1
         c = _fold(column, low, high)           # drops the cut rows
-        for pivot, u in self.basis:
+        steps, inv = [], None
+        for col, pivot, u in self.basis:
             f = (c >> bits * pivot & slot) % P
             if f:
-                c = _fold(c + f * u, low, high)
-        c = _fold(c, low, high)                # slots in [0, 2P)
-        c -= (c + ones >> 61 & ones) * P       # in [0, P)
+                c += f * u
+                steps.append((col, f))
+        c = _reduce(c, low, high, self._ones)
         if c:
             pivot = ((c & -c).bit_length() - 1) // bits
-            t = c * pow(c >> bits * pivot & slot, -1, P)
-            self.basis.append((pivot, low - _fold(_fold(t, low, high),
-                                                  low, high)))
+            inv = pow(c >> bits * pivot & slot, -1, P)
+            self.basis.append((self.width, pivot,
+                               _negated(c, inv, low, high)))
+        self._steps.append((steps, inv))
         self.width += 1
 
     def cut(self, height):
@@ -189,8 +208,51 @@ class ColumnEchelon:
         self._ones &= mask                     # 1 in every row's slot
         self._low = self._ones * P             # P, the low 61 bits
         self._high = self._ones * ((1 << bits - 61) - 1)
-        self.basis = [(pivot, u & mask)
-                      for pivot, u in self.basis if pivot < height]
+        self.basis = [(col, pivot, u & mask)
+                      for col, pivot, u in self.basis if pivot < height]
+
+    def kernel(self):
+        """(pivots, basis) of the current matrix mod P, as `_kernel_mod`
+        gives them: the basis columns, ascending, and for each other
+        column, in order, the kernel vector with 1 there and 0 at the
+        other free columns, entries in [0, P).
+
+        `add`'s records are replayed on packed vectors of `width` slots,
+        folded like the columns (fewer than `width` steps per vector):
+        column j's vector is v = e_j - sum f * x_i, so the columns that v
+        combines sum to column j reduced, and a basis column's x_j is v
+        times its pivot inverse.  A free column was dependent when added,
+        or a cut dropped its basis column (whose t is 0 on the kept rows),
+        so v is in the kernel, 1 at j and 0 past it; taking off the
+        earlier free vectors at their columns makes it canonical."""
+        width = self.width
+        bits = slot_bits(width)
+        ones = pack([1] * width, bits)
+        low, high = ones * P, ones * ((1 << bits - 61) - 1)
+        slot = (1 << bits) - 1
+        pivots = sorted(col for col, _, _ in self.basis)
+        kept = set(pivots)
+        negated, free = {}, []       # P - x_i per basis column; (j, P - v)
+        for j, (steps, inv) in enumerate(self._steps):
+            v = 1 << bits * j
+            for i, f in steps:
+                v += f * negated[i]
+            v = _reduce(v, low, high, ones)
+            if inv is not None:
+                negated[j] = _negated(v, inv, low, high)
+            if j not in kept:
+                for k, w in free:
+                    f = (v >> bits * k & slot) % P
+                    if f:
+                        v += f * w
+                free.append((j, low - _reduce(v, low, high, ones)))
+        size = bits // 8
+        basis = []
+        for _, w in free:
+            data = (low - w).to_bytes(size * width, "little")
+            basis.append([int.from_bytes(data[k:k + size], "little")
+                          for k in range(0, size * width, size)])
+        return pivots, basis
 
 
 def _kernel_mod(rows, width, p):
@@ -292,32 +354,33 @@ def modular_nullspace(echelon, rows_mod, vanishes):
 
     Full column rank mod P means full rank over Q (a minor that is nonzero
     mod P is a nonzero integer), so the answer is [] and no row is read.
-    Otherwise the rows mod P at the echelon's pivots, whose rank mod P is
-    the matrix's, give the matrix's kernel mod P in its canonical basis.
-    Each vector is lifted by rational reconstruction over a common
-    denominator and checked by `vanishes`.  When every one vanishes, they
-    are the kernel over Q, byte for byte: independent vectors of ker_Q, as
-    many as the nullity mod P, which is at least the nullity over Q, so
-    they span it; their last nonzero entries are distinct free columns, so
-    they are its unique basis of that form.
+    Otherwise `echelon.kernel()` gives the kernel mod P of all the rows in
+    its canonical basis, off the elimination that ranked them, and still
+    no row is read.  Each vector is lifted by rational reconstruction over
+    a common denominator and checked by `vanishes`.  When every one
+    vanishes, they are the kernel over Q, byte for byte: independent
+    vectors of ker_Q, as many as the nullity mod P, which is at least the
+    nullity over Q, so they span it; their last nonzero entries are
+    distinct free columns, so they are its unique basis of that form.
 
     When one does not lift or vanish (rank or pivots lost mod P, or entries
     beyond the bound), the loop climbs the Mersenne primes 2**e - 1 past P
-    (`_MERSENNE`), reading all rows mod each.  Full rank mod any of them
-    gives [].  The moduli with the best profile so far (highest rank, then
-    smallest pivot list), P's included, are combined by CRT, and the lift
-    modulo their product is checked as above, so whatever is returned is
-    the kernel over Q.  Mod p the rank is at most the rank over Q and each
-    pivot is at or right of its place over Q, so no modulus beats the
-    profile over Q, and every modulus with that profile gives the true
-    basis mod p (at P, the pivot rows span all rows mod P).  Fix a nonzero
-    maximal minor at the pivot columns over Q: a modulus with a worse
-    profile divides it, so the bad moduli total at most log2 H bits, H the
-    Hadamard bound of the maximal minors.  The basis entries over their
-    common denominator are such minors, at most H, so the lift recovers
-    them once the kept moduli exceed 2 * H**2.  The table's 716 504 546
-    bits exceed 3 * log2 H + 2 whenever H < 2**(2 * 10**8), and for every
-    such matrix the loop returns; past the table it raises ArithmeticError.
+    (`_MERSENNE`); only there are rows read, all of them mod each prime,
+    and eliminated again.  Full rank mod any of them gives [].  The moduli
+    with the best profile so far (highest rank, then smallest pivot list),
+    P's included, are combined by CRT, and the lift modulo their product
+    is checked as above, so whatever is returned is the kernel over Q.  Mod
+    p the rank is at most the rank over Q and each pivot is at or right of
+    its place over Q, so no modulus beats the profile over Q, and every
+    modulus with that profile gives the true basis mod p, P's from the
+    echelon included.  Fix a nonzero maximal minor at the pivot columns
+    over Q: a modulus with a worse profile divides it, so the bad moduli
+    total at most log2 H bits, H the Hadamard bound of the maximal minors.
+    The basis entries over their common denominator are such minors, at
+    most H, so the lift recovers them once the kept moduli exceed 2 * H**2.
+    The table's 716 504 546 bits exceed 3 * log2 H + 2 whenever
+    H < 2**(2 * 10**8), and for every such matrix the loop returns; past
+    the table it raises ArithmeticError.
     """
     width = echelon.width
     if echelon.rank == width:
@@ -325,8 +388,11 @@ def modular_nullspace(echelon, rows_mod, vanishes):
     best = None
     for e in _MERSENNE:
         p = 2**e - 1
-        rows = echelon.pivot_rows() if p == P else range(echelon.height)
-        pivots, basis = _kernel_mod(map(rows_mod(p), rows), width, p)
+        if p == P:
+            pivots, basis = echelon.kernel()
+        else:
+            pivots, basis = _kernel_mod(
+                map(rows_mod(p), range(echelon.height)), width, p)
         if not basis:
             return []
         profile = (-len(pivots), pivots)

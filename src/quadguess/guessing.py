@@ -19,15 +19,15 @@ it, the one product of the slot's two packed derivative sequences.
 `guess` ranks the systems mod P in one `exact.ColumnEchelon` per search:
 each d cuts it to its usable rows and adds only its m + 1 new columns,
 and a size that is full rank there is skipped.  Otherwise
-`exact.modular_nullspace` takes the kernel mod P from the rows at the
-echelon's pivots and lifts it to Q.
+`exact.modular_nullspace` reads the kernel mod P off the same echelon
+(`ColumnEchelon.kernel`), with no second elimination, and lifts it to Q.
 Each lifted vector is verified exactly by one evaluator, the one `check`
 uses: normalized to a QuadEquation, its rows are read through
 `QuadEquation.row_numerator` on the unreduced prefix, and its z-multiples
-are accepted from that one pass.  Only if a lift fails are the rows
-evaluated mod the further Mersenne primes that `modular_nullspace`
-climbs, from the prefix reduced mod each of them, packed once per search
-like the rows mod P.
+are accepted from that one pass; the result keeps that equation.  Only
+if a lift fails are all the rows read, mod the further Mersenne primes
+that `modular_nullspace` climbs, from the prefix reduced mod each of
+them, packed once per search like the rows mod P.
 """
 
 import json
@@ -157,26 +157,35 @@ class _Verifier:
     evaluator `check` and `extend` use.  Once a vector E passes, so do its
     z-multiples z^j * E (entry (k, i) moved to (k, i + j)) whose z-powers
     stay within m, without a pass of their own: row n of z^j * E is row
-    n - j of E."""
+    n - j of E.  `equation` gives a passed vector's QuadEquation, kept
+    from its pass or, for a z-multiple, normalized on first use."""
 
     def __init__(self, derivs, d, m, count):
         self.derivs = derivs
         self.d, self.m, self.count = d, m, count
-        self.verified = set()
+        self.verified = {}           # vector -> its equation, or None
 
     def __call__(self, vec):
         vec = tuple(vec)
         if vec in self.verified:
             return True
-        if not self.vanishes(normalize(vec, self.d, self.m)):
+        eq = normalize(vec, self.d, self.m)
+        if not self.vanishes(eq):
             return False
         m = self.m
-        self.verified.add(vec)
+        self.verified[vec] = eq
         while not any(vec[m::m + 1]):     # no z^m entry: shift by z
             vec = tuple(x for b in range(0, len(vec), m + 1)
                         for x in (0,) + vec[b:b + m])
-            self.verified.add(vec)
+            self.verified.setdefault(vec, None)
         return True
+
+    def equation(self, vec):
+        """The QuadEquation of a vector that passed."""
+        vec = tuple(vec)
+        if self.verified[vec] is None:
+            self.verified[vec] = normalize(vec, self.d, self.m)
+        return self.verified[vec]
 
     def vanishes(self, eq):
         """Whether eq's rows 0 .. count - 1 are zero: one exact pass."""
@@ -257,11 +266,11 @@ def guess(prefix, cfg=GuessConfig()):
             rows = residues(P).slot(k, usable)
             for i in range(m + 1):
                 echelon.add(rows << echelon.bits * i)   # row n - i at n
+        verifier = _Verifier(derivs, d, m, usable)
         basis = modular_nullspace(
-            echelon, lambda p: residues(p).rows(d, m, usable),
-            _Verifier(derivs, d, m, usable))
+            echelon, lambda p: residues(p).rows(d, m, usable), verifier)
         if basis:
-            equations = tuple(normalize(v, d, m) for v in basis)
+            equations = tuple(map(verifier.equation, basis))
             return GuessResult(status="success", d=d, m=m, basis=equations,
                                construction_rows=construction,
                                verification_rows=usable - construction)

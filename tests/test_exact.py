@@ -115,16 +115,31 @@ def test_nullspace_full_rank_mod_p_is_trivial():
                               [2, 0, P]]) == []
 
 
+def _spy_kernels(monkeypatch, log):
+    """Call log(p, pivots) on every kernel `exact` takes mod a prime p:
+    P's is read off the ColumnEchelon, and `_kernel_mod` is never asked
+    for it, only for the primes past P."""
+    kernel, kernel_mod = ColumnEchelon.kernel, exact._kernel_mod
+
+    def logged_echelon(echelon):
+        pivots, basis = kernel(echelon)
+        log(P, pivots)
+        return pivots, basis
+
+    def logged(rows, width, p):
+        assert p != P, "a second elimination mod P"
+        pivots, basis = kernel_mod(rows, width, p)
+        log(p, pivots)
+        return pivots, basis
+
+    monkeypatch.setattr(ColumnEchelon, "kernel", logged_echelon)
+    monkeypatch.setattr(exact, "_kernel_mod", logged)
+
+
 def _logged_kernels(monkeypatch):
     """Record the prime of every kernel `exact` takes mod a prime."""
     primes = []
-    kernel_mod = exact._kernel_mod
-
-    def logged(rows, width, p):
-        primes.append(p)
-        return kernel_mod(rows, width, p)
-
-    monkeypatch.setattr(exact, "_kernel_mod", logged)
+    _spy_kernels(monkeypatch, lambda p, pivots: primes.append(p))
     return primes
 
 
@@ -143,8 +158,8 @@ def test_nullspace_rank_lost_mod_p(monkeypatch):
 
 
 def test_nullspace_fallback_when_chosen_rows_lose_rank():
-    # rows 0 and 1 are independent mod P and chosen; row 2 is 0 mod P, so
-    # their kernel [1, -1, 0] is lifted, fails on row 2, and all rows decide
+    # row 2 is 0 mod P, so the kernel mod P, [1, -1, 0], is that of rows 0
+    # and 1: it is lifted, fails on row 2, and all rows decide past P
     mat = [[1, 1, 0], [0, 0, 1], [P, 0, 0]]
     assert echelon_nullspace(mat) == []
     mat = [[1, 1, 0, 0], [0, 0, 1, 0], [P, 0, 0, 0], [0, 0, 0, 0]]
@@ -216,14 +231,18 @@ def _echelon_scripts(draw):
               (1, [P - 1], False)]))            # the cut lands on pivot 1
 @example((2, [(None, [P, 1], True), (None, [-P, -1], False),
               (1, [2 * P], True), (0, [], False)]))
+# the cut drops basis column 0, which reduced dependent column 1
+@example((3, [(None, [0, 1, 0], False), (None, [0, 2, 0], True),
+              (None, [1, 0, 1], False), (1, [2], True)]))
 @settings(max_examples=300, deadline=None)
 def test_column_echelon_matches_rank_from_scratch(script):
     """Columns added one at a time, with row cuts between some additions,
     packed from representatives as large as a slot holds, with full slots
     past the current height: after every step the echelon's rank and
     full-rank verdict are those of the current matrix, ranked mod P from
-    scratch, and its pivot rows of the columns independent of the columns
-    before them form a submatrix that is nonsingular mod P."""
+    scratch, and its kernel is `_kernel_mod`'s of the current rows mod P,
+    pivots and basis, also after a cut drops a basis column that reduced
+    later columns."""
     height, steps = script
     echelon = ColumnEchelon(height)
     top = (1 << echelon.bits) - 1
@@ -234,12 +253,7 @@ def test_column_echelon_matches_rank_from_scratch(script):
         rank = rank_mod_p(rows, P)
         assert echelon.rank == rank, columns
         assert (echelon.rank == echelon.width) == (rank == len(columns))
-        kept = [c for c in range(len(columns))
-                if rank_mod_p([row[:c + 1] for row in rows], P)
-                > rank_mod_p([row[:c] for row in rows], P)]
-        minor = [[columns[c][n] for c in kept]
-                 for n in echelon.pivot_rows()]
-        assert rank_mod_p(minor, P) == len(kept), columns
+        assert echelon.kernel() == exact._kernel_mod(rows, len(columns), P)
 
     for cut, column, largest in steps:
         if cut is not None:
@@ -258,8 +272,8 @@ def test_nullspace_invariant_under_positive_row_scaling(monkeypatch):
     """Multiplying each row by a positive factor (multiples of P and a large
     square common to all rows among them) leaves the basis unchanged.  The
     scaled systems take all three paths: full rank mod P (no kernel mod a
-    prime), a verified lift of the kernel mod P of the pivot rows (one),
-    and the fallback to further primes (two or more)."""
+    prime), a verified lift of the echelon's kernel mod P (one), and the
+    fallback to further primes (two or more)."""
     kernels = _logged_kernels(monkeypatch)
     rng = random.Random(71)
     square = (3**200 * 10**150 + 1) ** 2
@@ -331,18 +345,14 @@ def test_nullspace_lift_needs_crt(monkeypatch):
     2**300 need the ladder up to 2**521 - 1; entries that are multiples of
     (2**61 - 1) * (2**89 - 1) lose rank at the first two moduli."""
     kernels, lifts = [], []  # (modulus, rank) per kernel; lift moduli
-    kernel_mod, lift = exact._kernel_mod, exact._lift
-
-    def logged_kernel(rows, width, p):
-        pivots, basis = kernel_mod(rows, width, p)
-        kernels.append((p, len(pivots)))
-        return pivots, basis
+    lift = exact._lift
 
     def logged_lift(vec, m):
         lifts.append(m)
         return lift(vec, m)
 
-    monkeypatch.setattr(exact, "_kernel_mod", logged_kernel)
+    _spy_kernels(monkeypatch,
+                 lambda p, pivots: kernels.append((p, len(pivots))))
     monkeypatch.setattr(exact, "_lift", logged_lift)
     both = P * (2**89 - 1)
     runs = []

@@ -12,7 +12,7 @@ from quadguess.equations import (Derivatives, QuadEquation,
                                  monomial_of_orders, render_text,
                                  term_numerator)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import P
+from quadguess.exact import P, ColumnEchelon
 from quadguess.guessing import (GuessConfig, GuessResult, _SlotRows,
                                 _usable_rows, _Verifier, column_order, guess,
                                 normalize, slot)
@@ -220,23 +220,30 @@ def test_guess_matches_full_exact_path(monkeypatch):
     equals the full exact system's, byte for byte, also where reduction
     mod P loses every row (oracle * P), where den = 0 mod P (oracle / P),
     where rank drops only mod P (an oracle with P added to its middle or
-    last term) so that the basis lifted from the pivot rows fails
-    verification and all rows decide mod further Mersenne primes, and
+    last term) so that the basis lifted from the echelon's kernel mod P
+    fails verification and all rows decide mod further Mersenne primes, and
     where the kernel's entries are past the 2**30 bound of a lift from P
     alone (an oracle rescaled by 3**40 / (2**50 + 1)), the fallback's
     usual trigger: it runs for at least 5 of those 7."""
     ranks, kernels = [], []  # echelon (rank, width, height) per d; fallback?
-    rank_filter, kernel_mod = guessing.modular_nullspace, exact._kernel_mod
+    rank_filter = guessing.modular_nullspace
+    echelon_kernel, kernel_mod = ColumnEchelon.kernel, exact._kernel_mod
 
     def logged_rank(echelon, rows_mod, vanishes):
         ranks.append((echelon.rank, echelon.width, echelon.height))
         return rank_filter(echelon, rows_mod, vanishes)
 
+    def logged_echelon_kernel(echelon):
+        kernels.append(False)    # mod P: off the echelon
+        return echelon_kernel(echelon)
+
     def logged_kernel(rows, width, p):
-        kernels.append(p != P)   # mod P: the pivot rows; past P: fallback
+        assert p != P, "a second elimination mod P"
+        kernels.append(True)     # past P: the fallback, on all rows
         return kernel_mod(rows, width, p)
 
     monkeypatch.setattr(guessing, "modular_nullspace", logged_rank)
+    monkeypatch.setattr(ColumnEchelon, "kernel", logged_echelon_kernel)
     monkeypatch.setattr(exact, "_kernel_mod", logged_kernel)
 
     def compare(values):
@@ -259,7 +266,7 @@ def test_guess_matches_full_exact_path(monkeypatch):
     for name in sorted(ORACLES):
         values = oracle_sequence(name, rng.randint(26, 32)).values
         _, fallback = compare(values)
-        assert fallback == [False], name   # checked on the pivot rows
+        assert fallback == [False], name   # read off the echelon
         ranks_times_p, _ = compare([v * P for v in values])
         assert {rank for rank, _, _ in ranks_times_p} == {0}
         over_p = [v / P for v in values]
@@ -290,19 +297,27 @@ def test_guess_packs_each_modulus_once(monkeypatch):
     """guess keeps one _SlotRows per modulus for the whole search: on
     bell-egf with P added to term 30, where every d from the oracle's own
     on is rank-deficient only mod P and takes the fallback, the residues
-    mod each modulus are packed once, not once per d."""
+    mod each modulus are packed once, not once per d.  Only the fallback
+    eliminates rows: `_kernel_mod` runs past P and never at P."""
     built = Counter()
-    slot_rows = guessing._SlotRows
+    eliminated = []
+    slot_rows, kernel_mod = guessing._SlotRows, exact._kernel_mod
 
     def counted(nums, den, p, bits):
         built[p] += 1
         return slot_rows(nums, den, p, bits)
 
+    def logged_kernel(rows, width, p):
+        eliminated.append(p)
+        return kernel_mod(rows, width, p)
+
     monkeypatch.setattr(guessing, "_SlotRows", counted)
+    monkeypatch.setattr(exact, "_kernel_mod", logged_kernel)
     values = list(oracle_sequence("bell-egf", 60).values)
     values[30] += P
     guess(SequencePrefix(values))
     assert len(built) >= 2 and set(built.values()) == {1}, built
+    assert eliminated and P not in eliminated, eliminated
 
 
 def _bruteforce_rows(values, d, m, count):
@@ -405,7 +420,8 @@ def test_verifier_shifts_match_bruteforce(system):
     would move a nonzero entry past z^m (dropped here) is not one of them:
     it gets its own exact pass, unless it is a fitting z-multiple of an
     earlier dropped multiple that passed.  Every answer equals series
-    arithmetic."""
+    arithmetic, and every vector that passed, with or without a pass of
+    its own, has `normalize`'s equation."""
     values, d, m, count, rows, vec = system
     prefix = SequencePrefix(values)
     verifier = _Verifier(Derivatives(*prefix.scaled()), d, m, count)
@@ -423,25 +439,35 @@ def test_verifier_shifts_match_bruteforce(system):
         assert passes[0] == before + (not covered), (vec, j)
         if ok:
             passed.append(shifted)
+    for w in passed:
+        assert verifier.equation(w) == normalize(w, d, m), w
 
 
 def test_verifier_exact_passes_at_150_terms(monkeypatch):
     """guess verifies one equation per oracle at 150 terms and accepts its
-    z-multiples from the first pass; exp's basis has two generators."""
-    passes = []
+    z-multiples from the first pass; exp's basis has two generators.  Each
+    basis vector is normalized once: the verifier's equation is kept."""
+    passes, normalized = [], []
     vanishes = _Verifier.vanishes
 
     def counted(self, eq):
         passes.append(eq)
         return vanishes(self, eq)
 
+    def counted_normalize(vector, d, m):
+        normalized.append(tuple(vector))
+        return normalize(vector, d, m)
+
     monkeypatch.setattr(_Verifier, "vanishes", counted)
+    monkeypatch.setattr(guessing, "normalize", counted_normalize)
     counts = {}
     for name in sorted(ORACLES):
         passes.clear()
+        normalized.clear()
         result = guess(oracle_sequence(name, 150))
         assert result.succeeded
         assert set(passes) <= set(result.basis)
+        assert len(normalized) == len(set(normalized)) == len(result.basis)
         counts[name] = len(passes)
     assert counts == {name: 2 if name == "exp" else 1 for name in ORACLES}
 
