@@ -4,13 +4,13 @@ A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
 row n is the z^n Taylor coefficient of the equation on a sequence prefix.
 For the prefix scaled to nums / den, `Derivatives` is one store of the
 Taylor coefficients, times den, of combinations sum(c * z^e * f^(p)),
-every entry by one rule through `exact.falling_weight`, the one weight
-function; an order p is the combination f^(p), and f^(-1) = 1 is
-den, 0, 0, ...  One evaluator, `term_numerator`, gives the z^m
-coefficient of a product F * f^(q) as the one dot product of two such
-sequences, an integer numerator over den**2.
+every entry computed once by one rule through `exact.falling_weight`,
+the one weight function; an order p is the combination f^(p), and
+f^(-1) = 1 is den, 0, 0, ...  One evaluator, `term_numerator`, gives the
+z^m coefficient of a product F * f^(q) as the one dot product of two
+such sequences, an integer numerator over den**2.
 
-`check` and `extend` read whole equations through
+The one row loop (`sequences._walk`) reads whole equations through
 `QuadEquation.row_numerator`, which factors the products: the terms that
 share their lower order q form one group, and row n is the sum over
 groups of the z^(n - s0) coefficient of f^(q) * G_q, where s0 is the
@@ -28,6 +28,7 @@ with p >= q >= -1; p = q = -1 is the constant term.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from quadguess.errors import EquationFormatError
@@ -66,24 +67,29 @@ class Derivatives:
     with u >= e, c * falling_weight(u - e, p) * nums[u - e + p] for
     p >= 0 and c * den at u = e for p = -1, for
     u < len(nums) - max(max(p, 0) - e).  An order p is short for
-    ((0, p, 1),), so derivs[-1] is den, 0, 0, ..., as long as nums.  Each
-    sequence is built on first use and kept; `append_zero`, `set_last`
-    and `scale` keep every built one in step with nums as it grows."""
+    ((0, p, 1),): derivs[-1] is den, 0, 0, ..., and derivs[0] is nums.
+    Each sequence is built on first use, kept once it has an entry, and
+    gains one entry per term `put` in; only its last reads the last term."""
 
-    __slots__ = ("nums", "den", "_seqs")
+    __slots__ = ("nums", "den", "_kept", "_seqs")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
-        self._seqs = {}
+        self._kept = {}                 # key tuple -> its sequence
+        self._seqs = {0: self.nums}     # every key read -> its sequence
 
     def __getitem__(self, key):
-        seq = self._seqs.get(key)
+        try:
+            return self._seqs[key]
+        except KeyError:
+            terms = ((0, key, 1),) if type(key) is int else key
+        seq = self._kept.get(terms)
         if seq is None:
-            if type(key) is int:
-                return self[((0, key, 1),)]
-            seq = self._seqs[key] = []
-            self._grow(key, seq)
+            top = len(self.nums) - max(max(p, 0) - e for e, p, _ in terms)
+            seq = [self._entry(terms, u) for u in range(top)]
+        if seq:
+            self._kept[terms] = self._seqs[key] = seq
         return seq
 
     def _entry(self, key, u):
@@ -97,35 +103,30 @@ class Derivatives:
                 total += c * self.den
         return total
 
-    def _grow(self, key, seq):
-        """Append the entries of key's sequence that nums now determines."""
-        top = len(self.nums) - max(max(p, 0) - e for e, p, _ in key)
-        seq.extend(self._entry(key, u) for u in range(len(seq), top))
+    def put(self, terms):
+        """Append terms (ints or Fractions) to the sequence, after one
+        rescale to their common denominator, and one entry per term to
+        every kept sequence, each computed once."""
+        common = lcm(self.den, *(x.denominator for x in terms))
+        if common != self.den:
+            self.scale(common // self.den)
+        self.nums += [x.numerator * (self.den // x.denominator) for x in terms]
+        for key, seq in self._kept.items():
+            seq += [self._entry(key, u)
+                    for u in range(len(seq), len(seq) + len(terms))]
 
-    def append_zero(self):
-        """Append a 0 to nums and extend every built sequence by the entry
-        that now fits."""
-        self.nums.append(0)
-        for key, seq in self._seqs.items():
-            self._grow(key, seq)
-
-    def set_last(self, x):
-        """Replace the last nums entry by x and recompute the entries of
-        every built sequence that read it."""
-        self.nums[-1] = x
-        t = len(self.nums) - 1
-        for key, seq in self._seqs.items():
-            for e, p, _ in key:
-                u = t - p + e      # entry u reads nums[t] through f^(p)
-                if p >= 0 and 0 <= u < len(seq):
-                    seq[u] = self._entry(key, u)
+    def set_last(self, term):
+        """Replace the last term by term: drop the last entry of nums and
+        of every kept sequence, the only one that reads it, and put term."""
+        for seq in (self.nums, *self._kept.values()):
+            seq.pop()
+        self.put((term,))
 
     def scale(self, factor):
-        """Multiply den, nums and every built sequence by factor."""
+        """Multiply den, nums and every kept sequence by factor."""
         self.den *= factor
-        self.nums = [x * factor for x in self.nums]
-        for key, seq in self._seqs.items():
-            self._seqs[key] = [x * factor for x in seq]
+        for seq in (self.nums, *self._kept.values()):
+            seq[:] = [x * factor for x in seq]
 
 
 def term_numerator(derivs, m, p, q):
@@ -138,7 +139,7 @@ def term_numerator(derivs, m, p, q):
         return 0
     if q == -1:                      # F times the constant 1
         return derivs[p][m] * derivs.den
-    return sum(map(mul, derivs[p][:m + 1], derivs[q][m::-1]))
+    return sum(map(mul, derivs[p], derivs[q][m::-1]))
 
 
 class QuadEquation:
@@ -151,9 +152,11 @@ class QuadEquation:
     `int_terms` holds the terms with their coefficients times it, as ints.
     `groups` factors int_terms by lower order: one
     (q, s0, ((s - s0, p, c), ...)) per distinct q, ascending, where s0 is
-    the smallest z-power among the group's terms."""
+    the smallest z-power among the group's terms.  `max_shift` is the max
+    over terms of max(p, 0) - s: row n reads prefix indices up to
+    n + max_shift, and introduces term n + max_shift when extending."""
 
-    __slots__ = ("terms", "coeff_den", "int_terms", "groups")
+    __slots__ = ("terms", "coeff_den", "int_terms", "groups", "max_shift")
 
     def __init__(self, terms):
         merged = {}
@@ -174,6 +177,7 @@ class QuadEquation:
         if not cleaned:
             raise ValueError("an equation needs at least one nonzero term")
         self.terms = tuple(cleaned)
+        self.max_shift = max(max(mono.p, 0) - s for s, mono, _ in cleaned)
         ints, self.coeff_den = clear_denominators([c for _, _, c in cleaned])
         self.int_terms = tuple((s, mono, c)
                                for (s, mono, _), c in zip(cleaned, ints))
@@ -194,20 +198,15 @@ class QuadEquation:
     def __repr__(self):
         return f"QuadEquation({render_text(self, 'ode')!r})"
 
-    @property
-    def max_shift(self):
-        """max over terms of (max(p, 0) - s): row n reads prefix indices
-        up to n + max_shift, and row n introduces term n + max_shift when
-        extending."""
-        return max(max(mono.p, 0) - s for s, mono, _ in self.terms)
-
     def row_numerator(self, derivs, n):
         """Row n times coeff_den * den**2 on the sequence derivs.nums /
         derivs.den, an int (indices up to n + max_shift must fit): per
         group, the z^(n - s0) coefficient of its combination times f^(q),
         one dot product (none for q = -1)."""
-        return sum(term_numerator(derivs, n - s0, terms, q)
-                   for q, s0, terms in self.groups)
+        total = 0
+        for q, s0, terms in self.groups:
+            total += term_numerator(derivs, n - s0, terms, q)
+        return total
 
     def row_value(self, prefix, n):
         """Exact value of recurrence row n on a prefix.  Raises ValueError

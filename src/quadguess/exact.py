@@ -27,6 +27,7 @@ reproducible byte for byte.
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -87,9 +88,10 @@ def as_rational(x, what, *args):
                     f"not {type(x).__name__}")
 
 
+@cache
 def falling_weight(j, p):
     """(j+p)!/j! as an exact integer: the z^j coefficient weight of the
-    p-th derivative (a_{j+p} enters with this factor)."""
+    p-th derivative (a_{j+p} enters with this factor); cached."""
     if j < 0 or p < 0:
         raise ValueError("falling_weight needs j >= 0 and p >= 0")
     return prod(range(j + 1, j + p + 1))

@@ -21,10 +21,10 @@ each d cuts it to its usable rows and adds only its m + 1 new columns,
 and a size that is full rank there is skipped.  Otherwise
 `exact.modular_nullspace` reads the kernel mod P off the same echelon
 (`ColumnEchelon.kernel`), with no second elimination, and lifts it to Q.
-Each lifted vector is verified exactly by one evaluator, the one `check`
-uses: normalized to a QuadEquation, its rows are read through
-`QuadEquation.row_numerator` on the unreduced prefix, and its z-multiples
-are accepted from that one pass; the result keeps that equation.  Only
+Each lifted vector is verified exactly by `check`'s walk
+(`sequences._walk`), the one row loop: normalized to a QuadEquation, its
+rows are read on the exact terms, and its z-multiples are accepted from
+that one pass; the result keeps that equation.  Only
 if a lift fails are all the rows read, mod the further Mersenne primes
 that `modular_nullspace` climbs, from the prefix reduced mod each of
 them, packed once per search like the rows mod P.
@@ -40,6 +40,7 @@ from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import (P, ColumnEchelon, modular_nullspace,
                              normalize_vector, pack, slot_bits)
+from quadguess.sequences import _walk
 
 
 @dataclass(frozen=True)
@@ -152,16 +153,16 @@ def normalize(vector, d, m):
 
 class _Verifier:
     """Whether solution vectors of the size-d system annihilate its rows
-    0 .. count - 1 on the exact sequence `derivs`.  A vector is normalized
-    to a QuadEquation, whose rows are read through `row_numerator`, the
-    evaluator `check` and `extend` use.  Once a vector E passes, so do its
-    z-multiples z^j * E (entry (k, i) moved to (k, i + j)) whose z-powers
-    stay within m, without a pass of their own: row n of z^j * E is row
-    n - j of E.  `equation` gives a passed vector's QuadEquation, kept
-    from its pass or, for a z-multiple, normalized on first use."""
+    0 .. count - 1 on the exact terms `values`: normalized to a
+    QuadEquation, a vector is read by `check`'s walk (`sequences._walk`).
+    Once a vector E passes, so do its z-multiples z^j * E (entry (k, i)
+    moved to (k, i + j)) whose z-powers stay within m, without a pass of
+    their own: row n of z^j * E is row n - j of E.  `equation` gives a
+    passed vector's QuadEquation, kept from its pass or, for a
+    z-multiple, normalized on first use."""
 
-    def __init__(self, derivs, d, m, count):
-        self.derivs = derivs
+    def __init__(self, values, d, m, count):
+        self.values = values
         self.d, self.m, self.count = d, m, count
         self.verified = {}           # vector -> its equation, or None
 
@@ -188,9 +189,10 @@ class _Verifier:
         return self.verified[vec]
 
     def vanishes(self, eq):
-        """Whether eq's rows 0 .. count - 1 are zero: one exact pass."""
-        return all(eq.row_numerator(self.derivs, n) == 0
-                   for n in range(self.count))
+        """Whether eq's rows 0 .. count - 1 are zero: one exact pass (a
+        row n < -max_shift reads no term and is zero)."""
+        top = max(0, self.count + eq.max_shift)
+        return _walk(eq, self.values[:top], 0) is None
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,6 @@ def guess(prefix, cfg=GuessConfig()):
     d_cap = cfg.d_max if cfg.d_max is not None else ceil(n_terms / (m + 1))
     attempted = False
     nums, den = prefix.scaled()
-    derivs = Derivatives(nums, den)
 
     height = _usable_rows(prefix, cfg.d_start)
     echelon = ColumnEchelon(height)
@@ -266,7 +267,7 @@ def guess(prefix, cfg=GuessConfig()):
             rows = residues(P).slot(k, usable)
             for i in range(m + 1):
                 echelon.add(rows << echelon.bits * i)   # row n - i at n
-        verifier = _Verifier(derivs, d, m, usable)
+        verifier = _Verifier(prefix.values, d, m, usable)
         basis = modular_nullspace(
             echelon, lambda p: residues(p).rows(d, m, usable), verifier)
         if basis:

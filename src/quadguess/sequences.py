@@ -1,22 +1,23 @@
 """Check equations against prefixes, extend sequences term by term, and
 generate reference sequences from classical integer triangles.
 
-`check` and `extend` are one walk over the terms (`_walk`).  It starts from
-an empty `Derivatives` and puts the terms in one at a time: append a zero,
-rescale to a common denominator when the term's denominator does not
-divide den, set the term.  So it holds only the denominator of the terms
-so far, never the whole prefix's.  Row n reads terms up to
-n + max_shift and is read through `QuadEquation.row_numerator` as soon as
-that term is in: one convolution per group of terms that share their lower
-derivative order, in integer numerators.  A row on given terms must
-vanish; `check` reports the first that does not, over the denominator at
-that point (`Fraction` normalizes the residual).  Extension realizes the
-recurrence as a recursion: each later row introduces the single unknown
-a_{n + max_shift}, which it solves."""
+`check`, `extend` and `guess`'s verification are one walk over the terms
+(`_walk`), the one exact row loop.  It starts from an empty `Derivatives`
+and puts the given terms in `_BLOCK` at a time, one rescale to a common
+denominator per block rather than per term (each term of an EGF brings a
+new factor).  So it holds the denominator of the terms so far, at most
+`_BLOCK - 1` ahead, never the whole prefix's.  Row n reads terms up to
+n + max_shift and is read through `QuadEquation.row_numerator` as soon
+as that term is in: one convolution per group of terms that share their
+lower derivative order, in integer numerators.  A row on given terms
+must vanish; `check` reports the first that does not (`Fraction`
+normalizes the residual).  Extension realizes the recurrence as a
+recursion: each later row introduces the single unknown a_{n + max_shift},
+which it solves."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
@@ -24,6 +25,8 @@ from quadguess.errors import (InconsistentInitialTermsError,
 from quadguess.equations import Derivatives
 from quadguess.exact import falling_weight
 from quadguess.prefix import SequencePrefix
+
+_BLOCK = 8                             # given terms per rescale
 
 
 @dataclass(frozen=True)
@@ -69,43 +72,34 @@ def _slope(eq, derivs, n):
     return slope
 
 
-def _set_term(derivs, term):
-    """Make term the last entry of the sequence derivs holds, rescaling to
-    a common denominator first when den is not a multiple of term's."""
-    if derivs.den % term.denominator:
-        derivs.scale(lcm(derivs.den, term.denominator) // derivs.den)
-    derivs.set_last(term.numerator * (derivs.den // term.denominator))
-
-
 def _walk(eq, values, count):
-    """The one row loop of check and extend: read rows 0, 1, ... of eq on
-    the terms values, then grow them by count terms (values must be a
-    list when count > 0).  Row n reads terms up to t = n + max_shift, each
-    put in just before the first row that reads it.  Rows with
-    t < len(values) read only given terms; the first that does not vanish
-    is returned as (n, residual).  Each later row is linear in term t,
-    which it solves and appends to values.  Returns None when every given
-    row vanishes."""
+    """The one row loop: read rows 0, 1, ... of eq on the terms values,
+    then grow them by count terms (values must be a list when count > 0).
+    Row n reads terms up to t = n + max_shift; if term t is not in, the
+    given terms up to t + _BLOCK - 1 go in.  The first row on given terms
+    that does not vanish is returned as (n, residual).  Each later row is
+    linear in term t: solved with a placeholder 0 in, the term replaces
+    it and joins values.  Returns None when every given row vanishes."""
     shift = eq.max_shift
     known = len(values)
     derivs = Derivatives([], 1)
     for n in range(known - shift + count):
         t = n + shift
-        while len(derivs.nums) < min(t + 1, known):
-            derivs.append_zero()
-            _set_term(derivs, values[len(derivs.nums) - 1])
+        have = len(derivs.nums)
+        if have <= t and have < known:
+            derivs.put(values[have:t + _BLOCK])
         if t < known:
             numerator = eq.row_numerator(derivs, n)
             if numerator:
                 return n, Fraction(numerator, eq.coeff_den * derivs.den ** 2)
             continue
-        derivs.append_zero()
+        derivs.put([0])                # a placeholder for term t
         slope = _slope(eq, derivs, n)
         if slope == 0:
             raise LeadingCoefficientZeroError(n)
         term = Fraction(-eq.row_numerator(derivs, n), slope * derivs.den)
         values.append(term)
-        _set_term(derivs, term)
+        derivs.set_last(term)
     return None
 
 

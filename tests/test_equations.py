@@ -153,9 +153,12 @@ _KEYS = st.one_of(
     st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 3),
                        st.sampled_from([-3, -1, 1, 2, 5])),
              min_size=1, max_size=4).map(tuple))
+# terms whose denominators force a rescale at random steps
+_STEP_TERMS = st.builds(Fraction, st.integers(-50, 50),
+                        st.sampled_from([1, 1, 2, 3, 7, 2 ** 30]))
 _STEPS = st.one_of(
-    st.just(("append_zero", None)),
-    st.tuples(st.just("set_last"), st.integers(-50, 50)),
+    st.tuples(st.just("put"), st.lists(_STEP_TERMS, min_size=1, max_size=9)),
+    st.tuples(st.just("set_last"), _STEP_TERMS),
     st.tuples(st.just("scale"), st.sampled_from([1, 2, 3, 2 ** 30])))
 
 
@@ -163,34 +166,50 @@ _STEPS = st.one_of(
 @given(nums=st.lists(st.integers(-50, 50), max_size=6),
        den=st.sampled_from([1, 2, 6, 7]),
        steps=st.lists(_STEPS, max_size=10), data=st.data())
+# extend's path: a placeholder 0 put in, then set to the solved term
 @example(nums=[], den=1,
-         steps=[("append_zero", None), ("set_last", 3), ("scale", 2 ** 30),
-                ("append_zero", None), ("set_last", -5), ("scale", 1)],
+         steps=[("put", [0]), ("set_last", 3), ("scale", 2 ** 30),
+                ("put", [0]), ("set_last", -5), ("scale", 1)],
+         data=None)
+@example(nums=[1], den=2,
+         steps=[("put", [Fraction(1, 3), Fraction(-2, 7)]), ("put", [0]),
+                ("set_last", Fraction(5, 2 ** 30)), ("scale", 3)],
          data=None)
 def test_derivatives_store_stays_in_step(nums, den, steps, data):
-    """Sequences read before and between random append_zero / set_last /
-    scale steps equal, entry by entry, those of a fresh Derivatives of
-    the state after each step; derivs[p] is falling_weight(j, p) *
-    nums[j + p] and derivs[-1] is den, 0, 0, ..., as long as nums."""
+    """Sequences read before and between random put / set_last / scale
+    steps equal, entry by entry, those of a fresh Derivatives of the
+    state after each step, as long as the documented rule says, and
+    nums / den are the terms put in; derivs[p] is falling_weight(j, p) *
+    nums[j + p], derivs[-1] is den, 0, 0, ..., as long as nums, and
+    derivs[0] is nums."""
     derivs = Derivatives(nums, den)
+    terms = [Fraction(x, den) for x in nums]
     read = [-1, 2, ((1, -1, 2), (0, 1, -1)), ((2, 0, 3), (3, -1, 1))]
     for step in [None] + steps:
         if step is not None:
             name, arg = step
-            if name == "append_zero":
-                derivs.append_zero()
+            if name == "put":
+                derivs.put(arg)
+                terms += arg
             elif derivs.nums:
                 getattr(derivs, name)(arg)
+                if name == "set_last":
+                    terms[-1] = arg
         if data is not None:
             read += data.draw(st.lists(_KEYS, max_size=3))
         for key in read:
             derivs[key]
         note(f"nums={derivs.nums} den={derivs.den}")
+        assert [Fraction(x, derivs.den) for x in derivs.nums] == terms
         fresh = Derivatives(derivs.nums, derivs.den)
-        for key in read:
-            assert derivs[key] == fresh[key], key
         size = len(derivs.nums)
+        for key in read:
+            combo = ((0, key, 1),) if type(key) is int else key
+            top = size - max(max(p, 0) - e for e, p, _ in combo)
+            assert derivs[key] == fresh[key], key
+            assert len(fresh[key]) == max(0, top), key
         assert derivs[-1] == ([derivs.den] + [0] * (size - 1))[:size]
+        assert derivs[0] is derivs.nums
         for p in range(4):
             assert derivs[p] == [falling_weight(j, p) * derivs.nums[j + p]
                                  for j in range(size - p)]

@@ -393,11 +393,11 @@ def _systems(draw, noise=True):
 @given(_systems())
 @settings(max_examples=200, deadline=None)
 def test_verifier_matches_bruteforce(system):
-    """guess's exact check of one vector, through row_numerator on the
-    unreduced derivative sequences, equals series arithmetic row by row."""
+    """guess's exact check of one vector, through check's walk on the
+    exact terms, equals series arithmetic row by row."""
     values, d, m, count, rows, vec = system
     prefix = SequencePrefix(values)
-    verifier = _Verifier(Derivatives(*prefix.scaled()), d, m, count)
+    verifier = _Verifier(prefix.values, d, m, count)
     assert verifier(vec) == _vanishes_bruteforce(rows, vec)
 
 
@@ -424,7 +424,7 @@ def test_verifier_shifts_match_bruteforce(system):
     its own, has `normalize`'s equation."""
     values, d, m, count, rows, vec = system
     prefix = SequencePrefix(values)
-    verifier = _Verifier(Derivatives(*prefix.scaled()), d, m, count)
+    verifier = _Verifier(prefix.values, d, m, count)
     passes = _counted(verifier)
     assert verifier(vec) and passes[0] == 1
     passed = [list(vec)]
@@ -470,6 +470,43 @@ def test_verifier_exact_passes_at_150_terms(monkeypatch):
         assert len(normalized) == len(set(normalized)) == len(result.basis)
         counts[name] = len(passes)
     assert counts == {name: 2 if name == "exp" else 1 for name in ORACLES}
+
+
+def test_guess_verifies_through_one_walk_per_pass(monkeypatch):
+    """On the seven oracles at 150 terms, guess builds no Derivatives of
+    the unreduced prefix: each store it builds is either a walk's, which
+    starts empty over den 1, or one of residues below P.  Each exact pass
+    of the verifier is exactly one walk, of check's row loop, on the
+    terms its rows read, and there are 8 passes in all."""
+    stores, walks, passes = [], [], []
+    init, walk = Derivatives.__init__, guessing._walk
+    vanishes = _Verifier.vanishes
+
+    def spy_init(self, nums, den):
+        init(self, nums, den)
+        stores.append((list(self.nums), self.den))
+
+    def spy_walk(eq, values, count):
+        walks.append((eq, len(values), count))
+        return walk(eq, values, count)
+
+    def spy_vanishes(self, eq):
+        before = len(walks)
+        passes.append(eq)
+        result = vanishes(self, eq)
+        assert walks[before:] == [(eq, self.count + eq.max_shift, 0)]
+        return result
+
+    monkeypatch.setattr(Derivatives, "__init__", spy_init)
+    monkeypatch.setattr(guessing, "_walk", spy_walk)
+    monkeypatch.setattr(_Verifier, "vanishes", spy_vanishes)
+    for name in sorted(ORACLES):
+        result = guess(oracle_sequence(name, 150))
+        assert result.succeeded
+    assert stores and all(store == ([], 1) or (
+        0 <= store[1] < P and all(0 <= x < P for x in store[0]))
+        for store in stores)
+    assert len(walks) == len(passes) == 8
 
 
 def test_guess_soundness_all_rows():

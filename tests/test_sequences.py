@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadguess.equations import QuadEquation, monomial_of_orders
+from quadguess.equations import (Derivatives, QuadEquation,
+                                 monomial_of_orders)
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
@@ -297,6 +298,107 @@ def test_check_walk_matches_bruteforce(terms, values, grow, perturb):
     report = check(eq, SequencePrefix(a))
     assert (report.passed, report.rows_checked, report.first_failure,
             report.residual) == check_bruteforce(eq, a)
+
+
+def _spied_walk(run):
+    """run() with the walk's stores checked against fresh ones: every row
+    it reads, and after every put and set_last every kept sequence, equals
+    that of a fresh Derivatives of the store's own state.  Returns run()'s
+    outcome (its value or the QuadGuessError raised) and the rows read,
+    as (n, numerator, den) with den the store's denominator then."""
+    rows = []
+    row_numerator = QuadEquation.row_numerator
+
+    def fresh(derivs):
+        return Derivatives(derivs.nums, derivs.den)
+
+    def spy_row(eq, derivs, n):
+        value = row_numerator(eq, derivs, n)
+        assert value == row_numerator(eq, fresh(derivs), n), n
+        rows.append((n, value, derivs.den))
+        return value
+
+    def in_step(step):
+        def spy(derivs, arg):
+            step(derivs, arg)
+            for key, seq in derivs._kept.items():
+                assert seq == fresh(derivs)[key], key
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuadEquation, "row_numerator", spy_row)
+        mp.setattr(Derivatives, "put", in_step(Derivatives.put))
+        mp.setattr(Derivatives, "set_last", in_step(Derivatives.set_last))
+        try:
+            outcome = run()
+        except QuadGuessError as exc:
+            outcome = exc
+    return outcome, rows
+
+
+def _assert_whole_prefix_rows(eq, rows, values):
+    """Each row (n, numerator, den_t) read over den_t, times
+    (den_N / den_t)**2, is row n of a fresh store of the whole prefix
+    values over its common denominator den_N."""
+    nums, den = SequencePrefix(values).scaled()
+    whole = Derivatives(nums, den)
+    for n, value, den_t in rows:
+        assert den % den_t == 0
+        assert value * (den // den_t) ** 2 == eq.row_numerator(whole, n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_INDEX_TERMS, min_size=1, max_size=5),
+       lead=st.none() | st.tuples(st.integers(0, 4), _COEFFS),
+       values=st.lists(_TERM_VALUES, min_size=4, max_size=6),
+       grow=st.integers(0, 24), perturb=_PERTURBATIONS)
+# negative max_shift: z^2 * f and z^3 * f * f' read a_(n - 2)
+@example(terms=[(2, 2, 1), (3, 5, -1)], lead=None,
+         values=[1, Fraction(1, 2), Fraction(3, 2 ** 30)], grow=12,
+         perturb=None)
+# zeta-rescaled from its first term, 20 grown terms and the last moved:
+# the constant-free linear group at z^0 and z^1 and the product group
+@example(terms=[(1, 7, 2), (0, 4, 5), (1, 5, -4), (0, 3, -2)], lead=None,
+         values=[Fraction(1, 6)], grow=20, perturb=("last", Fraction(1, 7)))
+def test_walk_rows_are_whole_prefix_rows(terms, lead, values, grow,
+                                         perturb):
+    """On a prefix grown from its first max(shift, 1) terms by the
+    reference (`lead`, a linear top-order term, makes most equations
+    solvable) and then perhaps changed, check reads rows 0, 1, ... up to
+    its report, and each row read over the walk's denominator den_t so
+    far, scaled by (den_N / den_t)**2, is that row of a fresh
+    Derivatives(*prefix.scaled()) over den_N.  extend from the same seed
+    agrees too: its warm-up rows are the grown prefix's rows, and every
+    grown row is 0 on it.  Throughout, rows and kept sequences equal those
+    of a fresh store of the walk's own state, the placeholder included."""
+    if lead is not None:     # f^(r) at z^0 is slot (r + 1)(r + 2)/2 - 1
+        terms = terms + [(0, (lead[0] + 1) * (lead[0] + 2) // 2 + 1, lead[1])]
+    try:
+        eq = QuadEquation([(s, slot(k - 2), c)
+                           for s, k, c in terms])
+    except ValueError:  # every coefficient cancelled
+        assume(False)
+    seed = values[:max(eq.max_shift, 1)]
+    try:
+        a = extend_bruteforce(eq, seed, grow)
+    except QuadGuessError:
+        a = list(values)
+    if perturb is not None:
+        where, delta = perturb
+        a[{"first": 0, "middle": len(a) // 2, "last": -1}[where]] += delta
+    report, rows = _spied_walk(lambda: check(eq, SequencePrefix(a)))
+    assert [n for n, _, _ in rows] == list(range(report.rows_checked))
+    _assert_whole_prefix_rows(eq, rows, a)
+    grown, rows = _spied_walk(
+        lambda: extend(eq, SequencePrefix(seed), grow))
+    if isinstance(grown, QuadGuessError):
+        return
+    warm_up = len(seed) - eq.max_shift
+    assert [n for n, _, _ in rows] == list(range(warm_up + grow))
+    _assert_whole_prefix_rows(eq, rows[:warm_up], grown.values)
+    whole = Derivatives(*grown.scaled())
+    for n, _, _ in rows[warm_up:]:
+        assert eq.row_numerator(whole, n) == 0, n
 
 
 @settings(max_examples=300, deadline=None)
