@@ -5,10 +5,16 @@ sequence from an equation), check (test an equation against a sequence),
 oracle (print a built-in reference sequence).
 
 Exit codes: 0 success, 1 FAIL / failed check, 2 usage or input-format
-error, 3 degenerate or insufficient input.
+error (a file that is not UTF-8 included), 3 degenerate or insufficient
+input.
+
+The argument parser is built on the first `main` call and reused for the
+rest of the process: `parse_args` leaves it unchanged, and every call gets
+a fresh namespace.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +27,7 @@ from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               PrefixFormatError)
 from quadguess.exact import format_rational, parse_rational
 from quadguess.guessing import GuessConfig, guess
-from quadguess.prefix import load_prefix
+from quadguess.prefix import load_prefix, read_text
 from quadguess.sequences import ORACLES, check, extend, oracle_sequence
 
 EXIT_OK = 0
@@ -30,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quadguess",
@@ -72,8 +79,7 @@ def _build_parser():
 
 def _load_equation(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return equation_from_json(fh.read())
+        return equation_from_json(read_text(path, EquationFormatError))
     except OSError as exc:
         raise EquationFormatError(f"{path}: {exc}") from exc
 

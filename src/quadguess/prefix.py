@@ -123,9 +123,22 @@ def parse_prefix_text(text, source="<input>"):
     return SequencePrefix(values)
 
 
+def read_text(path, error):
+    """The file's text, decoded as UTF-8; bytes that do not decode raise
+    error (an exception class) naming the path and the byte offset."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.start is the
+        # offset in the file
+        raise error(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
+                    f"at offset {exc.start}") from exc
+
+
 def load_prefix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_prefix_text(fh.read(), source=str(path))
+    return parse_prefix_text(read_text(path, PrefixFormatError),
+                             source=str(path))
 
 
 def dump_prefix(prefix):

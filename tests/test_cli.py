@@ -1,11 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadguess import cli
 from quadguess.cli import main
 from quadguess.equations import equation_to_json
 from quadguess.guessing import GuessResult
@@ -299,3 +304,122 @@ def test_coerced_rationals_are_usage_errors(tmp_path, zigzag_eq_file,
         assert main(["check", "--equation", str(eq),
                      "--input", str(seq)]) == 2, (eq, seq)
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def non_utf8_file(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"1\n2\n\xff\xfe1\n2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["guess --input BAD",
+                                     "extend --equation EQ --input BAD "
+                                     "--count 2",
+                                     "check --equation EQ --input BAD",
+                                     "check --equation BAD --input SEQ"])
+def test_non_utf8_file_is_usage_error(command, non_utf8_file, zigzag_eq_file,
+                                      zigzag_file, capsys):
+    """A file that is not UTF-8 is an input-format error: exit 2 and one
+    error line naming the file, no traceback."""
+    files = {"BAD": non_utf8_file, "EQ": zigzag_eq_file, "SEQ": zigzag_file}
+    assert main([files.get(word, word) for word in command.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {non_utf8_file}: not UTF-8: byte 0xff "
+                            f"at offset 4\n")
+
+
+def test_parser_is_built_once(monkeypatch, zigzag_file, capsys):
+    """N calls of main build one top-level parser and its four subparsers,
+    not 5 * N."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["oracle", "--name", "exp", "--count", "4"]) == 0
+        assert main(["guess", "--input", zigzag_file,
+                     "--min-verify", "0"]) == 0
+    with pytest.raises(SystemExit):
+        main(["guess"])
+    assert built == ["quadguess"] + [f"quadguess {name}" for name in
+                                     ("guess", "extend", "check", "oracle")]
+
+
+def test_parser_is_not_built_at_import():
+    """Importing the CLI builds no parser, so start-up costs no more."""
+    code = ("import quadguess.cli as cli; "
+            "print(cli._build_parser.cache_info().currsize)")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "0\n"
+
+
+def _outcomes(argvs, capsys):
+    """(exit code, stdout, stderr) of main on each argv, in order."""
+    outcomes = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch, tmp_path, zigzag_file,
+                                           zigzag_eq_file, non_utf8_file,
+                                           capsys):
+    """One parser reused across a mixed run of calls gives every call the
+    exit code, stdout and stderr of a parser built for that call alone:
+    options set in one call fall back to their defaults in the next."""
+    from quadguess.sequences import oracle_sequence
+    scaled = tmp_path / "scaled.txt"
+    scaled.write_text("\n".join(
+        str(v * 4 ** n) for n, v in enumerate(oracle_sequence("zeta-rescaled",
+                                                              24))))
+    seed = tmp_path / "seed.txt"
+    seed.write_text("1\n1\n")
+    eq, zig = zigzag_eq_file, zigzag_file
+    argvs = [
+        ["oracle", "--name", "exp", "--count", "5", "--format", "json"],
+        ["oracle", "--name", "exp", "--count", "5"],
+        ["guess", "--input", zig, "--min-verify", "0", "--d-max", "3"],
+        ["guess", "--input", zig, "--min-verify", "0"],
+        ["guess", "--input", str(scaled), "--rescale", "4", "--format",
+         "latex"],
+        ["guess", "--input", str(scaled)],
+        ["guess", "--input", zig, "--min-verify", "0", "--format", "json"],
+        ["guess"],
+        ["frobnicate"],
+        ["guess", "--input", zig, "--format", "xml"],
+        ["oracle", "--name", "fibonacci", "--count", "5"],
+        ["--help"],
+        ["guess", "--help"],
+        ["extend", "--equation", eq, "--input", str(seed), "--count", "3",
+         "--format", "json"],
+        ["extend", "--equation", eq, "--input", str(seed), "--count", "3"],
+        ["check", "--equation", eq, "--input", zig, "--format", "json"],
+        ["check", "--equation", eq, "--input", zig],
+        ["check", "--equation", eq, "--input", str(seed)],
+        ["guess", "--input", non_utf8_file],
+        [],
+    ]
+    cli._build_parser.cache_clear()
+    reused = _outcomes(argvs, capsys)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _outcomes(argvs, capsys)
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 1, 0, 0, 0, 0, *[("SystemExit", 2)] * 4,
+                     *[("SystemExit", 0)] * 2, 0, 0, 0, 0, 3, 2,
+                     ("SystemExit", 2)]

@@ -6,7 +6,8 @@ import pytest
 
 from quadguess.equations import QuadEquation, monomial_of_orders
 from quadguess.errors import PrefixFormatError
-from quadguess.prefix import SequencePrefix, dump_prefix, parse_prefix_text
+from quadguess.prefix import (SequencePrefix, dump_prefix, load_prefix,
+                              parse_prefix_text)
 from quadguess.sequences import oracle_sequence
 
 
@@ -70,3 +71,17 @@ def test_terms_and_rescale_factors_are_exact():
     for rescaled in (prefix.rescaled, eq.rescaled):
         with pytest.raises(ValueError):
             rescaled(0)
+
+
+@pytest.mark.parametrize("head", [b"", b"1\n2\n3\n", b"1\n" * 50_000],
+                         ids=["at-start", "line-4", "past-100-KB"])
+def test_load_prefix_rejects_non_utf8(tmp_path, head):
+    """A file that is not UTF-8 raises PrefixFormatError naming the path
+    and the byte's offset in the file, not a bare codec error."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(head + b"\xff\xfe1\n2\n")
+    with pytest.raises(PrefixFormatError) as exc:
+        load_prefix(path)
+    assert str(exc.value) == (f"{path}: not UTF-8: byte 0xff "
+                              f"at offset {len(head)}")
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
