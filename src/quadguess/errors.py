@@ -46,10 +46,9 @@ class EquationFormatError(QuadGuessError):
 
 
 class PrefixFormatError(QuadGuessError):
-    """Malformed sequence file; carries a line number when known."""
+    """Malformed sequence file; carries a line number when known (the
+    message names it too)."""
 
     def __init__(self, message, line=None):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)

@@ -8,20 +8,20 @@ denominator) and int.  `falling_weight` is the one weight function and
 returns is a kernel mod primes, lifted to Q and accepted only when the
 caller's exact check says it vanishes.  It reads the matrix only through
 residues, which a caller evaluates from its input reduced mod a prime
-(reduction is a ring homomorphism), never through exact rows.  It first
-ranks the matrix modulo the Mersenne prime P = 2**61 - 1 with a
-`ColumnEchelon` of packed columns, one int each, whose slots a Mersenne
-fold reduces at once: full rank mod P proves a trivial nullspace over Q.
-The echelon grows by columns and shrinks by rows without re-eliminating,
-so `guess` keeps one per search and adds only the new columns of each
-ansatz size.  Otherwise the echelon replays the multipliers it recorded
-while eliminating and so gives the kernel mod P itself, with no second
-elimination, and rational reconstruction lifts each of its vectors.
-Only when a vector does not lift or does not vanish are all rows read:
-the loop climbs the Mersenne primes past P (2**89 - 1, 2**107 - 1, ...),
-eliminating all rows mod each; the kernels of the best profile, P's too,
-are combined by CRT until the lift checks, so results are exact and
-reproducible byte for byte.
+(reduction is a ring homomorphism), never through exact rows, and one
+engine eliminates them: a `ColumnEchelon` mod a Mersenne prime 2**e - 1,
+of packed columns, one int each, whose slots a fold at 2**e reduces at
+once.  It first ranks the matrix modulo P = 2**61 - 1: full rank mod P
+proves a trivial nullspace over Q.  The echelon grows by columns and
+shrinks by rows without re-eliminating, so `guess` keeps one per search
+and adds only the new columns of each ansatz size.  Otherwise the echelon
+replays the multipliers it recorded while eliminating and so gives the
+kernel mod P itself, with no second elimination, and rational
+reconstruction lifts each of its vectors.  Only when a vector does not
+lift or does not vanish does the loop climb the Mersenne primes past P
+(2**89 - 1, 2**107 - 1, ...), with an echelon of all rows mod each; the
+kernels of the best profile, P's too, are combined by CRT until the lift
+checks, so results are exact and reproducible byte for byte.
 """
 
 import re
@@ -29,7 +29,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm, prod
-from operator import mul
 
 # A Mersenne prime: residues fit in one 61-bit word.
 P = 2**61 - 1
@@ -117,8 +116,9 @@ def normalize_vector(vec):
 
 
 def slot_bits(height, p=P):
-    """Bits per slot of `height` packed rows: whole bytes that hold a sum
-    of `height` products of residues mod p (mod P, 136 for 65-2**14 rows)."""
+    """Bits per slot of `height` packed rows mod the Mersenne prime p:
+    whole bytes that hold a sum of `height` products of residues mod p
+    (136 mod P and 192 mod 2**89 - 1 for 65-2**14 rows)."""
     return -(-(max(height, 1) * p * p).bit_length() // 8) * 8
 
 
@@ -129,47 +129,49 @@ def pack(values, bits):
                                    for x in values), "little")
 
 
-def _fold(c, low, high):
-    """Every slot lo + 2**61 * hi of c to lo + hi, at once (2**61 = 1 mod
-    P; low and high mask each slot's low 61 bits and the rest)."""
-    return (c & low) + (c >> 61 & high)
+def _fold(c, low, high, e):
+    """Every slot lo + 2**e * hi of c to lo + hi, at once (2**e = 1 mod
+    2**e - 1; low and high mask each slot's low e bits and the rest)."""
+    return (c & low) + (c >> e & high)
 
 
-def _reduce(c, low, high, ones):
-    """Every slot of c to its residue mod P in [0, P): two folds take a
-    slot of up to 176 bits (`slot_bits` of fewer than 2**54 rows) to
-    [0, 2P)."""
-    c = _fold(_fold(c, low, high), low, high)
-    return c - (c + ones >> 61 & ones) * P
+def _reduce(c, low, high, ones, e):
+    """Every slot of c to its residue mod p = 2**e - 1 in [0, p): two folds
+    take a slot of at most 3e - 1 bits (`slot_bits` of fewer than
+    2**(e - 9) rows) to [0, 2p)."""
+    c = _fold(_fold(c, low, high, e), low, high, e)
+    return c - (c + ones >> e & ones) * ((1 << e) - 1)
 
 
-def _negated(c, f, low, high):
-    """P - c * f mod P in every slot, in [0, P], for slots of c in [0, P)
-    and 0 <= f < P."""
-    return low - _fold(_fold(c * f, low, high), low, high)
+def _negated(c, f, low, high, e):
+    """p - c * f mod p = 2**e - 1 in every slot, in [0, p], for slots of c
+    in [0, p) and 0 <= f < p."""
+    return low - _fold(_fold(c * f, low, high, e), low, high, e)
 
 
 class ColumnEchelon:
-    """A column echelon mod P of an integer matrix that grows by columns
-    and shrinks by rows.  A column is packed: slot n of `bits` bits holds
-    row n (see `pack`), and `_fold` reduces every slot at once.
+    """A column echelon mod the Mersenne prime p = 2**e - 1 (P by default)
+    of an integer matrix that grows by columns and shrinks by rows.  A
+    column is packed: slot n of `bits` bits holds row n (see `pack`), and
+    `_fold` reduces every slot at once, at 2**e = 1 mod p.
 
     `basis` lists (column, pivot row, u) for the added columns that are
-    independent of the columns before them: u = P - t in every slot, for
+    independent of the columns before them: u = p - t in every slot, for
     the column t reduced against the earlier ones (zero above its pivot, 1
-    at it, 0 mod P at every earlier pivot, slots in [0, P]), so eliminating
+    at it, 0 mod p at every earlier pivot, slots in [0, p]), so eliminating
     adds f * u and no slot borrows.  A folded column plus at most `height`
     such products stays below 2**bits in every slot (`slot_bits`), so an
     added column is folded before and after its elimination, not between
-    its steps.  `rank` is the rank mod P of the current matrix, so the
-    matrix has full column rank mod P iff rank == width.  Every added
+    its steps.  `rank` is the rank mod p of the current matrix, so the
+    matrix has full column rank mod p iff rank == width.  Every added
     column also records the multipliers f of its elimination, keyed by
     basis column, and its pivot inverse if it joined the basis: `kernel`
-    reads the kernel mod P off those records.
+    reads the kernel mod p off those records.
     """
 
-    def __init__(self, height):
-        self.bits = slot_bits(height)
+    def __init__(self, height, p=P):
+        self.p, self.e = p, p.bit_length()
+        self.bits = slot_bits(height, p)
         self._ones = pack([1] * height, self.bits)
         self.width = 0
         self.basis = []
@@ -181,23 +183,23 @@ class ColumnEchelon:
         return len(self.basis)
 
     def add(self, column):
-        """Append a packed column of any representatives mod P (slots at
+        """Append a packed column of any representatives mod p (slots at
         or past `height` are ignored)."""
         bits, low, high = self.bits, self._low, self._high
-        slot = (1 << bits) - 1
-        c = _fold(column, low, high)           # drops the cut rows
+        p, e, slot = self.p, self.e, (1 << bits) - 1
+        c = _fold(column, low, high, e)        # drops the cut rows
         steps, inv = [], None
         for col, pivot, u in self.basis:
-            f = (c >> bits * pivot & slot) % P
+            f = (c >> bits * pivot & slot) % p
             if f:
                 c += f * u
                 steps.append((col, f))
-        c = _reduce(c, low, high, self._ones)
+        c = _reduce(c, low, high, self._ones, e)
         if c:
             pivot = ((c & -c).bit_length() - 1) // bits
-            inv = pow(c >> bits * pivot & slot, -1, P)
+            inv = pow(c >> bits * pivot & slot, -1, p)
             self.basis.append((self.width, pivot,
-                               _negated(c, inv, low, high)))
+                               _negated(c, inv, low, high, e)))
         self._steps.append((steps, inv))
         self.width += 1
 
@@ -208,46 +210,51 @@ class ColumnEchelon:
         bits, mask = self.bits, (1 << self.bits * height) - 1
         self.height = height
         self._ones &= mask                     # 1 in every row's slot
-        self._low = self._ones * P             # P, the low 61 bits
-        self._high = self._ones * ((1 << bits - 61) - 1)
+        self._low = self._ones * self.p        # p, the low e bits
+        self._high = self._ones * ((1 << bits - self.e) - 1)
         self.basis = [(col, pivot, u & mask)
                       for col, pivot, u in self.basis if pivot < height]
 
     def kernel(self):
-        """(pivots, basis) of the current matrix mod P, as `_kernel_mod`
-        gives them: the basis columns, ascending, and for each other
-        column, in order, the kernel vector with 1 there and 0 at the
-        other free columns, entries in [0, P).
+        """(pivots, basis) of the current matrix mod p: the pivot columns
+        of its reduced row echelon form (leftmost pivots), ascending, and
+        for each other column, in order, the kernel vector with 1 there and
+        0 at the other free columns, entries in [0, p); (all columns, [])
+        at full rank.
 
         `add`'s records are replayed on packed vectors of `width` slots,
         folded like the columns (fewer than `width` steps per vector):
         column j's vector is v = e_j - sum f * x_i, so the columns that v
         combines sum to column j reduced, and a basis column's x_j is v
-        times its pivot inverse.  A free column was dependent when added,
-        or a cut dropped its basis column (whose t is 0 on the kept rows),
-        so v is in the kernel, 1 at j and 0 past it; taking off the
-        earlier free vectors at their columns makes it canonical."""
-        width = self.width
-        bits = slot_bits(width)
+        times its pivot inverse, zero past slot j and kept to slots 0 .. j.
+        A free column was dependent when added, or a cut dropped its basis
+        column (whose t is 0 on the kept rows), so v is in the kernel, 1 at
+        j and 0 past it; taking off the earlier free vectors at their
+        columns makes it canonical."""
+        width, p, e = self.width, self.p, self.e
+        if self.rank == width:
+            return list(range(width)), []
+        bits = slot_bits(width, p)
         ones = pack([1] * width, bits)
-        low, high = ones * P, ones * ((1 << bits - 61) - 1)
+        low, high = ones * p, ones * ((1 << bits - e) - 1)
         slot = (1 << bits) - 1
         pivots = sorted(col for col, _, _ in self.basis)
         kept = set(pivots)
-        negated, free = {}, []       # P - x_i per basis column; (j, P - v)
+        negated, free = {}, []       # p - x_i per basis column; (j, p - v)
         for j, (steps, inv) in enumerate(self._steps):
             v = 1 << bits * j
             for i, f in steps:
                 v += f * negated[i]
-            v = _reduce(v, low, high, ones)
+            v = _reduce(v, low, high, ones, e)
             if inv is not None:
-                negated[j] = _negated(v, inv, low, high)
+                negated[j] = (_negated(v, inv, low, high, e)
+                              & (1 << bits * (j + 1)) - 1)
             if j not in kept:
                 for k, w in free:
-                    f = (v >> bits * k & slot) % P
+                    f = (v >> bits * k & slot) % p
                     if f:
                         v += f * w
-                free.append((j, low - _reduce(v, low, high, ones)))
+                free.append((j, low - _reduce(v, low, high, ones, e)))
         size = bits // 8
         basis = []
         for _, w in free:
@@ -255,46 +262,6 @@ class ColumnEchelon:
             basis.append([int.from_bytes(data[k:k + size], "little")
                           for k in range(0, size * width, size)])
         return pivots, basis
-
-
-def _kernel_mod(rows, width, p):
-    """(pivots, basis) of integer rows (any representatives) mod the
-    Mersenne prime p = 2**e - 1: the pivot columns of their row echelon
-    form, leftmost first, and for each free column, in order, the kernel
-    vector with 1 there and 0 at the other free columns, entries in [0, p).
-    Gaussian elimination adds f * (p - t) for the normalized pivot row t (0
-    kept as 0) and folds at 2**e = 1 mod p, so entries stay below 3 * 2**e;
-    then back-substitution per free column."""
-    e = p.bit_length()
-    rows = [[x % p for x in row] for row in rows]
-    pivots = []
-    for col in range(width):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p),
-                     None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        head = rows[r]
-        inv = pow(head[col], -1, p)
-        head[col:] = tail = [x * inv % p for x in head[col:]]
-        negated = [p - y if y else 0 for y in tail]
-        for row in rows[r + 1:]:
-            f = row[col] % p
-            if f:
-                row[col:] = [((s := x + f * y) & p) + (s >> e)
-                             for x, y in zip(row[col:], negated)]
-        pivots.append(col)
-    basis = []
-    for free in sorted(set(range(width)).difference(pivots)):
-        vec = [0] * width
-        vec[free] = 1
-        for row, col in reversed(list(zip(rows, pivots))):
-            if col < free:
-                vec[col] = -sum(map(mul, row[col + 1:free + 1],
-                                    vec[col + 1:free + 1])) % p
-        basis.append(vec)
-    return pivots, basis
 
 
 def _rational(x, m, bound):
@@ -342,59 +309,52 @@ _MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
              74207281, 77232917, 82589933, 136279841)
 
 
-def modular_nullspace(echelon, rows_mod, vanishes):
-    """Nullspace basis of an integer matrix from three views of it:
-    `echelon`, a ColumnEchelon of a matrix congruent to it mod P;
-    `rows_mod(p)`, a function from n to row n of a matrix congruent to it
-    mod the prime p (any representatives); and `vanishes(vec)`, whether
-    the integer vector vec annihilates every row exactly.
+def modular_nullspace(echelon_at, vanishes):
+    """Nullspace basis of an integer matrix from two views of it:
+    `echelon_at(p)`, a ColumnEchelon mod the Mersenne prime p of a matrix
+    congruent to it mod p (any representatives), asked for once per p; and
+    `vanishes(vec)`, whether the integer vector vec annihilates every row
+    exactly.
 
     The basis has one vector per free column of the reduced row echelon
     form (leftmost pivots), with 1 there and 0 at the other free columns,
     scaled to ints with content 1 and a positive first nonzero entry, in
     order of free column; it is [] iff the nullspace is trivial.
 
-    Full column rank mod P means full rank over Q (a minor that is nonzero
-    mod P is a nonzero integer), so the answer is [] and no row is read.
-    Otherwise `echelon.kernel()` gives the kernel mod P of all the rows in
-    its canonical basis, off the elimination that ranked them, and still
-    no row is read.  Each vector is lifted by rational reconstruction over
-    a common denominator and checked by `vanishes`.  When every one
-    vanishes, they are the kernel over Q, byte for byte: independent
-    vectors of ker_Q, as many as the nullity mod P, which is at least the
-    nullity over Q, so they span it; their last nonzero entries are
-    distinct free columns, so they are its unique basis of that form.
+    Each rung of the loop takes `echelon_at(p).kernel()` for the next
+    Mersenne prime p = 2**e - 1 (`_MERSENNE`), from P = 2**61 - 1 on.
+    Full column rank mod p means full rank over Q (a minor that is nonzero
+    mod p is a nonzero integer), so the answer is [] and no kernel is
+    replayed.  Otherwise the first rung gives the kernel mod P in its
+    canonical basis, off the elimination that ranked the matrix.  Each
+    vector is lifted by rational reconstruction over a common denominator
+    and checked by `vanishes`.  When every one vanishes, they are the
+    kernel over Q, byte for byte: independent vectors of ker_Q, as many as
+    the nullity mod P, which is at least the nullity over Q, so they span
+    it; their last nonzero entries are distinct free columns, so they are
+    its unique basis of that form.
 
     When one does not lift or vanish (rank or pivots lost mod P, or entries
-    beyond the bound), the loop climbs the Mersenne primes 2**e - 1 past P
-    (`_MERSENNE`); only there are rows read, all of them mod each prime,
-    and eliminated again.  Full rank mod any of them gives [].  The moduli
-    with the best profile so far (highest rank, then smallest pivot list),
-    P's included, are combined by CRT, and the lift modulo their product
-    is checked as above, so whatever is returned is the kernel over Q.  Mod
-    p the rank is at most the rank over Q and each pivot is at or right of
-    its place over Q, so no modulus beats the profile over Q, and every
-    modulus with that profile gives the true basis mod p, P's from the
-    echelon included.  Fix a nonzero maximal minor at the pivot columns
-    over Q: a modulus with a worse profile divides it, so the bad moduli
-    total at most log2 H bits, H the Hadamard bound of the maximal minors.
-    The basis entries over their common denominator are such minors, at
-    most H, so the lift recovers them once the kept moduli exceed 2 * H**2.
-    The table's 716 504 546 bits exceed 3 * log2 H + 2 whenever
-    H < 2**(2 * 10**8), and for every such matrix the loop returns; past
-    the table it raises ArithmeticError.
+    beyond the bound), the loop climbs the Mersenne primes past P, each
+    with an echelon of its own.  The moduli with the best profile so far
+    (highest rank, then smallest pivot list), P's included, are combined by
+    CRT, and the lift modulo their product is checked as above, so
+    whatever is returned is the kernel over Q.  Mod p the rank is at most
+    the rank over Q and each pivot is at or right of its place over Q, so
+    no modulus beats the profile over Q, and every modulus with that
+    profile gives the true basis mod p.  Fix a nonzero maximal minor at the
+    pivot columns over Q: a modulus with a worse profile divides it, so the
+    bad moduli total at most log2 H bits, H the Hadamard bound of the
+    maximal minors.  The basis entries over their common denominator are
+    such minors, at most H, so the lift recovers them once the kept moduli
+    exceed 2 * H**2.  The table's 716 504 546 bits exceed 3 * log2 H + 2
+    whenever H < 2**(2 * 10**8), and for every such matrix the loop
+    returns; past the table it raises ArithmeticError.
     """
-    width = echelon.width
-    if echelon.rank == width:
-        return []
     best = None
     for e in _MERSENNE:
         p = 2**e - 1
-        if p == P:
-            pivots, basis = echelon.kernel()
-        else:
-            pivots, basis = _kernel_mod(
-                map(rows_mod(p), range(echelon.height)), width, p)
+        pivots, basis = echelon_at(p).kernel()
         if not basis:
             return []
         profile = (-len(pivots), pivots)

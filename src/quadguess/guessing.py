@@ -24,10 +24,11 @@ and a size that is full rank there is skipped.  Otherwise
 Each lifted vector is verified exactly by `check`'s walk
 (`sequences._walk`), the one row loop: normalized to a QuadEquation, its
 rows are read on the exact terms, and its z-multiples are accepted from
-that one pass; the result keeps that equation.  Only
-if a lift fails are all the rows read, mod the further Mersenne primes
-that `modular_nullspace` climbs, from the prefix reduced mod each of
-them, packed once per search like the rows mod P.
+that one pass; the result keeps that equation.  Only if a lift fails
+does `modular_nullspace` climb the further Mersenne primes: mod each, a
+fresh `ColumnEchelon` of that prime takes all the usable rows, its
+columns added the same way from the prefix reduced mod the prime, packed
+once per search like the rows mod P.
 """
 
 import json
@@ -93,7 +94,9 @@ class _SlotRows:
     of slot k, its z^n coefficients times den**2, below count * p**2:
     the low count slots (carries only move up) of one product of its two
     derivative sequences mod p, each packed once; f^(-1) packs to den.
-    It is kept for every d of a search."""
+    It is kept for every d of a search, and `bits` is the slot width of
+    the search's `ColumnEchelon`s mod p, so `slot(k, count) << bits * i`
+    is column (k, i) as they take it."""
 
     def __init__(self, nums, den, p, bits):
         self.derivs = Derivatives([x % p for x in nums], den % p)
@@ -117,14 +120,6 @@ class _SlotRows:
                       & (1 << self.bits * count) - 1)
             self.kept[k] = count, packed
         return packed
-
-    def rows(self, d, m, count):
-        """A function from n < count to row n of the size-d system: entry
-        (k, i) is row n - i of slot k (0 for n < i), in column_order."""
-        bits, slots = self.bits, [self.slot(k, count) for k in range(d + 1)]
-        entry = (1 << bits) - 1
-        return lambda n: [packed >> bits * (n - i) & entry if n >= i else 0
-                          for packed in slots for i in range(m + 1)]
 
 
 def _usable_rows(prefix, d):
@@ -256,20 +251,26 @@ def guess(prefix, cfg=GuessConfig()):
     def residues(p):
         return _SlotRows(nums, den, p, slot_bits(height, p))
 
+    def echelon_at(p):
+        """The current size-d system's usable rows mod p in a
+        ColumnEchelon, the search's own at P and a fresh one past P, given
+        the columns it lacks."""
+        at = echelon if p == P else ColumnEchelon(height, p)
+        at.cut(usable)
+        for k in range(at.width // (m + 1), d + 1):
+            rows = residues(p).slot(k, usable)
+            for i in range(m + 1):
+                at.add(rows << at.bits * i)     # row n - i at n
+        return at
+
     for d in range(cfg.d_start, d_cap + 1):
         construction = (m + 1) * (d + 1)
         usable = _usable_rows(prefix, d)
         if usable < construction + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         attempted = True
-        echelon.cut(usable)
-        for k in range(echelon.width // (m + 1), d + 1):
-            rows = residues(P).slot(k, usable)
-            for i in range(m + 1):
-                echelon.add(rows << echelon.bits * i)   # row n - i at n
         verifier = _Verifier(prefix.values, d, m, usable)
-        basis = modular_nullspace(
-            echelon, lambda p: residues(p).rows(d, m, usable), verifier)
+        basis = modular_nullspace(echelon_at, verifier)
         if basis:
             equations = tuple(map(verifier.equation, basis))
             return GuessResult(status="success", d=d, m=m, basis=equations,

@@ -116,22 +116,24 @@ def parse_prefix_text(text, source="<input>"):
         try:
             values.append(parse_rational(line))
         except (ValueError, ZeroDivisionError) as exc:
-            raise PrefixFormatError(f"malformed rational {_echo(line)}",
-                                    line=lineno) from exc
+            raise PrefixFormatError(
+                f"{source}: line {lineno}: malformed rational {_echo(line)}",
+                line=lineno) from exc
     if not values:
         raise PrefixFormatError(f"{source}: empty sequence")
     return SequencePrefix(values)
 
 
 def read_text(path, error):
-    """The file's text, decoded as UTF-8; bytes that do not decode raise
-    error (an exception class) naming the path and the byte offset."""
+    """The file's text, decoded as UTF-8 without a leading byte-order mark
+    (as "utf-8-sig" reads it); bytes that do not decode raise error (an
+    exception class) naming the path and the byte offset."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # read() decodes the whole file in one call, so exc.start is the
-        # offset in the file
+        # offset in the file ("utf-8-sig" would count it past the mark)
         raise error(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
                     f"at offset {exc.start}") from exc
 

@@ -330,6 +330,36 @@ def test_non_utf8_file_is_usage_error(command, non_utf8_file, zigzag_eq_file,
                             f"at offset 4\n")
 
 
+@pytest.mark.parametrize("bom", ["lines", "array", "equation"])
+def test_byte_order_mark_is_dropped(bom, tmp_path, zigzag_file,
+                                    zigzag_eq_file, capsys):
+    """A UTF-8 byte-order mark before a sequence file's lines, before its
+    JSON array or before an equation file is not part of the file:
+    `check` passes and `guess` succeeds, exit 0."""
+    from quadguess.sequences import oracle_sequence
+    terms = [str(v) for v in oracle_sequence("zigzag-egf", 26).values]
+    text = {"lines": "\n".join(terms) + "\n", "array": json.dumps(terms),
+            "equation": Path(zigzag_eq_file).read_text()}[bom]
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    eq, seq = ((path, zigzag_file) if bom == "equation"
+               else (zigzag_eq_file, path))
+    assert main(["check", "--equation", str(eq), "--input", str(seq)]) == 0
+    if bom != "equation":
+        assert main(["guess", "--input", str(seq)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_inner_byte_order_mark_is_usage_error(tmp_path, capsys):
+    """Negative control: a U+FEFF in the middle of a line is a malformed
+    term, exit 2 with the file and line named."""
+    path = tmp_path / "inner.txt"
+    path.write_text("1\n1\n1\ufeff/2\n1\n", encoding="utf-8")
+    assert main(["guess", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: line 3: malformed rational ")
+
+
 def test_parser_is_built_once(monkeypatch, zigzag_file, capsys):
     """N calls of main build one top-level parser and its four subparsers,
     not 5 * N."""

@@ -116,24 +116,18 @@ def test_nullspace_full_rank_mod_p_is_trivial():
 
 
 def _spy_kernels(monkeypatch, log):
-    """Call log(p, pivots) on every kernel `exact` takes mod a prime p:
-    P's is read off the ColumnEchelon, and `_kernel_mod` is never asked
-    for it, only for the primes past P."""
-    kernel, kernel_mod = ColumnEchelon.kernel, exact._kernel_mod
+    """Call log(p, pivots) on every kernel `exact` takes mod a prime p, each
+    read off a ColumnEchelon mod p: at every rung past P, and at P unless
+    the echelon there has full rank, which answers [] with no kernel."""
+    kernel = ColumnEchelon.kernel
 
-    def logged_echelon(echelon):
+    def logged(echelon):
         pivots, basis = kernel(echelon)
-        log(P, pivots)
+        if basis or echelon.p != P:
+            log(echelon.p, pivots)
         return pivots, basis
 
-    def logged(rows, width, p):
-        assert p != P, "a second elimination mod P"
-        pivots, basis = kernel_mod(rows, width, p)
-        log(p, pivots)
-        return pivots, basis
-
-    monkeypatch.setattr(ColumnEchelon, "kernel", logged_echelon)
-    monkeypatch.setattr(exact, "_kernel_mod", logged)
+    monkeypatch.setattr(ColumnEchelon, "kernel", logged)
 
 
 def _logged_kernels(monkeypatch):
@@ -196,17 +190,38 @@ def test_nullspace_equals_bareiss_on_all_rows_randomized():
         assert echelon_nullspace(mat, width=cols) == expected, (trial, mat)
 
 
-_ECHELON_ENTRIES = (0, 1, -1, 2, -2, P, -P, 2 * P, P + 1, P - 1)
+def _assert_kernel_mod(echelon, rows, width, p):
+    """The echelon's kernel is that of the integer rows mod the prime p:
+    its pivots are the columns that raise the rank mod p, and each free
+    column's vector has 1 there, 0 at the other free columns, entries in
+    [0, p), and annihilates every row mod p.  These properties fix the
+    kernel."""
+    pivots, basis = echelon.kernel()
+    assert pivots == [c for c in range(width)
+                      if rank_mod_p([row[:c + 1] for row in rows], p)
+                      > rank_mod_p([row[:c] for row in rows], p)]
+    free = [c for c in range(width) if c not in pivots]
+    assert len(basis) == len(free)
+    for col, vec in zip(free, basis):
+        assert len(vec) == width
+        assert [vec[c] for c in free] == [int(c == col) for c in free]
+        assert all(0 <= x < p for x in vec)
+        assert all(sum(x * v for x, v in zip(row, vec)) % p == 0
+                   for row in rows)
 
 
 @st.composite
 def _echelon_scripts(draw):
-    """(height, steps): a matrix of 1 to 40 rows built in 1 to 9 steps,
-    each (cut, column, largest): a cut to at most the current height about a
-    third of the time (None otherwise), then the column added, with entries
-    of _ECHELON_ENTRIES or, about a third of the time, a combination of
-    two earlier columns (rank deficiency is common).  `largest` packs each
-    entry's largest representative below 2**bits, not the entry mod P**2."""
+    """(p, height, steps): a Mersenne modulus p of the first five and a
+    matrix of 1 to 40 rows built in 1 to 9 steps, each (cut, column,
+    largest): a cut to at most the current height about a third of the
+    time (None otherwise), then the column added, with entries 0, +-1,
+    +-2, +-p, 2p and p +- 1 or, about a third of the time, a combination
+    of two earlier columns (rank deficiency is common).  `largest` packs
+    each entry's largest representative below 2**bits, not the entry mod
+    p**2."""
+    p = 2**draw(st.sampled_from(_MERSENNE[:5])) - 1
+    entries = (0, 1, -1, 2, -2, p, -p, 2 * p, p + 1, p - 1)
     height = start = draw(st.integers(1, 40))
     columns, steps = [], []
     for _ in range(draw(st.integers(1, 9))):
@@ -219,48 +234,51 @@ def _echelon_scripts(draw):
             c, e = (draw(st.integers(-3, 3)) for _ in "ce")
             column = [c * x + e * y for x, y in zip(a, b)]
         else:
-            column = draw(st.lists(st.sampled_from(_ECHELON_ENTRIES),
+            column = draw(st.lists(st.sampled_from(entries),
                                    min_size=height, max_size=height))
         columns.append(column)
         steps.append((cut, column, draw(st.booleans())))
-    return start, steps
+    return p, start, steps
 
 
 @given(_echelon_scripts())
-@example((3, [(None, [0, 1, 0], False), (None, [1, 2, 0], True),
-              (1, [P - 1], False)]))            # the cut lands on pivot 1
-@example((2, [(None, [P, 1], True), (None, [-P, -1], False),
-              (1, [2 * P], True), (0, [], False)]))
+@example((P, 3, [(None, [0, 1, 0], False), (None, [1, 2, 0], True),
+                 (1, [P - 1], False)]))         # the cut lands on pivot 1
+@example((P, 2, [(None, [P, 1], True), (None, [-P, -1], False),
+                 (1, [2 * P], True), (0, [], False)]))
 # the cut drops basis column 0, which reduced dependent column 1
-@example((3, [(None, [0, 1, 0], False), (None, [0, 2, 0], True),
-              (None, [1, 0, 1], False), (1, [2], True)]))
+@example((P, 3, [(None, [0, 1, 0], False), (None, [0, 2, 0], True),
+                 (None, [1, 0, 1], False), (1, [2], True)]))
+# past P: a dependent column after two basis columns replays both
+@example((2**89 - 1, 2, [(None, [1, 1], True), (None, [0, 1], False),
+                         (None, [2, 3], True)]))
 @settings(max_examples=300, deadline=None)
 def test_column_echelon_matches_rank_from_scratch(script):
-    """Columns added one at a time, with row cuts between some additions,
-    packed from representatives as large as a slot holds, with full slots
-    past the current height: after every step the echelon's rank and
-    full-rank verdict are those of the current matrix, ranked mod P from
-    scratch, and its kernel is `_kernel_mod`'s of the current rows mod P,
-    pivots and basis, also after a cut drops a basis column that reduced
-    later columns."""
-    height, steps = script
-    echelon = ColumnEchelon(height)
+    """Columns added one at a time to a ColumnEchelon mod p, with row cuts
+    between some additions, packed from representatives as large as a
+    slot holds, with full slots past the current height: after every step
+    the echelon's rank and full-rank verdict are those of the current
+    matrix, ranked mod p from scratch, and its kernel is that of the
+    current rows mod p (`_assert_kernel_mod`), also after a cut drops a
+    basis column that reduced later columns."""
+    p, height, steps = script
+    echelon = ColumnEchelon(height, p)
     top = (1 << echelon.bits) - 1
     columns = []
 
     def check():
         rows = [list(row) for row in zip(*columns)]
-        rank = rank_mod_p(rows, P)
+        rank = rank_mod_p(rows, p)
         assert echelon.rank == rank, columns
         assert (echelon.rank == echelon.width) == (rank == len(columns))
-        assert echelon.kernel() == exact._kernel_mod(rows, len(columns), P)
+        _assert_kernel_mod(echelon, rows, len(columns), p)
 
     for cut, column, largest in steps:
         if cut is not None:
             echelon.cut(cut)
             columns = [col[:cut] for col in columns]
             check()
-        slots = [top - (top - x) % P if largest else x % (P * P)
+        slots = [top - (top - x) % p if largest else x % (p * p)
                  for x in column]
         past = [top] * (height + 1 - len(column))   # ignored: cut or beyond
         echelon.add(pack(slots + past, echelon.bits))
@@ -384,7 +402,7 @@ def test_nullspace_lift_needs_crt(monkeypatch):
 def _kernel_cases(draw):
     """(rows, width, p): a Mersenne modulus p of the first five, and rows
     of any representatives (0, 1, p - 1, p, p + 1, 2p, or up to
-    height * p**2, the bound of an unpacked slot row), a third of them
+    height * p**2, the bound of a slot row), a third of them
     combinations of earlier rows."""
     p = 2**draw(st.sampled_from(_MERSENNE[:5])) - 1
     height, width = draw(st.integers(1, 7)), draw(st.integers(1, 7))
@@ -405,22 +423,14 @@ def _kernel_cases(draw):
 @given(_kernel_cases())
 @settings(max_examples=200, deadline=None)
 def test_kernel_mod_matches_rank_mod_p(case):
-    """_kernel_mod mod a Mersenne prime: its pivots are the columns that
-    raise the rank mod p, and each free column's vector has 1 there, 0 at
-    the other free columns, entries in [0, p), and annihilates every row
-    mod p."""
+    """A ColumnEchelon mod a Mersenne prime p, filled column by column with
+    rows of any representatives packed mod p, has the kernel of the rows
+    mod p (`_assert_kernel_mod`)."""
     rows, width, p = case
-    pivots, basis = exact._kernel_mod(rows, width, p)
-    assert pivots == [c for c in range(width)
-                      if rank_mod_p([row[:c + 1] for row in rows], p)
-                      > rank_mod_p([row[:c] for row in rows], p)]
-    free = [c for c in range(width) if c not in pivots]
-    assert len(basis) == len(free)
-    for col, vec in zip(free, basis):
-        assert [vec[c] for c in free] == [int(c == col) for c in free]
-        assert all(0 <= x < p for x in vec)
-        assert all(sum(x * v for x, v in zip(row, vec)) % p == 0
-                   for row in rows)
+    echelon = ColumnEchelon(len(rows), p)
+    for c in range(width):
+        echelon.add(pack([row[c] % p for row in rows], echelon.bits))
+    _assert_kernel_mod(echelon, rows, width, p)
 
 
 def _lucas_lehmer(e):

@@ -227,24 +227,26 @@ def test_guess_matches_full_exact_path(monkeypatch):
     usual trigger: it runs for at least 5 of those 7."""
     ranks, kernels = [], []  # echelon (rank, width, height) per d; fallback?
     rank_filter = guessing.modular_nullspace
-    echelon_kernel, kernel_mod = ColumnEchelon.kernel, exact._kernel_mod
+    echelon_kernel = ColumnEchelon.kernel
 
-    def logged_rank(echelon, rows_mod, vanishes):
-        ranks.append((echelon.rank, echelon.width, echelon.height))
-        return rank_filter(echelon, rows_mod, vanishes)
+    def logged_rank(echelon_at, vanishes):
+        def logged_at(p):
+            echelon = echelon_at(p)
+            if p == P:
+                ranks.append((echelon.rank, echelon.width, echelon.height))
+            return echelon
+        return rank_filter(logged_at, vanishes)
 
     def logged_echelon_kernel(echelon):
-        kernels.append(False)    # mod P: off the echelon
-        return echelon_kernel(echelon)
-
-    def logged_kernel(rows, width, p):
-        assert p != P, "a second elimination mod P"
-        kernels.append(True)     # past P: the fallback, on all rows
-        return kernel_mod(rows, width, p)
+        pivots, basis = echelon_kernel(echelon)
+        if echelon.p != P:
+            kernels.append(True)     # past P: the fallback, on all rows
+        elif basis:
+            kernels.append(False)    # mod P: off the echelon, not full rank
+        return pivots, basis
 
     monkeypatch.setattr(guessing, "modular_nullspace", logged_rank)
     monkeypatch.setattr(ColumnEchelon, "kernel", logged_echelon_kernel)
-    monkeypatch.setattr(exact, "_kernel_mod", logged_kernel)
 
     def compare(values):
         prefix = SequencePrefix(values)
@@ -298,26 +300,26 @@ def test_guess_packs_each_modulus_once(monkeypatch):
     bell-egf with P added to term 30, where every d from the oracle's own
     on is rank-deficient only mod P and takes the fallback, the residues
     mod each modulus are packed once, not once per d.  Only the fallback
-    eliminates rows: `_kernel_mod` runs past P and never at P."""
-    built = Counter()
-    eliminated = []
-    slot_rows, kernel_mod = guessing._SlotRows, exact._kernel_mod
+    eliminates rows anew: an echelon mod P is built once per search, and
+    fresh ones only past P."""
+    built, echelons = Counter(), Counter()
+    slot_rows, column_echelon = guessing._SlotRows, guessing.ColumnEchelon
 
     def counted(nums, den, p, bits):
         built[p] += 1
         return slot_rows(nums, den, p, bits)
 
-    def logged_kernel(rows, width, p):
-        eliminated.append(p)
-        return kernel_mod(rows, width, p)
+    def counted_echelon(height, p=P):
+        echelons[p] += 1
+        return column_echelon(height, p)
 
     monkeypatch.setattr(guessing, "_SlotRows", counted)
-    monkeypatch.setattr(exact, "_kernel_mod", logged_kernel)
+    monkeypatch.setattr(guessing, "ColumnEchelon", counted_echelon)
     values = list(oracle_sequence("bell-egf", 60).values)
     values[30] += P
     guess(SequencePrefix(values))
     assert len(built) >= 2 and set(built.values()) == {1}, built
-    assert eliminated and P not in eliminated, eliminated
+    assert echelons[P] == 1 and len(echelons) >= 2, echelons
 
 
 def _bruteforce_rows(values, d, m, count):

@@ -1,4 +1,5 @@
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -33,13 +34,14 @@ def test_malformed_term_echo_is_capped():
     """A malformed term is echoed in full up to 60 characters, and cut
     with its length beyond that."""
     with pytest.raises(PrefixFormatError,
-                       match=r"^line 2: malformed rational 'bogus'$"):
+                       match=r"^<input>: line 2: malformed rational "
+                             r"'bogus'$"):
         parse_prefix_text("1/2\nbogus\n")
     line = "x" + "1" * 5000
     with pytest.raises(PrefixFormatError) as exc:
         parse_prefix_text(f"1\n{line}\n")
-    assert str(exc.value) == (f"line 2: malformed rational '{line[:59]}"
-                              f"... (5003 characters)")
+    assert str(exc.value) == (f"<input>: line 2: malformed rational "
+                              f"'{line[:59]}... (5003 characters)")
     with pytest.raises(PrefixFormatError) as exc:
         parse_prefix_text(json.dumps(["1", line]))
     assert str(exc.value) == (f"<input>: entry 1: malformed rational "
@@ -85,3 +87,32 @@ def test_load_prefix_rejects_non_utf8(tmp_path, head):
     assert str(exc.value) == (f"{path}: not UTF-8: byte 0xff "
                               f"at offset {len(head)}")
     assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+def test_load_prefix_drops_a_byte_order_mark(tmp_path):
+    """A leading UTF-8 byte-order mark is not part of the first term, in
+    line and JSON-array form; a byte that does not decode is still named
+    at its offset in the file, the mark counted."""
+    path = tmp_path / "bom.txt"
+    for text in ("1\n1\n1/2\n", '["1", "1", "1/2"]'):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_prefix(path) == SequencePrefix([1, 1, Fraction(1, 2)])
+    path.write_bytes(b"\xef\xbb\xbf1\n\xff\n")
+    with pytest.raises(PrefixFormatError) as exc:
+        load_prefix(path)
+    assert str(exc.value) == f"{path}: not UTF-8: byte 0xff at offset 5"
+
+
+@pytest.mark.parametrize("text", ["1\n2\ufeff3\n", "1\n\ufeff2\n",
+                                  "\ufeff\ufeff1\n"])
+def test_inner_byte_order_mark_is_malformed(tmp_path, text):
+    """Only one mark, at the start of the file, is dropped: a U+FEFF inside
+    a line, at the start of a later line or after the first mark is a
+    malformed term, named with its file and line."""
+    path = tmp_path / "inner.txt"
+    path.write_text(text, encoding="utf-8")
+    lineno = 1 + text.rstrip("\n").count("\n")
+    with pytest.raises(PrefixFormatError,
+                       match=rf"^{re.escape(str(path))}: line {lineno}: "
+                             rf"malformed rational "):
+        load_prefix(path)

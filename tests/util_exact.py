@@ -5,7 +5,8 @@ differentiation/convolution, plain Gaussian elimination over Fraction,
 fraction-free Bareiss elimination over the integers, and a dense linear
 solver.  These stay separate from the code paths they check.
 `echelon_nullspace` is not a reference but a driver: it feeds a matrix to
-`exact.modular_nullspace` through the views `guess` gives it.
+`exact.modular_nullspace` through the views `guess` gives it, a column
+echelon mod each Mersenne prime asked for and an exact check.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import comb, gcd, lcm
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError)
-from quadguess.exact import P, ColumnEchelon, modular_nullspace, pack
+from quadguess.exact import ColumnEchelon, modular_nullspace, pack
 
 
 def bernoulli_numbers(count):
@@ -175,9 +176,8 @@ def naive_nullspace(matrix, width):
 
 def echelon_nullspace(matrix, width=None):
     """`exact.modular_nullspace` of a matrix of ints and Fractions: rows
-    with their denominators cleared row by row, their column echelon mod P,
-    their rows mod each prime it asks for, and an exact check of every
-    row."""
+    with their denominators cleared row by row, a column echelon of them
+    mod each Mersenne prime it asks for, and an exact check of every row."""
     rows = []
     for row in matrix:
         den = lcm(*(Fraction(x).denominator for x in row))
@@ -185,17 +185,17 @@ def echelon_nullspace(matrix, width=None):
     if width is None:
         width = len(rows[0])
     assert all(len(row) == width for row in rows), "matrix is not rectangular"
-    echelon = ColumnEchelon(len(rows))
-    for c in range(width):
-        echelon.add(pack([row[c] % P for row in rows], echelon.bits))
 
-    def rows_mod(p):
-        return lambda n: [x % p for x in rows[n]]
+    def echelon_at(p):
+        echelon = ColumnEchelon(len(rows), p)
+        for c in range(width):
+            echelon.add(pack([row[c] % p for row in rows], echelon.bits))
+        return echelon
 
     def vanishes(vec):
         return all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
 
-    return modular_nullspace(echelon, rows_mod, vanishes)
+    return modular_nullspace(echelon_at, vanishes)
 
 
 def bareiss_nullspace(matrix, width):
