@@ -1,34 +1,29 @@
 """Fit quadratic differential equations to a sequence prefix.
 
-For growing ansatz size d, form the homogeneous linear system whose
-unknowns are the coefficients c_{k,i} of (c_{k,0} + ... + c_{k,m} z^m)
-applied to monomial slot k (`slot`), with one row per recurrence row the
-prefix determines, and return its nullspace basis as normalized
-equations.
+The size-d ansatz is a list of columns (monomial, z-power) (`ansatz`):
+column (mono, i) is the unknown coefficient of z^i * mono, and its row n
+reads terms up to n plus its shift max(p, 0) - i.  For growing d, form
+the homogeneous linear system of the columns, one row per recurrence row
+the prefix determines, and return its nullspace basis as normalized
+equations.  The first len(columns) rows determine the unknowns and the
+rest are held-out verification: one joint nullspace is at least as
+strict as filtering basis vectors against leftover rows individually.
 
-The stacked matrix contains every row the prefix can support: the first
-(m+1)(d+1) rows determine the unknowns and the remaining rows are held-out
-verification.  Computing one joint nullspace is at least as strict as
-filtering basis vectors against leftover rows individually.
-
-The system is read only modulo primes.  Column (k, i) is column (k, 0)
-shifted down i rows, and the columns for d are a prefix of those for
-d + 1, so one search evaluates each monomial's row sequence once, from
-the prefix reduced mod P, and every d reads it from there: one int packs
-it, the one product of the slot's two packed derivative sequences.
-`guess` ranks the systems mod P in one `exact.ColumnEchelon` per search:
-each d cuts it to its usable rows and adds only its m + 1 new columns,
-and a size that is full rank there is skipped.  Otherwise
-`exact.modular_nullspace` reads the kernel mod P off the same echelon
-(`ColumnEchelon.kernel`), with no second elimination, and lifts it to Q.
-Each lifted vector is verified exactly by `check`'s walk
-(`sequences._walk`), the one row loop: normalized to a QuadEquation, its
-rows are read on the exact terms, and its z-multiples are accepted from
-that one pass; the result keeps that equation.  Only if a lift fails
-does `modular_nullspace` climb the further Mersenne primes: mod each, a
-fresh `ColumnEchelon` of that prime takes all the usable rows, its
-columns added the same way from the prefix reduced mod the prime, packed
-once per search like the rows mod P.
+The system is read only modulo primes.  Column (mono, i) is column
+(mono, 0) shifted down i rows, and size d's columns are a prefix of size
+d + 1's, so one search grows one list and packs each monomial's rows
+once, from the prefix reduced mod P, as one product of two packed
+derivative sequences.  `guess` ranks the systems mod P in one
+`exact.ColumnEchelon` per search: each d cuts it to its usable rows and
+adds only its new columns; a size of full rank there is skipped.
+Otherwise `exact.modular_nullspace` reads the kernel mod P off the same
+echelon (`ColumnEchelon.kernel`) and lifts it to Q.  Each lifted vector,
+normalized over the columns to a QuadEquation, is verified exactly by
+`check`'s walk (`sequences._walk`), the one row loop, and its
+z-multiples (entry (mono, i) moved to column (mono, i + 1)) are accepted
+from that pass.  Only if a lift fails does `modular_nullspace` climb the
+further Mersenne primes, each with a fresh `ColumnEchelon` of all the
+usable rows and columns, packed once per search the same way.
 """
 
 import json
@@ -73,8 +68,9 @@ class GuessConfig:
                              f"d_start = {self.d_start}")
 
 
+@cache
 def slot(k):
-    """The monomial of slot k >= 0: the slots run through the pairs
+    """The monomial of slot k >= 0, built once: the slots run through the pairs
     p >= q >= -1 but the constant in lexicographic order, f, f^2, f', f'f,
     (f')^2, f'', ..., so slot k is (p, k - (p + 1)(p + 2)/2) for
     p = (isqrt(8k + 9) - 3) // 2, and p never decreases with k.  Slot -1
@@ -83,26 +79,32 @@ def slot(k):
     return QuadMonomial(p, k - (p + 1) * (p + 2) // 2)
 
 
-def column_order(d, m):
-    """Unknown ids (k, i) in k-major order; the system's column order."""
-    return [(k, i) for k in range(d + 1) for i in range(m + 1)]
+def ansatz(d, m, columns=None):
+    """The size-d ansatz: columns (monomial, z-power) k-major, (slot(k), i)
+    for k <= d and i <= m, each of shift max(p, 0) - i.  Size d's columns
+    are a prefix of size d + 1's: given a smaller size's list, `ansatz`
+    grows it in place and returns only the new columns."""
+    columns = [] if columns is None else columns
+    start = len(columns)
+    for k in range(start // (m + 1), d + 1):
+        columns += [(mono, i) for mono in [slot(k)] for i in range(m + 1)]
+    return columns[start:]
 
 
 class _SlotRows:
-    """Recurrence-row residues mod a prime p of the monomial slots on
-    nums / den: `slot(k, count)` packs (`exact.pack`) rows 0 .. count - 1
-    of slot k, its z^n coefficients times den**2, below count * p**2:
-    the low count slots (carries only move up) of one product of its two
-    derivative sequences mod p, each packed once; f^(-1) packs to den.
-    It is kept for every d of a search, and `bits` is the slot width of
-    the search's `ColumnEchelon`s mod p, so `slot(k, count) << bits * i`
-    is column (k, i) as they take it."""
+    """Recurrence-row residues mod a prime p of the monomials on
+    nums / den: `slot(mono, count)` packs (`exact.pack`) rows
+    0 .. count - 1 of mono, its z^n coefficients times den**2, below
+    count * p**2: the low count slots (carries only move up) of one
+    product of its two derivative sequences mod p, each packed once;
+    f^(-1) packs to den.  It is kept for every d of a search, and `bits`
+    is the slot width of the search's `ColumnEchelon`s mod p, so
+    `slot(mono, count) << bits * i` is column (mono, i) as they take it."""
 
     def __init__(self, nums, den, p, bits):
         self.derivs = Derivatives([x % p for x in nums], den % p)
         self.p, self.bits = p, bits
-        self.orders = {}
-        self.kept = {}
+        self.orders, self.kept = {}, {}
 
     def _packed(self, order):
         """The coefficients of f^(order) mod p, packed, kept."""
@@ -111,68 +113,66 @@ class _SlotRows:
                 [x % self.p for x in self.derivs[order]], self.bits)
         return self.orders[order]
 
-    def slot(self, k, count):
-        """Rows 0 .. count - 1 (or more) of slot k, packed."""
-        have, packed = self.kept.get(k, (0, 0))
+    def slot(self, mono, count):
+        """Rows 0 .. count - 1 (or more) of mono, packed."""
+        have, packed = self.kept.get(mono, (0, 0))
         if have < count:
-            mono = slot(k)
             packed = (self._packed(mono.p) * self._packed(mono.q)
                       & (1 << self.bits * count) - 1)
-            self.kept[k] = count, packed
+            self.kept[mono] = count, packed
         return packed
 
 
-def _usable_rows(prefix, d):
-    """How many rows of the size-d system the prefix determines: row n
-    reads indices up to n + r(d), r(d) = slot(d).p the largest derivative
-    order of slots 0 .. d."""
-    return max(0, prefix.last_index - slot(d).p + 1)
+def _usable_rows(prefix, columns):
+    """How many rows of a system with these columns the prefix determines,
+    at most one per term: row n reads terms up to n plus the largest
+    shift max(p, 0) - i."""
+    shift = 0
+    for mono, i in columns:
+        if mono.p - i > shift:          # a shift above 0 has p > 0
+            shift = mono.p - i
+    return max(0, len(prefix) - shift)
 
 
-def normalize(vector, d, m):
-    """Turn a nonzero solution vector (ints and Fractions) into a
-    QuadEquation: drop zeros, clear denominators, divide by the content,
-    and make the coefficient of the highest (p, q, z-power) term
-    positive."""
+def normalize(vector, columns):
+    """Turn a nonzero solution vector (ints and Fractions) over columns
+    into a QuadEquation: drop zeros, clear denominators, divide by the
+    content, and make the coefficient of the highest (monomial, z-power),
+    the QuadEquation's last term, positive."""
     ints = normalize_vector(vector)
     if not any(ints):
         raise ValueError("cannot normalize the zero vector")
-    terms = []
-    for (k, i), coeff in zip(column_order(d, m), ints):
-        if coeff != 0:
-            terms.append((i, slot(k), coeff))
-    if terms[-1][2] < 0:  # column order == (p, q, z-power) order
-        terms = [(s, mono, -c) for s, mono, c in terms]
-    return QuadEquation(terms)
+    terms = [(col, c) for col, c in zip(columns, ints) if c]
+    sign = 1 if max(terms)[1] > 0 else -1
+    return QuadEquation([(i, mono, sign * c) for (mono, i), c in terms])
 
 
 class _Verifier:
-    """Whether solution vectors of the size-d system annihilate its rows
-    0 .. count - 1 on the exact terms `values`: normalized to a
+    """Whether solution vectors of the system of `columns` annihilate its
+    rows 0 .. count - 1 on the exact terms `values`: normalized to a
     QuadEquation, a vector is read by `check`'s walk (`sequences._walk`).
-    Once a vector E passes, so do its z-multiples z^j * E (entry (k, i)
-    moved to (k, i + j)) whose z-powers stay within m, without a pass of
-    their own: row n of z^j * E is row n - j of E.  `equation` gives a
-    passed vector's QuadEquation, kept from its pass or, for a
-    z-multiple, normalized on first use."""
+    Once a vector E passes, so does z * E, entry (mono, i) moved to column
+    (mono, i + 1), if every entry it moves is still a column, and so on,
+    without a pass of their own: row n of z * E is row n - 1 of E.
+    `equation` gives a passed vector's QuadEquation, kept from its pass
+    or, for a z-multiple, normalized on first use."""
 
-    def __init__(self, values, d, m, count):
-        self.values = values
-        self.d, self.m, self.count = d, m, count
+    def __init__(self, values, columns, count):
+        self.values, self.columns, self.count = values, columns, count
         self.verified = {}           # vector -> its equation, or None
 
     def __call__(self, vec):
         vec = tuple(vec)
         if vec in self.verified:
             return True
-        eq = normalize(vec, self.d, self.m)
+        eq = normalize(vec, self.columns)
         if not self.vanishes(eq):
             return False
-        m = self.m
         self.verified[vec] = eq
-        while not any(vec[m::m + 1]):     # no z^m entry: shift by z
-            vec = tuple(x for b in range(0, len(vec), m + 1)
-                        for x in (0,) + vec[b:b + m])
+        index = {col: j for j, col in enumerate(self.columns)}
+        up = [index.get((mono, i + 1)) for mono, i in self.columns]
+        while None not in (moved := {j: x for j, x in zip(up, vec) if x}):
+            vec = tuple(moved.get(j, 0) for j in range(len(vec)))
             self.verified.setdefault(vec, None)
         return True
 
@@ -180,7 +180,7 @@ class _Verifier:
         """The QuadEquation of a vector that passed."""
         vec = tuple(vec)
         if self.verified[vec] is None:
-            self.verified[vec] = normalize(vec, self.d, self.m)
+            self.verified[vec] = normalize(vec, self.columns)
         return self.verified[vec]
 
     def vanishes(self, eq):
@@ -229,9 +229,10 @@ def guess(prefix, cfg=GuessConfig()):
 
     Returns the result at the smallest d whose system has a nontrivial
     nullspace.  That d is minimal, and every larger d the prefix admits
-    would succeed too: the columns for d are a prefix of those for d + 1
-    and the size-d system has at least as many rows, so full column rank
-    at d + 1 implies full column rank at d.  Larger-d solution spaces only
+    would succeed too: the columns of size d are a prefix of those of
+    size d + 1 (`ansatz`), so the size-d system's largest shift is no
+    larger and it has at least as many rows, and full column rank at
+    d + 1 implies full column rank at d.  Larger-d solution spaces only
     add consequences of the smaller equation.  Raises DegenerateInputError
     on an all-zero prefix and InsufficientTermsError when not even the
     first candidate d admits a full system.
@@ -244,7 +245,8 @@ def guess(prefix, cfg=GuessConfig()):
     attempted = False
     nums, den = prefix.scaled()
 
-    height = _usable_rows(prefix, cfg.d_start)
+    columns = ansatz(cfg.d_start, m)
+    height = usable = _usable_rows(prefix, columns)
     echelon = ColumnEchelon(height)
 
     @cache
@@ -252,30 +254,27 @@ def guess(prefix, cfg=GuessConfig()):
         return _SlotRows(nums, den, p, slot_bits(height, p))
 
     def echelon_at(p):
-        """The current size-d system's usable rows mod p in a
-        ColumnEchelon, the search's own at P and a fresh one past P, given
-        the columns it lacks."""
+        """The current system mod p: the search's echelon at P, else new."""
         at = echelon if p == P else ColumnEchelon(height, p)
         at.cut(usable)
-        for k in range(at.width // (m + 1), d + 1):
-            rows = residues(p).slot(k, usable)
-            for i in range(m + 1):
-                at.add(rows << at.bits * i)     # row n - i at n
+        rows = residues(p)
+        for mono, i in columns[at.width:]:     # row n - i at n
+            at.add(rows.slot(mono, usable) << at.bits * i)
         return at
 
     for d in range(cfg.d_start, d_cap + 1):
-        construction = (m + 1) * (d + 1)
-        usable = _usable_rows(prefix, d)
-        if usable < construction + cfg.min_verify_rows:
+        new = ansatz(d, m, columns)     # only new columns can read further
+        usable = min(usable, _usable_rows(prefix, new))
+        if usable < len(columns) + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         attempted = True
-        verifier = _Verifier(prefix.values, d, m, usable)
+        verifier = _Verifier(prefix.values, columns, usable)
         basis = modular_nullspace(echelon_at, verifier)
         if basis:
             equations = tuple(map(verifier.equation, basis))
             return GuessResult(status="success", d=d, m=m, basis=equations,
-                               construction_rows=construction,
-                               verification_rows=usable - construction)
+                               construction_rows=len(columns),
+                               verification_rows=usable - len(columns))
     if not attempted:
         raise InsufficientTermsError(
             f"{n_terms} terms admit no system at d = {cfg.d_start} "

@@ -12,7 +12,7 @@ from quadguess.cli import main
 from quadguess.equations import (Derivatives, QuadEquation,
                                  monomial_of_orders, render_text,
                                  term_numerator)
-from quadguess.guessing import GuessConfig, guess, normalize, slot
+from quadguess.guessing import GuessConfig, ansatz, guess, normalize, slot
 from quadguess.prefix import SequencePrefix, dump_prefix
 from quadguess.sequences import check, extend, oracle_sequence
 from util_exact import equation_vector, in_span, term_coeff_bruteforce
@@ -46,7 +46,7 @@ def test_criterion_1_zeta_reproduction():
     assert _basis_spans(result, ZETA_EQ)
     # exact normalized form and both renderings
     vec = equation_vector(ZETA_EQ, result.d, result.m)
-    assert normalize(vec, result.d, result.m) == ZETA_EQ
+    assert normalize(vec, ansatz(result.d, result.m)) == ZETA_EQ
     assert ZETA_EQ in result.basis
     assert render_text(ZETA_EQ, "ode") == \
         "2*z*y'' - 4*z*y*y' + 5*y' - 2*y^2 = 0"

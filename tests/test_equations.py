@@ -13,7 +13,7 @@ from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
                                  render_text, term_numerator)
 from quadguess.errors import EquationFormatError
 from quadguess.exact import falling_weight
-from quadguess.guessing import guess, normalize
+from quadguess.guessing import ansatz, guess, normalize
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import row_bruteforce, term_coeff_bruteforce
@@ -436,7 +436,7 @@ def test_library_equations_reload(default_digit_limit, terms, digits, lam):
         vec = [0] * ((d + 1) * (m + 1))
         for k, (s, _, c) in zip(slots, eq.terms):
             vec[k * (m + 1) + s] = c
-        normalized = normalize(vec, d, m)
+        normalized = normalize(vec, ansatz(d, m))
         assert _reloads(normalized)
         ratio = normalized.terms[0][2] / eq.terms[0][2]
         assert normalized == QuadEquation([(s, mono, c * ratio)

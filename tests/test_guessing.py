@@ -14,7 +14,7 @@ from quadguess.equations import (Derivatives, QuadEquation,
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import P, ColumnEchelon
 from quadguess.guessing import (GuessConfig, GuessResult, _SlotRows,
-                                _usable_rows, _Verifier, column_order, guess,
+                                _usable_rows, _Verifier, ansatz, guess,
                                 normalize, slot)
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
@@ -29,19 +29,62 @@ def _exact_slots(prefix):
 
 def _exact_system(prefix, d, m, slots=None):
     """(matrix, usable): rows 0 .. usable - 1 of the size-d system on the
-    prefix, entry (k, i) of row n the term_numerator of slot k at row
+    prefix, entry (mono, i) of row n the term_numerator of mono at row
     n - i, read from `slots` (one `_exact_slots(prefix)` reused across d,
     or a fresh one)."""
     slots = _exact_slots(prefix) if slots is None else slots
-    usable = _usable_rows(prefix, d)
-    monos = [slot(k) for k in range(d + 1)]
+    columns = ansatz(d, m)
+    usable = _usable_rows(prefix, columns)
     return [[term_numerator(slots, n - i, mono.p, mono.q)
-             for mono in monos for i in range(m + 1)]
+             for mono, i in columns]
             for n in range(usable)], usable
 
 
 def test_column_count():
-    assert len(column_order(5, 2)) == 18
+    assert len(ansatz(5, 2)) == 18
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_ansatz_sizes_are_prefixes(m):
+    """The columns of size d are a prefix of those of size d + 1, and
+    growing a smaller size's list in place gives the fresh list and
+    returns the columns it added."""
+    grown = []
+    for d in range(12):
+        columns = ansatz(d, m)
+        assert ansatz(d + 1, m)[:len(columns)] == columns
+        before = list(grown)
+        added = ansatz(d, m, grown)
+        assert grown == columns == before + added
+        assert ansatz(d, m, grown) == [] and grown == columns
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_ansatz_shift_is_one_term_max_shift(m):
+    """Column (mono, i)'s shift max(p, 0) - i is the max_shift of its
+    one-term equation, and the rows a system of columns can form are the
+    prefix's 12 terms less the largest such shift, at most 12."""
+    prefix = oracle_sequence("exp", 12)
+    for d in range(8):
+        columns = ansatz(d, m)
+        shifts = [QuadEquation([(i, mono, 1)]).max_shift
+                  for mono, i in columns]
+        assert shifts == [max(mono.p, 0) - i for mono, i in columns]
+        assert _usable_rows(prefix, columns) == max(0, 12 - max(shifts))
+        for column, shift in zip(columns, shifts):
+            assert _usable_rows(prefix, [column]) == 12 - max(shift, 0)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_ansatz_is_equation_vector_layout(m):
+    """Column j of the size-d ansatz is entry j of util_exact's
+    equation_vector, its own k-major layout: the one-term equation of
+    column j has the j-th unit vector."""
+    for d in range(8):
+        columns = ansatz(d, m)
+        for j, (mono, i) in enumerate(columns):
+            vec = equation_vector(QuadEquation([(i, mono, 1)]), d, m)
+            assert vec == [int(c == j) for c in range(len(columns))]
 
 
 def test_assemble_second_derivative_column():
@@ -50,7 +93,7 @@ def test_assemble_second_derivative_column():
     prefix = oracle_sequence("zigzag-egf", 20)
     matrix, usable = _exact_system(prefix, d=5, m=2)
     assert usable == 18
-    col = column_order(5, 2).index((5, 0))
+    col = ansatz(5, 2).index((slot(5), 0))
     _, den = prefix.scaled()
     for n in range(usable):
         assert matrix[n][col] == (n + 1) * (n + 2) * prefix[n + 2] * den**2
@@ -69,8 +112,7 @@ def _reference_matrix(prefix, d, m, usable):
     matrix = []
     for n in range(usable):
         row = []
-        for k, i in column_order(d, m):
-            mono = slot(k)
+        for mono, i in ansatz(d, m):
             row.append(term_coeff_bruteforce(a, i, mono.p, mono.q, n)
                        * den**2)
         matrix.append(row)
@@ -135,7 +177,7 @@ def test_packed_slot_rows_match_term_numerator(case):
     slots = _SlotRows(nums, den, p, bits)
     packed = 0
     for count in counts:
-        rows = slots.slot(k, count)
+        rows = slots.slot(mono, count)
         packed = max(packed, count)
         values = [rows >> bits * n & (1 << bits) - 1 for n in range(count)]
         assert max(values) < packed * p * p
@@ -199,7 +241,8 @@ def _guess_full_exact(prefix, cfg=GuessConfig()):
         basis = bareiss_nullspace(matrix, construction)
         if basis:
             return GuessResult(status="success", d=d, m=m,
-                               basis=tuple(normalize(v, d, m) for v in basis),
+                               basis=tuple(normalize(v, ansatz(d, m))
+                                           for v in basis),
                                construction_rows=construction,
                                verification_rows=usable - construction)
     return GuessResult(status="fail", m=m)
@@ -326,8 +369,7 @@ def _bruteforce_rows(values, d, m, count):
     """Rows 0 .. count - 1 of the size-d system, entry by entry by series
     arithmetic on the terms."""
     return [[term_coeff_bruteforce(values, i, mono.p, mono.q, n)
-             for k, i in column_order(d, m)
-             for mono in [slot(k)]]
+             for mono, i in ansatz(d, m)]
             for n in range(count)]
 
 
@@ -370,12 +412,12 @@ def _systems(draw, noise=True):
     values = draw(_short_prefixes)
     d, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     top = draw(st.integers(0, m))
-    usable = _usable_rows(SequencePrefix(values), d)
+    usable = _usable_rows(SequencePrefix(values), ansatz(d, m))
     assume(usable > 0)
     count = draw(st.integers(1, usable))
     width = (m + 1) * (d + 1)
     rows = _bruteforce_rows(values, d, m, count)
-    low = [j for j, (_, i) in enumerate(column_order(d, m)) if i <= top]
+    low = [j for j, (_, i) in enumerate(ansatz(d, m)) if i <= top]
     kernel = bareiss_nullspace([[row[j] for j in low] for row in rows],
                                len(low))
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(kernel),
@@ -399,7 +441,7 @@ def test_verifier_matches_bruteforce(system):
     exact terms, equals series arithmetic row by row."""
     values, d, m, count, rows, vec = system
     prefix = SequencePrefix(values)
-    verifier = _Verifier(prefix.values, d, m, count)
+    verifier = _Verifier(prefix.values, ansatz(d, m), count)
     assert verifier(vec) == _vanishes_bruteforce(rows, vec)
 
 
@@ -426,7 +468,7 @@ def test_verifier_shifts_match_bruteforce(system):
     its own, has `normalize`'s equation."""
     values, d, m, count, rows, vec = system
     prefix = SequencePrefix(values)
-    verifier = _Verifier(prefix.values, d, m, count)
+    verifier = _Verifier(prefix.values, ansatz(d, m), count)
     passes = _counted(verifier)
     assert verifier(vec) and passes[0] == 1
     passed = [list(vec)]
@@ -442,7 +484,7 @@ def test_verifier_shifts_match_bruteforce(system):
         if ok:
             passed.append(shifted)
     for w in passed:
-        assert verifier.equation(w) == normalize(w, d, m), w
+        assert verifier.equation(w) == normalize(w, ansatz(d, m)), w
 
 
 def test_verifier_exact_passes_at_150_terms(monkeypatch):
@@ -456,9 +498,9 @@ def test_verifier_exact_passes_at_150_terms(monkeypatch):
         passes.append(eq)
         return vanishes(self, eq)
 
-    def counted_normalize(vector, d, m):
+    def counted_normalize(vector, columns):
         normalized.append(tuple(vector))
-        return normalize(vector, d, m)
+        return normalize(vector, columns)
 
     monkeypatch.setattr(_Verifier, "vanishes", counted)
     monkeypatch.setattr(guessing, "normalize", counted_normalize)
@@ -555,7 +597,7 @@ def test_zeta_graded_check_at_n0():
 
 
 def test_normalize_single_entry():
-    eq = normalize([Fraction(3, 7)] + [Fraction(0)] * 11, d=3, m=2)
+    eq = normalize([Fraction(3, 7)] + [Fraction(0)] * 11, ansatz(3, 2))
     assert render_text(eq, "ode") == "y = 0"
     assert eq.terms[0][2] == 1
 
@@ -566,7 +608,7 @@ def test_normalize_sign_rule():
     vec = [Fraction(0)] * 12
     vec[0] = Fraction(1)   # (k=0, i=0): f
     vec[1] = Fraction(-1)  # (k=0, i=1): z*f
-    eq = normalize(vec, d=3, m=2)
+    eq = normalize(vec, ansatz(3, 2))
     assert render_text(eq, "ode") == "z*y - y = 0"
 
 
@@ -574,14 +616,14 @@ def test_normalize_clears_content_and_denominators():
     vec = [Fraction(0)] * 12
     vec[0] = Fraction(-4, 6)
     vec[3] = Fraction(4, 3)   # (k=1, i=0): f^2
-    eq = normalize(vec, d=3, m=2)
+    eq = normalize(vec, ansatz(3, 2))
     coeffs = [c for _, _, c in eq.terms]
     assert coeffs == [-1, 2]
 
 
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError):
-        normalize([Fraction(0)] * 12, d=3, m=2)
+        normalize([Fraction(0)] * 12, ansatz(3, 2))
 
 
 @pytest.mark.parametrize("field,value", [
