@@ -7,8 +7,11 @@ Taylor coefficients, times den, of combinations sum(c * z^e * f^(p)),
 every entry computed once by one rule through `exact.falling_weight`,
 the one weight function; an order p is the combination f^(p), and
 f^(-1) = 1 is den, 0, 0, ...  One evaluator, `term_numerator`, gives the
-z^m coefficient of a product F * f^(q) as the one dot product of two
-such sequences, an integer numerator over den**2.
+z^m coefficient of a product F * f^(q) as the dot product of two such
+sequences, an integer numerator over den**2.  Past a measured size it
+pairs the products (Winograd's inner product): (m + 1) / 2 products of
+sums, less two running pair sums that `Derivatives` keeps, so a row
+costs about half the big multiplications, and the identity is exact.
 
 The one row loop (`sequences._walk`) reads whole equations through
 `QuadEquation.row_numerator`, which factors the products: the terms that
@@ -16,7 +19,8 @@ share their lower order q form one group, and row n is the sum over
 groups of the z^(n - s0) coefficient of f^(q) * G_q, where s0 is the
 group's smallest z-power and G_q = sum of c * z^(s - s0) * f^(p) is a
 combination that `Derivatives` builds once.  So each row costs one dot
-product per distinct lower order, not one per product term; linear and
+product per distinct lower order, not one per product term, and each
+such product about m / 2 big multiplications once paired; linear and
 constant terms form the group q = -1, whose row is one coefficient,
 den * G_q[n - s0].  Every step is a ring operation, so the same evaluator
 on nums and den reduced mod P gives the rows mod P.
@@ -29,12 +33,20 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from quadguess.errors import EquationFormatError
 from quadguess.exact import (as_rational, clear_denominators,
                              falling_weight, format_rational, parse_int,
                              parse_rational)
+
+
+# term_numerator pairs a row's products from m * den.bit_length() >= this
+# on.  On random entries of den's size, pairing broke even near
+# m * bits = 5 000 at 768 bits and 12 000 at 96 to 192 bits, and from
+# 2**14 on it was faster at every size measured (BENCH_paired_products.json).
+_PAIRED_MIN = 1 << 14
+_WINDOW = 8                       # pair sums kept per key (pair_sum)
 
 
 @dataclass(frozen=True, order=True)
@@ -69,15 +81,25 @@ class Derivatives:
     u < len(nums) - max(max(p, 0) - e).  An order p is short for
     ((0, p, 1),): derivs[-1] is den, 0, 0, ..., and derivs[0] is nums.
     Each sequence is built on first use, kept once it has an entry, and
-    gains one entry per term `put` in; only its last reads the last term."""
+    gains one entry per term `put` in; only its last reads the last term.
 
-    __slots__ = ("nums", "den", "_kept", "_seqs")
+    For `term_numerator`'s paired rows the store also keeps, per key, a
+    window of the _WINDOW pair sums of largest index read (`pair_sum`):
+    `scale` multiplies them by factor**2, `set_last` drops the one that
+    reads the replaced entry, and a read below the window restarts from
+    index 0.
+    Each key has its own window, so the groups of an equation, which read
+    F = f^(q) under distinct q, never restart each other's; two groups
+    with one combination G at offsets s0 up to 14 apart share G's."""
+
+    __slots__ = ("nums", "den", "_kept", "_seqs", "_pairs")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
         self._kept = {}                 # key tuple -> its sequence
         self._seqs = {0: self.nums}     # every key read -> its sequence
+        self._pairs = {}                # key -> {j: pair_sum(key, j)}
 
     def __getitem__(self, key):
         try:
@@ -117,16 +139,43 @@ class Derivatives:
 
     def set_last(self, term):
         """Replace the last term by term: drop the last entry of nums and
-        of every kept sequence, the only one that reads it, and put term."""
+        of every kept sequence, the only one that reads it, and the pair
+        sum that reads that entry, and put term."""
         for seq in (self.nums, *self._kept.values()):
             seq.pop()
+        for key, window in self._pairs.items():
+            window.pop(len(self._seqs[key]), None)
         self.put((term,))
 
     def scale(self, factor):
-        """Multiply den, nums and every kept sequence by factor."""
+        """Multiply den, nums and every kept sequence by factor, and every
+        kept pair sum by factor**2."""
         self.den *= factor
         for seq in (self.nums, *self._kept.values()):
             seq[:] = [x * factor for x in seq]
+        square = factor * factor
+        for window in self._pairs.values():
+            for j in window:
+                window[j] *= square
+
+    def pair_sum(self, key, j):
+        """The sum of s[i] * s[i - 1] over i = j, j - 2, ... >= 1 for the
+        sequence s = self[key] (0 for j < 1; requires len(s) > j): one
+        product more than pair_sum(key, j - 2) if that is in key's
+        window, else a restart from i = 0.  The window keeps the _WINDOW
+        largest j read."""
+        window = self._pairs.setdefault(key, {})
+        total = window.get(j)
+        if total is None:
+            seq = self[key]
+            i = j - 2 if j - 2 in window else -(j & 1)
+            total = window.get(i, 0)
+            for i in range(i + 2, j + 1, 2):
+                total += seq[i] * seq[i - 1]
+            window[j] = total
+            if len(window) > _WINDOW:
+                del window[min(window)]
+        return total
 
 
 def term_numerator(derivs, m, p, q):
@@ -134,12 +183,39 @@ def term_numerator(derivs, m, p, q):
     derivs.nums / derivs.den, an int, where F is derivs[p] for an order
     or combination key p (see Derivatives), and 0 for m < 0.  For
     f^(-1) = 1 it is one coefficient of F times den, no dot product.
-    Requires len(derivs[p]) > m and, for q >= 0, len(derivs[q]) > m."""
+    Requires len(derivs[p]) > m and, for q >= 0, len(derivs[q]) > m.
+
+    Otherwise it is the dot product sum(G[i] * F[m - i]) of G = derivs[p]
+    and F = derivs[q], past a measured size in Winograd's paired form
+    ("A new algorithm for inner product", IEEE Trans. Comput. C-17, 1968):
+    the sum of (G[2k] + F[m-2k-1]) * (G[2k+1] + F[m-2k]) over
+    k < (m + 1) // 2, less G's pair sum A = sum(G[2k] * G[2k+1]) over the
+    same k and F's pair sum B = sum(F[j] * F[j-1], j = m, m - 2, ... >= 1),
+    plus G[m] * F[0] for even m.  Each product expands to the two terms of
+    the row it pairs and to one term each of A and B, so the identity is
+    exact in the integers; A and B are running sums
+    (`Derivatives.pair_sum`), one product per row, so a row costs about
+    m / 2 big products, not m + 1.
+    The paired sums are as large as their larger halves, so rows keep the
+    plain product when m * den.bit_length() is below _PAIRED_MIN (small
+    entries, where the additions cost as much as the products saved), when
+    F[m - 1] or F[m] is 0 (alternate zeros, which the plain product skips
+    for free) and when F[m] has less than half of den's bits (entries that
+    shrink along the row, like den / i!)."""
     if m < 0:
         return 0
     if q == -1:                      # F times the constant 1
         return derivs[p][m] * derivs.den
-    return sum(map(mul, derivs[p], derivs[q][m::-1]))
+    g, f = derivs[p], derivs[q]
+    bits = derivs.den.bit_length()
+    if (m * bits < _PAIRED_MIN or not (f[m - 1] and f[m])
+            or 2 * f[m].bit_length() < bits):
+        return sum(map(mul, g, f[m::-1]))
+    total = sum(map(mul, map(add, g[0:m:2], f[m - 1::-2]),
+                    map(add, g[1:m + 1:2], f[m::-2])))
+    # A's last pair is G[2k] * G[2k + 1] with 2k + 1 = (m - 1) | 1
+    total -= derivs.pair_sum(p, (m - 1) | 1) + derivs.pair_sum(q, m)
+    return total + g[m] * f[0] if m % 2 == 0 else total
 
 
 class QuadEquation:

@@ -9,7 +9,10 @@ new factor).  So it holds the denominator of the terms so far, at most
 `_BLOCK - 1` ahead, never the whole prefix's.  Row n reads terms up to
 n + max_shift and is read through `QuadEquation.row_numerator` as soon
 as that term is in: one convolution per group of terms that share their
-lower derivative order, in integer numerators.  A row on given terms
+lower derivative order, in integer numerators, each in about m / 2 big
+products once paired (`equations.term_numerator`): the store's pair
+sums carry from row to row, a rescale multiplies them and replacing the
+placeholder drops the one that read it.  A row on given terms
 must vanish; `check` reports the first that does not (`Fraction`
 normalizes the residual).  Extension realizes the recurrence as a
 recursion: each later row introduces the single unknown a_{n + max_shift},

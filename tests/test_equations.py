@@ -215,6 +215,72 @@ def test_derivatives_store_stays_in_step(nums, den, steps, data):
                                  for j in range(size - p)]
 
 
+# (c, r) makes an entry c * den + r: den's size for c != 0, small or 0 else
+_ENTRY_PARTS = st.tuples(st.integers(-50, 50), st.integers(0, 2 ** 64))
+# den bits: 1 000 pairs rows from m = 17 on, 16 400 from m = 1 on
+_PAIRED_DENS = st.sampled_from([1, 6, (1 << 1000) + 1, (1 << 16400) + 7])
+_PRODUCT_KEYS = st.tuples(
+    st.integers(-1, 3).flatmap(lambda q: st.tuples(
+        st.integers(max(q, 0), 3) | _KEYS.filter(lambda k: type(k) is tuple),
+        st.just(q))),
+    st.sampled_from(["up", "down", "shuffled"]))
+
+
+def test_term_numerator_matches_schoolbook(monkeypatch):
+    """term_numerator(derivs, m, p, q) is the schoolbook
+    sum(derivs[p][i] * derivs[q][m - i]) for every row m (0, 1, 2, odd and
+    even) on signed entries with zeros, for order and combination keys p
+    and squares p == q, read upward, downward (backward reads) or shuffled
+    between random put (with new denominators, so scale runs), set_last
+    and scale steps.  Entries of den's size with den of 1 000 or 16 400
+    bits put rows on both sides of the cutoff: the plain and the paired
+    path (the one that reads pair sums) both run."""
+    paired, paths = [], set()
+    pair_sum = Derivatives.pair_sum
+
+    def spy(derivs, key, j):
+        paired.append(key)
+        return pair_sum(derivs, key, j)
+
+    monkeypatch.setattr(Derivatives, "pair_sum", spy)
+
+    @settings(max_examples=120, deadline=None)
+    @given(den=_PAIRED_DENS,
+           parts=st.lists(_ENTRY_PARTS, min_size=1, max_size=26),
+           steps=st.lists(_STEPS, max_size=3),
+           reads=st.lists(_PRODUCT_KEYS, min_size=1, max_size=3),
+           data=st.data())
+    # a combination read upward and a square read downward, past a rescale
+    # and a replaced last term: rows from m = 17 on are paired
+    @example(den=(1 << 1000) + 1, parts=[(c, 0) for c in range(1, 26)],
+             steps=[("put", [Fraction(1, 3)]), ("set_last", Fraction(-2, 7))],
+             reads=[((((0, 1, 2), (1, 0, -1)), 0), "up"), ((2, 2), "down")],
+             data=None)
+    def run(den, parts, steps, reads, data):
+        derivs = Derivatives([c * den + r for c, r in parts], den)
+        for step in [None] + steps:
+            if step is not None:
+                name, arg = step
+                if name == "put" or derivs.nums:
+                    getattr(derivs, name)(arg)
+            for (p, q), order in reads:
+                g, f = derivs[p], derivs[q]
+                rows = list(range(min(len(g), len(f))))
+                if order == "down":
+                    rows.reverse()
+                elif order == "shuffled":
+                    rows = data.draw(st.permutations(rows))
+                for m in rows:
+                    before = len(paired)
+                    value = term_numerator(derivs, m, p, q)
+                    paths.add("paired" if len(paired) > before else "plain")
+                    assert value == sum(g[i] * f[m - i]
+                                        for i in range(m + 1)), (p, q, m)
+
+    run()
+    assert paths == {"plain", "paired"}
+
+
 # (s, p, q, c): few lower orders q, so that products share them; p = q
 # gives squares, q = -1 linear terms and p = q = -1 the constant 1
 _TERMS = st.tuples(st.integers(0, 3), st.integers(-1, 2)).flatmap(

@@ -401,6 +401,38 @@ def test_walk_rows_are_whole_prefix_rows(terms, lead, values, grow,
         assert eq.row_numerator(whole, n) == 0, n
 
 
+@pytest.mark.parametrize("eq,name,start", [
+    (ZETA_EQ, "zeta-rescaled", 1),
+    # its product group reads the newest term, so the placeholder too
+    (BELL_EQ, "bell-egf", 2)], ids=["zeta-rescaled", "bell-egf"])
+def test_walk_pairs_long_rows(monkeypatch, eq, name, start):
+    """An oracle extended from its first terms by 80 terms, then checked:
+    denominators reach 400 (bell-egf) to 900 (zeta-rescaled) bits, so
+    later rows take term_numerator's paired path (pair sums read), with
+    rescales, placeholders and set_last between them.  Every row read
+    and every kept sequence equals that of a fresh store (`_spied_walk`),
+    check's rows are the whole prefix's, the terms are the oracle's and
+    check passes."""
+    paired = []
+    pair_sum = Derivatives.pair_sum
+
+    def spy(derivs, key, j):
+        paired.append(key)
+        return pair_sum(derivs, key, j)
+
+    monkeypatch.setattr(Derivatives, "pair_sum", spy)
+    grown, _ = _spied_walk(
+        lambda: extend(eq, oracle_sequence(name, start), 80))
+    assert grown == oracle_sequence(name, start + 80)
+    grown_pairs = len(paired)
+    report, rows = _spied_walk(lambda: check(eq, grown))
+    count = start + 80 - eq.max_shift
+    assert report.passed and report.rows_checked == count
+    assert [n for n, _, _ in rows] == list(range(count))
+    _assert_whole_prefix_rows(eq, rows, grown.values)
+    assert grown_pairs and len(paired) > grown_pairs
+
+
 @settings(max_examples=300, deadline=None)
 @given(terms=st.lists(_INDEX_TERMS, min_size=1, max_size=4),
        values=_PREFIXES, count=st.integers(0, 3))
