@@ -281,6 +281,32 @@ def test_term_numerator_matches_schoolbook(monkeypatch):
     assert paths == {"plain", "paired"}
 
 
+@pytest.mark.parametrize("gap", [1, 5, 14])
+def test_pair_sum_windows_do_not_restart_in_row_order(monkeypatch, gap):
+    """Rows read in order restart each pair-sum chain once: two groups
+    whose combination G is one key, at z-offsets s0 = 0 and gap, share
+    G's window without evicting each other's sums, and each F = f^(q)
+    chain starts once per parity, however long the rows."""
+    eq = QuadEquation([(0, monomial_of_orders(1, 0), 3),
+                       (gap, monomial_of_orders(1, 1), 3)])
+    assert [g[2] for g in eq.groups] == [((0, 1, 3),)] * 2
+    derivs = Derivatives(*oracle_sequence("zeta-rescaled", 140).scaled())
+    restarts = []
+    pair_sum = Derivatives.pair_sum
+
+    def spy(derivs, key, j):
+        window = derivs._pairs.get(key, {})
+        if j >= 1 and j not in window and j - 2 not in window:
+            restarts.append((key, j))
+        return pair_sum(derivs, key, j)
+
+    monkeypatch.setattr(Derivatives, "pair_sum", spy)
+    for n in range(len(derivs.nums) - eq.max_shift):
+        eq.row_numerator(derivs, n)
+    # G's odd chain once, each F's two chains once
+    assert len(restarts) <= 5, restarts
+
+
 # (s, p, q, c): few lower orders q, so that products share them; p = q
 # gives squares, q = -1 linear terms and p = q = -1 the constant 1
 _TERMS = st.tuples(st.integers(0, 3), st.integers(-1, 2)).flatmap(
