@@ -1,11 +1,13 @@
 """Byte-for-byte outputs of `guess`, pinned so that changes to row
 assembly or elimination cannot alter a result unnoticed."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from quadguess.exact import P
 from quadguess.guessing import GuessConfig, guess
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, oracle_sequence
@@ -190,6 +192,21 @@ RESCALED_GOLDEN = (
     '"c": "12157665459056928801"}]}], "rows": {"construction": 18, '
     '"verification": 6}}')
 
+# The 60-term euler-egf with P = 2^61 - 1 added to term 30: every d from
+# the oracle's own on is rank-deficient mod P, and the kernel at d = 17
+# lifts only after the climb reaches 2^2203 - 1.  Its to_json() is 14 119
+# characters, pinned by its SHA-256 digest; the head is pinned as text.
+PERTURBED_EULER_HEAD = '{"status": "success", "d": 17, "m": 2, '
+PERTURBED_EULER_TAIL = '"rows": {"construction": 54, "verification": 2}}'
+PERTURBED_EULER_SHA256 = (
+    "f74dfa8ca21d3484f56d332c0e59556cb804cba13956641a497e859ca272fe7c")
+
+# The 60-term bell-egf with P added to term 30: from the oracle's own size
+# on every d is rank-deficient only mod P, and 2^89 - 1 finds full rank.
+PERTURBED_BELL_GOLDEN = (
+    '{"status": "fail", "d": null, "m": 2, "basis": [], '
+    '"rows": {"construction": 0, "verification": 0}}')
+
 # A failing search on 24 random rationals.
 RANDOM_GOLDEN = (
     '{"status": "fail", "d": null, "m": 2, "basis": [], '
@@ -220,3 +237,21 @@ def test_guess_rescaled_past_p_golden():
     lam = Fraction(12157665459056928801, 1125899906842625)
     prefix = oracle_sequence("zigzag-egf", 26).rescaled(lam)
     assert guess(prefix).to_json() == RESCALED_GOLDEN
+
+
+def _perturbed(name):
+    """The 60-term oracle with P added to term 30."""
+    values = list(oracle_sequence(name, 60).values)
+    values[30] += P
+    return SequencePrefix(values)
+
+
+def test_guess_perturbed_euler_golden():
+    text = guess(_perturbed("euler-egf")).to_json()
+    assert text.startswith(PERTURBED_EULER_HEAD), text[:80]
+    assert text.endswith(PERTURBED_EULER_TAIL), text[-80:]
+    assert hashlib.sha256(text.encode()).hexdigest() == PERTURBED_EULER_SHA256
+
+
+def test_guess_perturbed_bell_golden():
+    assert guess(_perturbed("bell-egf")).to_json() == PERTURBED_BELL_GOLDEN
