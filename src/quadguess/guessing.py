@@ -22,8 +22,10 @@ normalized over the columns to a QuadEquation, is verified exactly by
 `check`'s walk (`sequences._walk`), the one row loop, and its
 z-multiples (entry (mono, i) moved to column (mono, i + 1)) are accepted
 from that pass.  Only if a lift fails does `modular_nullspace` climb the
-further Mersenne primes, each with a fresh `ColumnEchelon` of all the
-usable rows and columns, packed once per search the same way.
+further Mersenne primes.  Every modulus it reaches takes P's path: one
+`ColumnEchelon` per search, kept across d, that each d cuts to its
+usable rows and to which it adds only the new columns, packed once per
+search the same way.
 """
 
 import json
@@ -34,8 +36,8 @@ from math import ceil, isqrt
 from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
                                  equation_from_obj, equation_to_obj)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import (P, ColumnEchelon, modular_nullspace,
-                             normalize_vector, pack, slot_bits)
+from quadguess.exact import (ColumnEchelon, modular_nullspace,
+                             normalize_vector, pack)
 from quadguess.sequences import _walk
 
 
@@ -98,8 +100,11 @@ class _SlotRows:
     count * p**2: the low count slots (carries only move up) of one
     product of its two derivative sequences mod p, each packed once;
     f^(-1) packs to den.  It is kept for every d of a search, and `bits`
-    is the slot width of the search's `ColumnEchelon`s mod p, so
-    `slot(mono, count) << bits * i` is column (mono, i) as they take it."""
+    is the slot width of the search's `ColumnEchelon` mod p, so
+    `slot(mono, count) << bits * i` is column (mono, i) as it takes it.
+    Each monomial is packed once, at the count of its first call, and
+    no later call may ask for more rows: a search's usable rows never
+    grow."""
 
     def __init__(self, nums, den, p, bits):
         self.derivs = Derivatives([x % p for x in nums], den % p)
@@ -115,12 +120,10 @@ class _SlotRows:
 
     def slot(self, mono, count):
         """Rows 0 .. count - 1 (or more) of mono, packed."""
-        have, packed = self.kept.get(mono, (0, 0))
-        if have < count:
-            packed = (self._packed(mono.p) * self._packed(mono.q)
-                      & (1 << self.bits * count) - 1)
-            self.kept[mono] = count, packed
-        return packed
+        if mono not in self.kept:
+            self.kept[mono] = (self._packed(mono.p) * self._packed(mono.q)
+                               & (1 << self.bits * count) - 1)
+        return self.kept[mono]
 
 
 def _usable_rows(prefix, columns):
@@ -244,25 +247,27 @@ def guess(prefix, cfg=GuessConfig()):
     d_cap = cfg.d_max if cfg.d_max is not None else ceil(n_terms / (m + 1))
     attempted = False
     nums, den = prefix.scaled()
-
-    columns = ansatz(cfg.d_start, m)
-    height = usable = _usable_rows(prefix, columns)
-    echelon = ColumnEchelon(height)
+    columns, usable = [], n_terms
 
     @cache
-    def residues(p):
-        return _SlotRows(nums, den, p, slot_bits(height, p))
+    def modulus(p):
+        """The search's echelon mod p, of the rows usable when p is first
+        asked for, and its residues mod p, packed to the echelon's slots."""
+        at = ColumnEchelon(usable, p)
+        return at, _SlotRows(nums, den, p, at.bits)
 
     def echelon_at(p):
-        """The current system mod p: the search's echelon at P, else new."""
-        at = echelon if p == P else ColumnEchelon(height, p)
+        """The current system mod p: the search's echelon mod p, cut to the
+        usable rows, with the columns it lacks added."""
+        at, rows = modulus(p)
         at.cut(usable)
-        rows = residues(p)
         for mono, i in columns[at.width:]:     # row n - i at n
             at.add(rows.slot(mono, usable) << at.bits * i)
         return at
 
     for d in range(cfg.d_start, d_cap + 1):
+        if (d + 1) * (m + 1) + cfg.min_verify_rows > usable:
+            break  # too many unknowns for the rows left: build no columns
         new = ansatz(d, m, columns)     # only new columns can read further
         usable = min(usable, _usable_rows(prefix, new))
         if usable < len(columns) + cfg.min_verify_rows:

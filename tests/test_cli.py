@@ -14,6 +14,7 @@ from quadguess import cli
 from quadguess.cli import main
 from quadguess.equations import equation_to_json
 from quadguess.guessing import GuessResult
+from test_guessing import spy_ansatz
 from test_sequences import EXP_EQ, SQUARE_EQ, ZETA_EQ, ZIGZAG_EQ
 
 
@@ -68,6 +69,17 @@ def test_guess_json_roundtrip(zigzag_file, capsys):
     assert result.succeeded
     assert result.to_json() == doc.strip()
     assert ZIGZAG_EQ in result.basis
+
+
+def test_guess_huge_max_poly_deg_exit_code(zigzag_file, monkeypatch, capsys):
+    """--max-poly-deg 10**12 on 20 terms exits 3 with one error line,
+    without building the ansatz it names."""
+    spy_ansatz(monkeypatch, 20)
+    assert main(["guess", "--input", zigzag_file,
+                 "--max-poly-deg", "1000000000000"]) == 3
+    assert capsys.readouterr().err == (
+        "error: 20 terms admit no system at d = 3 "
+        "(m = 1000000000000, min_verify_rows = 2)\n")
 
 
 def test_guess_all_zero_input(tmp_path, capsys):

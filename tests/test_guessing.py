@@ -167,18 +167,18 @@ def _slot_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_packed_slot_rows_match_term_numerator(case):
     """Slot k's packed rows mod p are its term_numerator rows mod p, at
-    every count read, also after a larger count packed it (rows cut after
-    packing) and before a larger count packs it again; every slot is below
-    count * p**2 for the count that packed it."""
+    every count read after the first call packed the most rows (a search's
+    usable rows never grow), also at a count below the one before it and
+    back up to the packed count; every slot is below count * p**2 for the
+    count that packed it."""
     nums, den, p, k, counts = case
     mono = slot(k)
     derivs = Derivatives(nums, den)
-    bits = exact.slot_bits(max(counts), p)
+    packed = max(counts)
+    bits = exact.slot_bits(packed, p)
     slots = _SlotRows(nums, den, p, bits)
-    packed = 0
-    for count in counts:
+    for count in [packed] + counts:
         rows = slots.slot(mono, count)
-        packed = max(packed, count)
         values = [rows >> bits * n & (1 << bits) - 1 for n in range(count)]
         assert max(values) < packed * p * p
         assert [x % p for x in values] == [
@@ -205,6 +205,34 @@ def test_guess_degenerate_input():
 def test_guess_insufficient_terms():
     with pytest.raises(InsufficientTermsError):
         guess(SequencePrefix([1, 1, 1]))
+
+
+def spy_ansatz(monkeypatch, n_terms):
+    """Fail any `guessing.ansatz` call that asks for more columns than
+    the prefix's n_terms, before it builds them."""
+    build = guessing.ansatz
+
+    def spied(d, m, columns=None):
+        assert (d + 1) * (m + 1) <= n_terms, (d, m)
+        return build(d, m, columns)
+
+    monkeypatch.setattr(guessing, "ansatz", spied)
+
+
+@pytest.mark.parametrize("bounds", [{"m": 10**12}, {"d_start": 10**12},
+                                    {"m": 10**12, "d_max": 10**12}])
+def test_guess_huge_bounds_raise_before_building(monkeypatch, bounds):
+    """A bound whose first system has more unknowns than the prefix has
+    terms raises InsufficientTermsError before any column is built:
+    usable rows never exceed the term count."""
+    prefix = oracle_sequence("zigzag-egf", 20)
+    spy_ansatz(monkeypatch, len(prefix))
+    cfg = GuessConfig(**bounds)
+    with pytest.raises(InsufficientTermsError) as exc:
+        guess(prefix, cfg)
+    assert str(exc.value) == (
+        f"20 terms admit no system at d = {cfg.d_start} "
+        f"(m = {cfg.m}, min_verify_rows = 2)")
 
 
 def test_guess_fail_status():
@@ -339,30 +367,39 @@ def test_guess_matches_full_exact_path(monkeypatch):
 
 
 def test_guess_packs_each_modulus_once(monkeypatch):
-    """guess keeps one _SlotRows per modulus for the whole search: on
-    bell-egf with P added to term 30, where every d from the oracle's own
-    on is rank-deficient only mod P and takes the fallback, the residues
-    mod each modulus are packed once, not once per d.  Only the fallback
-    eliminates rows anew: an echelon mod P is built once per search, and
-    fresh ones only past P."""
-    built, echelons = Counter(), Counter()
+    """guess keeps one _SlotRows and one ColumnEchelon per modulus for the
+    whole search: on bell-egf with P added to term 30, where every d from
+    the oracle's own on is rank-deficient only mod P and takes the
+    fallback, the residues mod each modulus are packed once, not once per
+    d, and each modulus's echelon, P's and the fallback's alike, is built
+    once and adds each column once, so its adds are its final width."""
+    built, echelons, adds = Counter(), {}, Counter()
     slot_rows, column_echelon = guessing._SlotRows, guessing.ColumnEchelon
+    add = ColumnEchelon.add
 
     def counted(nums, den, p, bits):
         built[p] += 1
         return slot_rows(nums, den, p, bits)
 
     def counted_echelon(height, p=P):
-        echelons[p] += 1
-        return column_echelon(height, p)
+        echelons.setdefault(p, []).append(column_echelon(height, p))
+        return echelons[p][-1]
+
+    def counted_add(echelon, column):
+        adds[echelon.p] += 1
+        add(echelon, column)
 
     monkeypatch.setattr(guessing, "_SlotRows", counted)
     monkeypatch.setattr(guessing, "ColumnEchelon", counted_echelon)
+    monkeypatch.setattr(ColumnEchelon, "add", counted_add)
     values = list(oracle_sequence("bell-egf", 60).values)
     values[30] += P
     guess(SequencePrefix(values))
     assert len(built) >= 2 and set(built.values()) == {1}, built
-    assert echelons[P] == 1 and len(echelons) >= 2, echelons
+    assert len(echelons[P]) == 1 and len(echelons) >= 2, echelons
+    assert {p: len(made) for p, made in echelons.items()} == dict.fromkeys(
+        built, 1)
+    assert adds == {p: made[0].width for p, made in echelons.items()}, adds
 
 
 def _bruteforce_rows(values, d, m, count):
