@@ -19,9 +19,9 @@ replays the multipliers it recorded while eliminating and so gives the
 kernel mod P itself, with no second elimination, and rational
 reconstruction lifts each of its vectors.  Only when a vector does not
 lift or does not vanish does the loop climb the Mersenne primes past P
-(2**89 - 1, 2**107 - 1, ...), with an echelon of all rows mod each; the
-kernels of the best profile, P's too, are combined by CRT until the lift
-checks, so results are exact and reproducible byte for byte.
+(2**89 - 1, 2**107 - 1, ...), each with an echelon `guess` keeps across
+d like P's; the kernels of the best profile, P's too, are combined by CRT
+until the lift checks, so results are exact and reproducible byte for byte.
 """
 
 import re

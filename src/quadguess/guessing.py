@@ -22,10 +22,8 @@ normalized over the columns to a QuadEquation, is verified exactly by
 `check`'s walk (`sequences._walk`), the one row loop, and its
 z-multiples (entry (mono, i) moved to column (mono, i + 1)) are accepted
 from that pass.  Only if a lift fails does `modular_nullspace` climb the
-further Mersenne primes.  Every modulus it reaches takes P's path: one
-`ColumnEchelon` per search, kept across d, that each d cuts to its
-usable rows and to which it adds only the new columns, packed once per
-search the same way.
+further Mersenne primes, each on P's path: one echelon per search, kept
+across d, and each monomial's rows packed once per search the same way.
 """
 
 import json
@@ -99,12 +97,10 @@ class _SlotRows:
     0 .. count - 1 of mono, its z^n coefficients times den**2, below
     count * p**2: the low count slots (carries only move up) of one
     product of its two derivative sequences mod p, each packed once;
-    f^(-1) packs to den.  It is kept for every d of a search, and `bits`
-    is the slot width of the search's `ColumnEchelon` mod p, so
-    `slot(mono, count) << bits * i` is column (mono, i) as it takes it.
-    Each monomial is packed once, at the count of its first call, and
-    no later call may ask for more rows: a search's usable rows never
-    grow."""
+    f^(-1) packs to den.  A monomial is packed at its first count only (a
+    search's usable rows never grow), in slots as wide as `bits`, those of
+    the search's echelon mod p: `slot(mono, count) << bits * i` is column
+    (mono, i) as it takes it."""
 
     def __init__(self, nums, den, p, bits):
         self.derivs = Derivatives([x % p for x in nums], den % p)
@@ -120,10 +116,12 @@ class _SlotRows:
 
     def slot(self, mono, count):
         """Rows 0 .. count - 1 (or more) of mono, packed."""
-        if mono not in self.kept:
-            self.kept[mono] = (self._packed(mono.p) * self._packed(mono.q)
-                               & (1 << self.bits * count) - 1)
-        return self.kept[mono]
+        packed = self.kept.get(mono)
+        if packed is None:
+            packed = self.kept[mono] = (
+                self._packed(mono.p) * self._packed(mono.q)
+                & (1 << self.bits * count) - 1)
+        return packed
 
 
 def _usable_rows(prefix, columns):
@@ -251,14 +249,12 @@ def guess(prefix, cfg=GuessConfig()):
 
     @cache
     def modulus(p):
-        """The search's echelon mod p, of the rows usable when p is first
-        asked for, and its residues mod p, packed to the echelon's slots."""
+        """The search's echelon mod p and its residues, made once."""
         at = ColumnEchelon(usable, p)
         return at, _SlotRows(nums, den, p, at.bits)
 
     def echelon_at(p):
-        """The current system mod p: the search's echelon mod p, cut to the
-        usable rows, with the columns it lacks added."""
+        """The current system mod p, on the search's echelon mod p."""
         at, rows = modulus(p)
         at.cut(usable)
         for mono, i in columns[at.width:]:     # row n - i at n
