@@ -195,7 +195,7 @@ RESCALED_GOLDEN = (
 # The 60-term euler-egf with P = 2^61 - 1 added to term 30: every d from
 # the oracle's own on is rank-deficient mod P, and the kernel at d = 17
 # lifts only after the climb reaches 2^2203 - 1.  Its to_json() is 14 119
-# characters, pinned by its SHA-256 digest; the head is pinned as text.
+# characters, pinned by its SHA-256 digest; its head and tail also as text.
 PERTURBED_EULER_HEAD = '{"status": "success", "d": 17, "m": 2, '
 PERTURBED_EULER_TAIL = '"rows": {"construction": 54, "verification": 2}}'
 PERTURBED_EULER_SHA256 = (
