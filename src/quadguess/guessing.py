@@ -116,12 +116,10 @@ class _SlotRows:
 
     def slot(self, mono, count):
         """Rows 0 .. count - 1 (or more) of mono, packed."""
-        packed = self.kept.get(mono)
-        if packed is None:
-            packed = self.kept[mono] = (
-                self._packed(mono.p) * self._packed(mono.q)
-                & (1 << self.bits * count) - 1)
-        return packed
+        if mono not in self.kept:
+            self.kept[mono] = (self._packed(mono.p) * self._packed(mono.q)
+                               & (1 << self.bits * count) - 1)
+        return self.kept[mono]
 
 
 def _usable_rows(prefix, columns):
