@@ -27,7 +27,7 @@ from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               PrefixFormatError)
 from quadguess.exact import format_rational, parse_rational
 from quadguess.guessing import GuessConfig, guess
-from quadguess.prefix import load_prefix, read_text
+from quadguess.prefix import dump_prefix, load_prefix, read_text
 from quadguess.sequences import ORACLES, check, extend, oracle_sequence
 
 EXIT_OK = 0
@@ -85,12 +85,11 @@ def _load_equation(path):
 
 
 def _print_rationals(values, fmt):
-    """Print rationals as one JSON array, or one per line."""
+    """Print a prefix's rationals as one JSON array, or one per line."""
     if fmt == "json":
         print(json.dumps([format_rational(v) for v in values]))
     else:
-        for v in values:
-            print(format_rational(v))
+        print(dump_prefix(values), end="")
 
 
 def _cmd_guess(args):

@@ -1,27 +1,27 @@
 """Exact rational scalars and homogeneous nullspaces.
 
 All arithmetic is over Q via fractions.Fraction (always reduced, positive
-denominator) and int.  `falling_weight` is the one weight function and
-`normalize_vector` the one normalization of a kernel vector.
+denominator) and int.  `falling_weight` is the one weight function.
 
 `modular_nullspace` holds the whole elimination policy: every basis it
-returns is a kernel mod primes, lifted to Q and accepted only when the
-caller's exact check says it vanishes.  It reads the matrix only through
+returns is a kernel mod primes, lifted to integer vectors over Q and
+accepted only when the caller's exact check keeps them, in the form that
+check returns (`guess` keeps equations).  It reads the matrix only through
 residues, which a caller evaluates from its input reduced mod a prime
 (reduction is a ring homomorphism), never through exact rows, and one
-engine eliminates them: a `ColumnEchelon` mod a Mersenne prime 2**e - 1,
-of packed columns, one int each, whose slots a fold at 2**e reduces at
-once.  It first ranks the matrix modulo P = 2**61 - 1: full rank mod P
-proves a trivial nullspace over Q.  The echelon grows by columns and
-shrinks by rows without re-eliminating, so `guess` keeps one per search
-and adds only the new columns of each ansatz size.  Otherwise the echelon
-replays the multipliers it recorded while eliminating and so gives the
-kernel mod P itself, with no second elimination, and rational
-reconstruction lifts each of its vectors.  Only when a vector does not
-lift or does not vanish does the loop climb the Mersenne primes past P
-(2**89 - 1, 2**107 - 1, ...), each with an echelon `guess` keeps across
-d like P's; the kernels of the best profile, P's too, are combined by CRT
-until the lift checks, so results are exact and reproducible byte for byte.
+engine eliminates them: a `ColumnEchelon` mod a Mersenne prime 2**e - 1, of
+packed columns, one int each, whose slots a fold at 2**e reduces at once.
+It first ranks the matrix modulo P = 2**61 - 1: full rank mod P proves a
+trivial nullspace over Q.  The echelon grows by columns and shrinks by rows
+without re-eliminating, so `guess` keeps one per search and adds only the
+new columns of each ansatz size.  Otherwise the echelon replays the
+multipliers it recorded while eliminating and so gives the kernel mod P
+itself, with no second elimination, and rational reconstruction lifts each
+of its vectors.  Only when a vector does not lift or is not kept does the
+loop climb the Mersenne primes past P (2**89 - 1, 2**107 - 1, ...), each
+with an echelon `guess` keeps across d like P's; the kernels of the best
+profile, P's too, are combined by CRT until the lift checks, so results are
+exact and reproducible byte for byte.
 """
 
 import re
@@ -101,18 +101,6 @@ def clear_denominators(values):
     denominators and nums the ints v * den."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def normalize_vector(vec):
-    """Scale a vector of ints and Fractions to ints with content 1 and a
-    positive first nonzero entry."""
-    ints, _ = clear_denominators(vec)
-    content = gcd(*ints)
-    if content > 1:
-        ints = [v // content for v in ints]
-    if next((v for v in ints if v), 0) < 0:
-        ints = [-v for v in ints]
-    return ints
 
 
 def slot_bits(height, p=P):
@@ -281,9 +269,10 @@ def _rational(x, m, bound):
 def _lift(vec, m):
     """The rational vector congruent to the residue vector vec mod m whose
     numerators over its common denominator D, and D, are at most
-    isqrt(m // 2), normalized as `normalize_vector` does, or None if there
-    is none.  Entry j is reconstructed times the denominator of the entries
-    before it, so D grows one factor at a time."""
+    isqrt(m // 2), as those integer numerators, or None if there is none.
+    Entry j is reconstructed times the denominator of the entries before
+    it, so D grows one factor at a time and is the lcm of the entries'
+    denominators."""
     bound = isqrt(m // 2)
     den = 1
     parts = []
@@ -296,7 +285,7 @@ def _lift(vec, m):
         if den > bound:
             return None
         parts.append((num, den))
-    return normalize_vector([num * (den // at) for num, at in parts])
+    return [num * (den // at) for num, at in parts]
 
 
 # The exponents e of the Mersenne primes 2**e - 1 from P's on (OEIS
@@ -309,17 +298,19 @@ _MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
              74207281, 77232917, 82589933, 136279841)
 
 
-def modular_nullspace(echelon_at, vanishes):
+def modular_nullspace(echelon_at, verify):
     """Nullspace basis of an integer matrix from two views of it:
     `echelon_at(p)`, a ColumnEchelon mod the Mersenne prime p of a matrix
     congruent to it mod p (any representatives), asked for once per p; and
-    `vanishes(vec)`, whether the integer vector vec annihilates every row
-    exactly.
+    `verify(vec)`, given an integer vector, what to keep of it if it
+    annihilates every row exactly, else None.
 
     The basis has one vector per free column of the reduced row echelon
     form (leftmost pivots), with 1 there and 0 at the other free columns,
-    scaled to ints with content 1 and a positive first nonzero entry, in
-    order of free column; it is [] iff the nullspace is trivial.
+    in order of free column.  Each is lifted as integers over its common
+    denominator: content 1, and positive at its free column, its last
+    nonzero entry.  `modular_nullspace` returns what `verify` keeps of
+    each, in that order; it is [] iff the nullspace is trivial.
 
     Each rung of the loop takes `echelon_at(p).kernel()` for the next
     Mersenne prime p = 2**e - 1 (`_MERSENNE`), from P = 2**61 - 1 on.
@@ -328,24 +319,24 @@ def modular_nullspace(echelon_at, vanishes):
     replayed.  Otherwise the first rung gives the kernel mod P in its
     canonical basis, off the elimination that ranked the matrix.  Each
     vector is lifted by rational reconstruction over a common denominator
-    and checked by `vanishes`.  When every one vanishes, they are the
-    kernel over Q, byte for byte: independent vectors of ker_Q, as many as
-    the nullity mod P, which is at least the nullity over Q, so they span
-    it; their last nonzero entries are distinct free columns, so they are
-    its unique basis of that form.
+    and handed to `verify`.  When every one is kept, they are the kernel
+    over Q, byte for byte: independent vectors of ker_Q, as many as the
+    nullity mod P, which is at least the nullity over Q, so they span it;
+    their last nonzero entries are distinct free columns, so they are its
+    unique basis of that form.
 
-    When one does not lift or vanish (rank or pivots lost mod P, or entries
-    beyond the bound), the loop climbs the Mersenne primes past P, each
-    with an echelon of its own.  The moduli with the best profile so far
-    (highest rank, then smallest pivot list), P's included, are combined by
-    CRT, and the lift modulo their product is checked as above, so
-    whatever is returned is the kernel over Q.  Mod p the rank is at most
-    the rank over Q and each pivot is at or right of its place over Q, so
-    no modulus beats the profile over Q, and every modulus with that
-    profile gives the true basis mod p.  Fix a nonzero maximal minor at the
-    pivot columns over Q: a modulus with a worse profile divides it, so the
-    bad moduli total at most log2 H bits, H the Hadamard bound of the
-    maximal minors.  The basis entries over their common denominator are
+    When one does not lift or is not kept (rank or pivots lost mod P, or
+    entries beyond the bound), the loop climbs the Mersenne primes past P,
+    each with an echelon of its own.  The moduli with the best profile so
+    far (highest rank, then smallest pivot list), P's included, are
+    combined by CRT, and the lift modulo their product is checked as
+    above, so whatever is returned is the kernel over Q.  Mod p the rank
+    is at most the rank over Q and each pivot is at or right of its place
+    over Q, so no modulus beats the profile over Q, and every modulus with
+    that profile gives the true basis mod p.  Fix a nonzero maximal minor
+    at the pivot columns over Q: a modulus with a worse profile divides
+    it, so the bad moduli total at most log2 H bits, H the Hadamard bound
+    of the maximal minors.  The basis entries over their common denominator are
     such minors, at most H, so the lift recovers them once the kept moduli
     exceed 2 * H**2.  The table's 716 504 546 bits exceed 3 * log2 H + 2
     whenever H < 2**(2 * 10**8), and for every such matrix the loop
@@ -368,13 +359,13 @@ def modular_nullspace(echelon_at, vanishes):
             modulus *= p
         else:
             continue
-        lifted = []
+        kept = []
         for vec in images:
             vec = _lift(vec, modulus)
-            if vec is None or not vanishes(vec):
+            if vec is None or (vec := verify(vec)) is None:
                 break
-            lifted.append(vec)
+            kept.append(vec)
         else:
-            return lifted
+            return kept
     raise ArithmeticError("no kernel lift checks modulo the Mersenne primes "
                           f"up to 2**{_MERSENNE[-1]} - 1")

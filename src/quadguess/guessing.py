@@ -17,25 +17,29 @@ derivative sequences.  `guess` ranks the systems mod P in one
 `exact.ColumnEchelon` per search: each d cuts it to its usable rows and
 adds only its new columns; a size of full rank there is skipped.
 Otherwise `exact.modular_nullspace` reads the kernel mod P off the same
-echelon (`ColumnEchelon.kernel`) and lifts it to Q.  Each lifted vector,
-normalized over the columns to a QuadEquation, is verified exactly by
-`check`'s walk (`sequences._walk`), the one row loop, and its
-z-multiples (entry (mono, i) moved to column (mono, i + 1)) are accepted
-from that pass.  Only if a lift fails does `modular_nullspace` climb the
-further Mersenne primes, each on P's path: one echelon per search, kept
-across d, and each monomial's rows packed once per search the same way.
+echelon (`ColumnEchelon.kernel`) and lifts it to Q.  Each lifted vector
+is normalized once (`normalize`, the one normalization) to a
+QuadEquation, which is verified exactly by `check`'s walk
+(`sequences._walk`), the one row loop; the verifier keeps the terms of
+each equation that passed and of its z-multiples (every z-power one
+higher), which pass from that walk, and `modular_nullspace` returns the
+equations it kept.  Only if a lift fails does `modular_nullspace` climb
+the further Mersenne primes, each on P's path: one echelon per search,
+kept across d, and each monomial's rows packed once per search the same
+way.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
-from math import ceil, isqrt
+from math import gcd, isqrt
 
 from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
                                  equation_from_obj, equation_to_obj)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
-from quadguess.exact import (ColumnEchelon, modular_nullspace,
-                             normalize_vector, pack)
+from quadguess.exact import (ColumnEchelon, clear_denominators,
+                             modular_nullspace, pack)
 from quadguess.sequences import _walk
 
 
@@ -44,11 +48,12 @@ class GuessConfig:
     """Search-space bounds for the ansatz loop.
 
     m: max z-degree of the polynomial coefficients (2 suffices for the
-    classical Bernoulli/Euler/Bell equations).  d runs from d_start to
-    d_max (default ceil((N+1)/(m+1)); a given d_max must be at least
-    d_start), capped so that every construction row plus min_verify_rows
-    held-out rows fit inside the prefix.  Every bound is a plain int, not
-    a bool or a float; d_max may also be None.
+    classical Bernoulli/Euler/Bell equations).  d runs up from d_start,
+    to d_max if one is given (at least d_start), and stops at the first d
+    whose (d + 1)(m + 1) construction rows plus min_verify_rows held-out
+    rows do not fit in the rows the prefix determines, so d stays below
+    N / (m + 1) for N terms.  Every bound is a plain int, not a bool or a
+    float; d_max may also be None.
     """
 
     m: int = 2
@@ -135,52 +140,48 @@ def _usable_rows(prefix, columns):
 
 def normalize(vector, columns):
     """Turn a nonzero solution vector (ints and Fractions) over columns
-    into a QuadEquation: drop zeros, clear denominators, divide by the
-    content, and make the coefficient of the highest (monomial, z-power),
-    the QuadEquation's last term, positive."""
-    ints = normalize_vector(vector)
-    if not any(ints):
+    into a QuadEquation, the one normalization of a kernel vector: clear
+    denominators, divide by the content, drop zeros, and make the
+    coefficient of the highest (monomial, z-power), the QuadEquation's
+    last term, positive.  Every nonzero rational multiple of the vector
+    gives the same equation."""
+    ints, _ = clear_denominators(vector)
+    content = gcd(*ints)
+    if not content:
         raise ValueError("cannot normalize the zero vector")
     terms = [(col, c) for col, c in zip(columns, ints) if c]
-    sign = 1 if max(terms)[1] > 0 else -1
-    return QuadEquation([(i, mono, sign * c) for (mono, i), c in terms])
+    if max(terms)[1] < 0:
+        content = -content
+    return QuadEquation([(i, mono, c // content) for (mono, i), c in terms])
 
 
 class _Verifier:
-    """Whether solution vectors of the system of `columns` annihilate its
-    rows 0 .. count - 1 on the exact terms `values`: normalized to a
-    QuadEquation, a vector is read by `check`'s walk (`sequences._walk`).
-    Once a vector E passes, so does z * E, entry (mono, i) moved to column
-    (mono, i + 1), if every entry it moves is still a column, and so on,
-    without a pass of their own: row n of z * E is row n - 1 of E.
-    `equation` gives a passed vector's QuadEquation, kept from its pass
-    or, for a z-multiple, normalized on first use."""
+    """The equations of the system of `columns` whose rows 0 .. count - 1
+    vanish on the exact terms `values`: called on a solution vector, it
+    returns the vector's equation (`normalize`) if `check`'s walk
+    (`sequences._walk`) finds those rows zero, else None.  Passed
+    equations are kept by their terms, so a multiple of a passed vector
+    makes no pass of its own.  Once an equation E passes, so does z * E,
+    every term's z-power one higher, if every term it moves is still a
+    column, and so on, without a pass of their own: row n of z * E is row
+    n - 1 of E."""
 
     def __init__(self, values, columns, count):
         self.values, self.columns, self.count = values, columns, count
-        self.verified = {}           # vector -> its equation, or None
+        self.passed = set()          # the terms of each passed equation
 
     def __call__(self, vec):
-        vec = tuple(vec)
-        if vec in self.verified:
-            return True
         eq = normalize(vec, self.columns)
+        if eq.terms in self.passed:
+            return eq
         if not self.vanishes(eq):
-            return False
-        self.verified[vec] = eq
-        index = {col: j for j, col in enumerate(self.columns)}
-        up = [index.get((mono, i + 1)) for mono, i in self.columns]
-        while None not in (moved := {j: x for j, x in zip(up, vec) if x}):
-            vec = tuple(moved.get(j, 0) for j in range(len(vec)))
-            self.verified.setdefault(vec, None)
-        return True
-
-    def equation(self, vec):
-        """The QuadEquation of a vector that passed."""
-        vec = tuple(vec)
-        if self.verified[vec] is None:
-            self.verified[vec] = normalize(vec, self.columns)
-        return self.verified[vec]
+            return None
+        terms, columns = eq.terms, set(self.columns)
+        self.passed.add(terms)
+        while all((mono, s + 1) in columns for s, mono, _ in terms):
+            terms = tuple((s + 1, mono, c) for s, mono, c in terms)
+            self.passed.add(terms)
+        return eq
 
     def vanishes(self, eq):
         """Whether eq's rows 0 .. count - 1 are zero: one exact pass (a
@@ -240,7 +241,6 @@ def guess(prefix, cfg=GuessConfig()):
         raise DegenerateInputError("degenerate input: all terms zero")
     n_terms = len(prefix)
     m = cfg.m
-    d_cap = cfg.d_max if cfg.d_max is not None else ceil(n_terms / (m + 1))
     attempted = False
     nums, den = prefix.scaled()
     columns, usable = [], n_terms
@@ -259,7 +259,9 @@ def guess(prefix, cfg=GuessConfig()):
             at.add(rows.slot(mono, usable) << at.bits * i)
         return at
 
-    for d in range(cfg.d_start, d_cap + 1):
+    for d in itertools.count(cfg.d_start):
+        if cfg.d_max is not None and d > cfg.d_max:
+            break
         if (d + 1) * (m + 1) + cfg.min_verify_rows > usable:
             break  # too many unknowns for the rows left: build no columns
         new = ansatz(d, m, columns)     # only new columns can read further
@@ -267,11 +269,10 @@ def guess(prefix, cfg=GuessConfig()):
         if usable < len(columns) + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         attempted = True
-        verifier = _Verifier(prefix.values, columns, usable)
-        basis = modular_nullspace(echelon_at, verifier)
+        basis = modular_nullspace(
+            echelon_at, _Verifier(prefix.values, columns, usable))
         if basis:
-            equations = tuple(map(verifier.equation, basis))
-            return GuessResult(status="success", d=d, m=m, basis=equations,
+            return GuessResult(status="success", d=d, m=m, basis=tuple(basis),
                                construction_rows=len(columns),
                                verification_rows=usable - len(columns))
     if not attempted:

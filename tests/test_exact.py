@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from quadguess import exact
 from quadguess.exact import (_MERSENNE, P, ColumnEchelon, _rational,
                              falling_weight, format_rational,
-                             normalize_vector, pack, parse_rational)
-from util_exact import (bareiss_nullspace, echelon_nullspace, naive_rank,
-                        rank_mod_p)
+                             modular_nullspace, pack, parse_rational)
+from util_exact import (bareiss_nullspace, echelon_nullspace, echelons,
+                        naive_rank, normalize_vector, rank_mod_p)
 
 
 def test_rational_serialization():
@@ -82,6 +82,56 @@ def test_nullspace_normalization():
 
 def test_normalize_vector():
     assert normalize_vector([Fraction(-2, 3), Fraction(4, 3)]) == [1, -2]
+
+
+def _sentinel_verify(rows, calls, kept):
+    """A verify that logs each vector in calls and, if it annihilates the
+    rows, keeps a fresh object in kept and returns it."""
+    def verify(vec):
+        calls.append(list(vec))
+        if any(sum(x * v for x, v in zip(row, vec)) for row in rows):
+            return None
+        kept.append(object())
+        return kept[-1]
+    return verify
+
+
+def test_nullspace_returns_what_verify_keeps():
+    """modular_nullspace returns the very objects its verify returns, in
+    order of free column, with one call per lifted vector of the deciding
+    rung: at P, and past P after a vector lifted at P does not vanish.
+    Each lift is integers over its common denominator, positive at its
+    free column."""
+    for rows, calls_made in (
+            ([[1, 2, 3, 4], [2, 4, 7, 9]], [[-2, 1, 0, 0], [-1, 0, -1, 1]]),
+            ([[3, 0, -7]], [[0, 1, 0], [7, 0, 3]]),
+            ([[P, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]])):
+        calls, kept = [], []
+        basis = modular_nullspace(echelons(rows, len(rows[0])),
+                                  _sentinel_verify(rows, calls, kept))
+        assert calls == calls_made
+        assert len(basis) == len(kept) == len(rows[0]) - naive_rank(rows)
+        assert all(b is k for b, k in zip(basis, kept))
+
+
+def test_nullspace_lifts_are_primitive():
+    """Every vector modular_nullspace hands to verify has content 1 and a
+    positive last nonzero entry, its free column, so the one
+    normalization after it changes at most the sign."""
+    rng = random.Random(29)
+    seen = 0
+    for _ in range(200):
+        height, width = rng.randint(1, 5), rng.randint(2, 6)
+        rows = [[rng.choice((0, 1, -2, 3, P, 2**70 + 1)) * rng.randint(-3, 3)
+                 for _ in range(width)] for _ in range(height)]
+        calls, kept = [], []
+        modular_nullspace(echelons(rows, width),
+                          _sentinel_verify(rows, calls, kept))
+        for vec in calls:
+            assert all(type(x) is int for x in vec)
+            assert gcd(*vec) == 1 and [x for x in vec if x][-1] > 0, vec
+        seen += len(calls)
+    assert seen > 100
 
 
 def test_nullspace_randomized_vs_gaussian_oracle():

@@ -300,13 +300,13 @@ def test_guess_matches_full_exact_path(monkeypatch):
     rank_filter = guessing.modular_nullspace
     echelon_kernel = ColumnEchelon.kernel
 
-    def logged_rank(echelon_at, vanishes):
+    def logged_rank(echelon_at, verify):
         def logged_at(p):
             echelon = echelon_at(p)
             if p == P:
                 ranks.append((echelon.rank, echelon.width, echelon.height))
             return echelon
-        return rank_filter(logged_at, vanishes)
+        return rank_filter(logged_at, verify)
 
     def logged_echelon_kernel(echelon):
         pivots, basis = echelon_kernel(echelon)
@@ -479,7 +479,7 @@ def test_verifier_matches_bruteforce(system):
     values, d, m, count, rows, vec = system
     prefix = SequencePrefix(values)
     verifier = _Verifier(prefix.values, ansatz(d, m), count)
-    assert verifier(vec) == _vanishes_bruteforce(rows, vec)
+    assert (verifier(vec) is not None) == _vanishes_bruteforce(rows, vec)
 
 
 def _fitting_multiple(w, v, m):
@@ -507,7 +507,7 @@ def test_verifier_shifts_match_bruteforce(system):
     prefix = SequencePrefix(values)
     verifier = _Verifier(prefix.values, ansatz(d, m), count)
     passes = _counted(verifier)
-    assert verifier(vec) and passes[0] == 1
+    assert verifier(vec) is not None and passes[0] == 1
     passed = [list(vec)]
     for j in range(1, m + 1):
         shifted = _z_multiple(vec, j, m)
@@ -515,13 +515,60 @@ def test_verifier_shifts_match_bruteforce(system):
             continue
         covered = any(_fitting_multiple(w, shifted, m) for w in passed)
         before = passes[0]
-        ok = verifier(shifted)
+        ok = verifier(shifted) is not None
         assert ok == _vanishes_bruteforce(rows, shifted)
         assert passes[0] == before + (not covered), (vec, j)
         if ok:
             passed.append(shifted)
     for w in passed:
-        assert verifier.equation(w) == normalize(w, ansatz(d, m)), w
+        assert verifier(w) == normalize(w, ansatz(d, m)), w
+
+
+def test_verifier_accepts_multiples_of_a_passed_shift():
+    """After y' - y passes on exp, its z-multiple times -2 and over 3 are
+    accepted as z * (y' - y) with no further exact pass: the verifier
+    keeps equations, and every multiple normalizes to the same one."""
+    d, m = 3, 2
+    columns = ansatz(d, m)
+    prefix = oracle_sequence("exp", 20)
+    eq = QuadEquation([(0, slot(2), 1), (0, slot(0), -1)])
+    vec = equation_vector(eq, d, m)
+    verifier = _Verifier(prefix.values, columns,
+                         _usable_rows(prefix, columns))
+    passes = _counted(verifier)
+    assert verifier(vec) == eq and passes[0] == 1
+    shifted = QuadEquation([(s + 1, mono, c) for s, mono, c in eq.terms])
+    moved = _z_multiple(vec, 1, m)
+    for w in ([-2 * x for x in moved], [Fraction(x) / 3 for x in moved]):
+        assert verifier(w) == shifted
+    assert passes[0] == 1
+    # a negative control: a vector that does not vanish takes a pass
+    assert verifier([x + 1 for x in vec]) is None and passes[0] == 2
+
+
+_scale = st.fractions(min_value=-7, max_value=7,
+                      max_denominator=9).filter(bool)
+
+
+@given(st.integers(0, 3), st.integers(0, 2), _scale, st.data())
+@settings(max_examples=200, deadline=None)
+def test_normalize_ignores_scale_and_follows_z(d, m, c, data):
+    """normalize gives every nonzero rational multiple of a vector the
+    same equation, and a vector with no entry at z^m, moved up one
+    z-power, the equation's terms with every z-power one higher: the two
+    facts the verifier's cache of equations rests on."""
+    columns = ansatz(d, m)
+    vec = data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        min_size=len(columns), max_size=len(columns)))
+    vec = [0 if i == m else x for x, (_, i) in zip(vec, columns)]
+    assume(any(vec))
+    eq = normalize(vec, columns)
+    assert normalize([c * x for x in vec], columns) == eq
+    if m:
+        moved = normalize(_z_multiple(vec, 1, m), columns)
+        assert moved.terms == tuple((s + 1, mono, x)
+                                    for s, mono, x in eq.terms)
 
 
 def test_verifier_exact_passes_at_150_terms(monkeypatch):
@@ -690,3 +737,26 @@ def test_config_rejects_d_max_below_d_start(d_start, d_max):
 def test_config_accepts_d_max_at_d_start():
     assert GuessConfig(d_start=3, d_max=3).d_max == 3
     assert GuessConfig(d_max=None).d_max is None
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_d_max_bounds_d_only_when_given(m):
+    """With no d_max, d is bounded only by the rows the prefix determines,
+    which stop it below len(prefix) / (m + 1): d_max = len(prefix) gives
+    the same result, also where no d admits a system."""
+    rng = random.Random(41 + m)
+    prefixes = [oracle_sequence(name, n)
+                for name in sorted(ORACLES) for n in (8, 16, 26, 40)]
+    prefixes += [SequencePrefix([Fraction(rng.choice((-1, 1))
+                                          * rng.randint(1, 9),
+                                          rng.randint(1, 9))
+                                 for _ in range(rng.randint(8, 40))])
+                 for _ in range(8)]
+    for prefix in prefixes:
+        outcomes = []
+        for cfg in (GuessConfig(m=m), GuessConfig(m=m, d_max=len(prefix))):
+            try:
+                outcomes.append(guess(prefix, cfg).to_json())
+            except InsufficientTermsError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], prefix

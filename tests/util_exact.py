@@ -6,7 +6,8 @@ fraction-free Bareiss elimination over the integers, and a dense linear
 solver.  These stay separate from the code paths they check.
 `echelon_nullspace` is not a reference but a driver: it feeds a matrix to
 `exact.modular_nullspace` through the views `guess` gives it, a column
-echelon mod each Mersenne prime asked for and an exact check.
+echelon mod each Mersenne prime asked for and an exact check, which keeps
+each vector that passes as `normalize_vector` scales it.
 """
 
 from fractions import Fraction
@@ -174,10 +175,34 @@ def naive_nullspace(matrix, width):
     return basis
 
 
+def normalize_vector(vec):
+    """Scale a vector of ints and Fractions to ints with content 1 and a
+    positive first nonzero entry."""
+    den = lcm(*(Fraction(v).denominator for v in vec))
+    ints = [int(Fraction(v) * den) for v in vec]
+    content = gcd(*ints)
+    if next((v for v in ints if v), 0) < 0:
+        content = -content
+    return [v // content for v in ints] if content else ints
+
+
+def echelons(rows, width):
+    """echelon_at for `exact.modular_nullspace`: the integer rows, packed
+    into a fresh ColumnEchelon mod each prime asked for."""
+    def echelon_at(p):
+        echelon = ColumnEchelon(len(rows), p)
+        for c in range(width):
+            echelon.add(pack([row[c] % p for row in rows], echelon.bits))
+        return echelon
+    return echelon_at
+
+
 def echelon_nullspace(matrix, width=None):
     """`exact.modular_nullspace` of a matrix of ints and Fractions: rows
     with their denominators cleared row by row, a column echelon of them
-    mod each Mersenne prime it asks for, and an exact check of every row."""
+    mod each Mersenne prime it asks for, and an exact check of every row
+    that keeps a vector as `normalize_vector` scales it, the form
+    `bareiss_nullspace` gives."""
     rows = []
     for row in matrix:
         den = lcm(*(Fraction(x).denominator for x in row))
@@ -186,16 +211,12 @@ def echelon_nullspace(matrix, width=None):
         width = len(rows[0])
     assert all(len(row) == width for row in rows), "matrix is not rectangular"
 
-    def echelon_at(p):
-        echelon = ColumnEchelon(len(rows), p)
-        for c in range(width):
-            echelon.add(pack([row[c] % p for row in rows], echelon.bits))
-        return echelon
+    def verify(vec):
+        if all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows):
+            return normalize_vector(vec)
+        return None
 
-    def vanishes(vec):
-        return all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
-
-    return modular_nullspace(echelon_at, vanishes)
+    return modular_nullspace(echelons(rows, width), verify)
 
 
 def bareiss_nullspace(matrix, width):
