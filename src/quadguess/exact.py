@@ -9,19 +9,19 @@ accepted only when the caller's exact check keeps them, in the form that
 check returns (`guess` keeps equations).  It reads the matrix only through
 residues, which a caller evaluates from its input reduced mod a prime
 (reduction is a ring homomorphism), never through exact rows, and one
-engine eliminates them: a `ColumnEchelon` mod a Mersenne prime 2**e - 1, of
-packed columns, one int each, whose slots a fold at 2**e reduces at once.
-It first ranks the matrix modulo P = 2**61 - 1: full rank mod P proves a
-trivial nullspace over Q.  The echelon grows by columns and shrinks by rows
-without re-eliminating, so `guess` keeps one per search and adds only the
-new columns of each ansatz size.  Otherwise the echelon replays the
-multipliers it recorded while eliminating and so gives the kernel mod P
-itself, with no second elimination, and rational reconstruction lifts each
-of its vectors.  Only when a vector does not lift or is not kept does the
-loop climb the Mersenne primes past P (2**89 - 1, 2**107 - 1, ...), each
-with an echelon `guess` keeps across d like P's; the kernels of the best
-profile, P's too, are combined by CRT until the lift checks, so results are
-exact and reproducible byte for byte.
+engine eliminates them: a `ColumnEchelon` mod a Mersenne prime 2**e - 1,
+of packed columns, one int each, whose slots a fold at 2**e reduces at
+once.  It first ranks the matrix modulo P = 2**61 - 1: full rank mod P
+proves a trivial nullspace over Q.  The echelon grows by columns and
+shrinks by rows without re-eliminating, so `guess` keeps one per search
+and adds only the new columns of each ansatz size.  Otherwise the echelon
+replays the multipliers it recorded while eliminating and so gives the
+kernel mod P itself, with no second elimination, and rational
+reconstruction lifts each of its vectors.  Only when a vector does not
+lift or is not kept does the loop climb the Mersenne primes past P
+(2**89 - 1, 2**107 - 1, ...), each with an echelon `guess` keeps across
+d like P's; the kernels of the best profile, P's too, are combined by CRT
+until the lift checks, so results are exact and reproducible byte for byte.
 """
 
 import re
@@ -319,24 +319,24 @@ def modular_nullspace(echelon_at, verify):
     replayed.  Otherwise the first rung gives the kernel mod P in its
     canonical basis, off the elimination that ranked the matrix.  Each
     vector is lifted by rational reconstruction over a common denominator
-    and handed to `verify`.  When every one is kept, they are the kernel
-    over Q, byte for byte: independent vectors of ker_Q, as many as the
-    nullity mod P, which is at least the nullity over Q, so they span it;
-    their last nonzero entries are distinct free columns, so they are its
-    unique basis of that form.
+    and handed to `verify`.  When it keeps every one, they are the
+    kernel over Q, byte for byte: independent vectors of ker_Q, as many as
+    the nullity mod P, which is at least the nullity over Q, so they span
+    it; their last nonzero entries are distinct free columns, so they are
+    its unique basis of that form.
 
-    When one does not lift or is not kept (rank or pivots lost mod P, or
-    entries beyond the bound), the loop climbs the Mersenne primes past P,
-    each with an echelon of its own.  The moduli with the best profile so
-    far (highest rank, then smallest pivot list), P's included, are
-    combined by CRT, and the lift modulo their product is checked as
-    above, so whatever is returned is the kernel over Q.  Mod p the rank
-    is at most the rank over Q and each pivot is at or right of its place
-    over Q, so no modulus beats the profile over Q, and every modulus with
-    that profile gives the true basis mod p.  Fix a nonzero maximal minor
-    at the pivot columns over Q: a modulus with a worse profile divides
-    it, so the bad moduli total at most log2 H bits, H the Hadamard bound
-    of the maximal minors.  The basis entries over their common denominator are
+    When a lift fails or is not kept (rank or pivots lost mod P, or entries
+    beyond the bound), the loop climbs the Mersenne primes past P, each
+    with an echelon of its own.  The moduli with the best profile so far
+    (highest rank, then smallest pivot list), P's included, are combined by
+    CRT, and the lift modulo their product is checked as above, so
+    whatever is returned is the kernel over Q.  Mod p the rank is at most
+    the rank over Q and each pivot is at or right of its place over Q, so
+    no modulus beats the profile over Q, and every modulus with that
+    profile gives the true basis mod p.  Fix a nonzero maximal minor at the
+    pivot columns over Q: a modulus with a worse profile divides it, so the
+    bad moduli total at most log2 H bits, H the Hadamard bound of the
+    maximal minors.  The basis entries over their common denominator are
     such minors, at most H, so the lift recovers them once the kept moduli
     exceed 2 * H**2.  The table's 716 504 546 bits exceed 3 * log2 H + 2
     whenever H < 2**(2 * 10**8), and for every such matrix the loop
@@ -362,9 +362,9 @@ def modular_nullspace(echelon_at, verify):
         kept = []
         for vec in images:
             vec = _lift(vec, modulus)
-            if vec is None or (vec := verify(vec)) is None:
+            if vec is None or (keep := verify(vec)) is None:
                 break
-            kept.append(vec)
+            kept.append(keep)
         else:
             return kept
     raise ArithmeticError("no kernel lift checks modulo the Mersenne primes "

@@ -18,15 +18,14 @@ derivative sequences.  `guess` ranks the systems mod P in one
 adds only its new columns; a size of full rank there is skipped.
 Otherwise `exact.modular_nullspace` reads the kernel mod P off the same
 echelon (`ColumnEchelon.kernel`) and lifts it to Q.  Each lifted vector
-is normalized once (`normalize`, the one normalization) to a
-QuadEquation, which is verified exactly by `check`'s walk
-(`sequences._walk`), the one row loop; the verifier keeps the terms of
-each equation that passed and of its z-multiples (every z-power one
-higher), which pass from that walk, and `modular_nullspace` returns the
-equations it kept.  Only if a lift fails does `modular_nullspace` climb
-the further Mersenne primes, each on P's path: one echelon per search,
-kept across d, and each monomial's rows packed once per search the same
-way.
+is normalized once (`normalize`) to a QuadEquation, verified exactly by
+`check`'s walk (`sequences._walk`), the one row loop, and returned to
+`modular_nullspace` as the equation to keep.  The verifier keeps it and
+its z-multiples (every z-power one higher) by their terms, so those and
+their scalar multiples are accepted from that pass.  Only if a lift
+fails does `modular_nullspace` climb the further Mersenne primes, each
+on P's path: one echelon per search, kept across d, and each monomial's
+rows packed once per search the same way.
 """
 
 import itertools
