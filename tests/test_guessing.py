@@ -561,7 +561,8 @@ def test_normalize_ignores_scale_and_follows_z(d, m, c, data):
     vec = data.draw(st.lists(
         st.fractions(min_value=-5, max_value=5, max_denominator=6),
         min_size=len(columns), max_size=len(columns)))
-    vec = [0 if i == m else x for x, (_, i) in zip(vec, columns)]
+    if m:
+        vec = [0 if i == m else x for x, (_, i) in zip(vec, columns)]
     assume(any(vec))
     eq = normalize(vec, columns)
     assert normalize([c * x for x in vec], columns) == eq
