@@ -17,15 +17,13 @@ derivative sequences.  `guess` ranks the systems mod P in one
 `exact.ColumnEchelon` per search: each d cuts it to its usable rows and
 adds only its new columns; a size of full rank there is skipped.
 Otherwise `exact.modular_nullspace` reads the kernel mod P off the same
-echelon (`ColumnEchelon.kernel`) and lifts it to Q.  Each lifted vector
-is normalized once (`normalize`) to a QuadEquation, verified exactly by
-`check`'s walk (`sequences._walk`), the one row loop, and returned to
-`modular_nullspace` as the equation to keep.  The verifier keeps it and
-its z-multiples (every z-power one higher) by their terms, so those and
-their scalar multiples are accepted from that pass.  Only if a lift
-fails does `modular_nullspace` climb the further Mersenne primes, each
-on P's path: one echelon per search, kept across d, and each monomial's
-rows packed once per search the same way.
+echelon (`ColumnEchelon.kernel`) and lifts it to Q.  Each lifted vector,
+normalized over the columns to a QuadEquation, is verified exactly by
+`check`'s walk (`sequences._walk`), the one row loop; the equation and
+its z-multiples (every z-power one higher) are kept by terms and accepted
+from that pass.  Only if a lift fails does `modular_nullspace` climb the
+further Mersenne primes, each on P's path: one echelon per search, kept
+across d, and each monomial's rows packed once per search the same way.
 """
 
 import itertools
