@@ -284,20 +284,6 @@ class QuadEquation:
             total += term_numerator(derivs, n - s0, terms, q)
         return total
 
-    def row_value(self, prefix, n):
-        """Exact value of recurrence row n on a prefix.  Raises ValueError
-        unless 0 <= n <= prefix.last_index - max_shift, the rows whose
-        indices all fit."""
-        top = prefix.last_index - self.max_shift
-        if not 0 <= n <= top:
-            rows = f"rows 0 .. {top}" if top >= 0 else "no row"
-            raise ValueError(
-                f"row {n} is out of range: the prefix determines {rows}")
-        nums, den = prefix.scaled()
-        derivs = Derivatives(nums[:max(0, n + self.max_shift + 1)], den)
-        return Fraction(self.row_numerator(derivs, n),
-                        self.coeff_den * den * den)
-
     def rescaled(self, lam):
         """Equation satisfied by b_n = a_n * lam^n whenever self is
         satisfied by a_n: each coefficient picks up

@@ -11,19 +11,19 @@ strict as filtering basis vectors against leftover rows individually.
 
 The system is read only modulo primes.  Column (mono, i) is column
 (mono, 0) shifted down i rows, and size d's columns are a prefix of size
-d + 1's, so one search grows one list and packs each monomial's rows
-once, from the prefix reduced mod P, as one product of two packed
-derivative sequences.  `guess` ranks the systems mod P in one
-`exact.ColumnEchelon` per search: each d cuts it to its usable rows and
-adds only its new columns; a size of full rank there is skipped.
-Otherwise `exact.modular_nullspace` reads the kernel mod P off the same
-echelon (`ColumnEchelon.kernel`) and lifts it to Q.  Each lifted vector,
-normalized over the columns to a QuadEquation, is verified exactly by
-`check`'s walk (`sequences._walk`), the one row loop; the equation and
-its z-multiples (every z-power one higher) are kept by terms and accepted
-from that pass.  Only if a lift fails does `modular_nullspace` climb the
-further Mersenne primes, each on P's path: one echelon per search, kept
-across d, and each monomial's rows packed once per search the same way.
+d + 1's, so one search packs each monomial's rows once, from the prefix
+reduced mod P, as one product of two packed derivative sequences.
+`guess` ranks the systems mod P in one `exact.ColumnEchelon` per search:
+each d cuts it to its usable rows and adds only its new columns; a size
+of full rank there is skipped.  Otherwise `exact.modular_nullspace`
+reads the kernel mod P off the same echelon (`ColumnEchelon.kernel`) and
+lifts it to Q.  Each lifted vector, normalized over the columns to a
+QuadEquation, is verified exactly by `check`'s walk (`sequences._walk`),
+the one row loop; the equation and its z-multiples (every z-power one
+higher) are kept by terms and accepted from that pass.  Only if a lift
+fails does `modular_nullspace` climb the further Mersenne primes, each
+on P's path: one echelon per search, kept across d, and each monomial's
+rows packed once per search the same way.
 """
 
 import itertools
@@ -81,16 +81,11 @@ def slot(k):
     return QuadMonomial(p, k - (p + 1) * (p + 2) // 2)
 
 
-def ansatz(d, m, columns=None):
+def ansatz(d, m):
     """The size-d ansatz: columns (monomial, z-power) k-major, (slot(k), i)
     for k <= d and i <= m, each of shift max(p, 0) - i.  Size d's columns
-    are a prefix of size d + 1's: given a smaller size's list, `ansatz`
-    grows it in place and returns only the new columns."""
-    columns = [] if columns is None else columns
-    start = len(columns)
-    for k in range(start // (m + 1), d + 1):
-        columns += [(mono, i) for mono in [slot(k)] for i in range(m + 1)]
-    return columns[start:]
+    are a prefix of size d + 1's."""
+    return [(slot(k), i) for k in range(d + 1) for i in range(m + 1)]
 
 
 class _SlotRows:
@@ -240,7 +235,7 @@ def guess(prefix, cfg=GuessConfig()):
     m = cfg.m
     attempted = False
     nums, den = prefix.scaled()
-    columns, usable = [], n_terms
+    usable = n_terms
 
     @cache
     def modulus(p):
@@ -261,8 +256,8 @@ def guess(prefix, cfg=GuessConfig()):
             break
         if (d + 1) * (m + 1) + cfg.min_verify_rows > usable:
             break  # too many unknowns for the rows left: build no columns
-        new = ansatz(d, m, columns)     # only new columns can read further
-        usable = min(usable, _usable_rows(prefix, new))
+        columns = ansatz(d, m)
+        usable = _usable_rows(prefix, columns)
         if usable < len(columns) + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         attempted = True

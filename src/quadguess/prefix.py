@@ -1,8 +1,8 @@
 """Finite sequence prefixes a_0 .. a_N of exact rationals.
 
 The convention a_t = 0 for t < 0 is applied by consumers, never stored.
-Prefixes cache an integer-scaled view (numerators over one common
-denominator), so recurrence rows are evaluated in integer arithmetic.
+`scaled()` gives the terms as integers over one common denominator,
+computed on each call; `guess` asks for it once per search.
 """
 
 import json
@@ -17,7 +17,7 @@ class SequencePrefix:
     """Immutable list of exact rational terms, each an int or a Fraction
     (anything else raises TypeError naming its index)."""
 
-    __slots__ = ("values", "_scaled")
+    __slots__ = ("values",)
 
     def __init__(self, values):
         values = tuple(as_rational(v, "term {}", i)
@@ -25,7 +25,6 @@ class SequencePrefix:
         if not values:
             raise ValueError("a prefix needs at least one term")
         self.values = values
-        self._scaled = None
 
     def __len__(self):
         return len(self.values)
@@ -45,18 +44,12 @@ class SequencePrefix:
             shown += ", ..."
         return f"SequencePrefix([{shown}])"
 
-    @property
-    def last_index(self):
-        return len(self.values) - 1
-
     def is_zero(self):
         return all(v == 0 for v in self.values)
 
     def scaled(self):
         """(nums, den): integer numerators over one common denominator."""
-        if self._scaled is None:
-            self._scaled = clear_denominators(self.values)
-        return self._scaled
+        return clear_denominators(self.values)
 
     def rescaled(self, lam):
         """New prefix with a_n -> a_n / lam^n (lam a nonzero int or
@@ -94,8 +87,6 @@ def parse_prefix_text(text, source="<input>"):
             items = json.loads(text, parse_int=str)
         except json.JSONDecodeError as exc:
             raise PrefixFormatError(f"{source}: invalid JSON: {exc}") from exc
-        if not isinstance(items, list):
-            raise PrefixFormatError(f"{source}: expected a JSON array")
         values = []
         for pos, item in enumerate(items):
             try:

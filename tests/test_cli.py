@@ -52,6 +52,11 @@ def test_oracle_unknown_name_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_oracle_count_below_one_is_usage_error(capsys):
+    assert main(["oracle", "--name", "exp", "--count", "0"]) == 2
+    assert capsys.readouterr().err == "error: count must be >= 1\n"
+
+
 def test_guess_text_output(zigzag_file, capsys):
     code = main(["guess", "--input", zigzag_file, "--min-verify", "0"])
     out = capsys.readouterr().out
@@ -214,10 +219,24 @@ def test_check_json_output(tmp_path, zigzag_eq_file, zigzag_file, capsys):
 
 
 def test_equation_file_validation(tmp_path, zigzag_file, capsys):
+    """A malformed equation file, a missing one and one whose terms all
+    cancel (y - y) exit 2 naming the reason, for check and extend alike."""
     path = tmp_path / "eq.json"
     path.write_text('{"terms": "no"}')
-    assert main(["check", "--equation", str(path),
-                 "--input", zigzag_file]) == 2
+    cancelled = tmp_path / "cancelled.json"
+    cancelled.write_text(json.dumps({"terms": [
+        {"s": 0, "p": 0, "q": -1, "c": "1"},
+        {"s": 0, "p": 0, "q": -1, "c": "-1"}]}))
+    missing = tmp_path / "missing.json"
+    for source, error in (
+            (path, 'error: "terms" must be a nonempty list\n'),
+            (missing, f"error: {missing}: [Errno 2] "),
+            (cancelled,
+             "error: an equation needs at least one nonzero term\n")):
+        for command in (["check"], ["extend", "--count", "2"]):
+            assert main([*command, "--equation", str(source),
+                         "--input", zigzag_file]) == 2
+            assert capsys.readouterr().err.startswith(error)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,6 +256,24 @@ def test_equation_file_with_p_below_q_is_usage_error(tmp_path_factory, q,
     for command in (["check"], ["extend", "--count", "2"]):
         assert main([*command, "--equation", str(path),
                      "--input", str(seq)]) == 2
+
+
+def test_commented_line_file_guesses_like_the_plain_file(tmp_path, capsys):
+    """Comment lines, blank lines and indented terms leave the line format's
+    terms, and so every guess output, unchanged."""
+    from quadguess.prefix import dump_prefix
+    from quadguess.sequences import oracle_sequence
+    plain = tmp_path / "plain.txt"
+    plain.write_text(dump_prefix(oracle_sequence("zigzag-egf", 26)))
+    path = tmp_path / "commented.txt"
+    path.write_text("# zigzag-egf, 26 terms\n\n" + "".join(
+        f"  {line}\n\n" for line in plain.read_text().splitlines()))
+    for fmt in ("text", "json"):
+        runs = []
+        for source in (plain, path):
+            code = main(["guess", "--input", str(source), "--format", fmt])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_json_prefix_input(tmp_path, capsys):

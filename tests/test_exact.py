@@ -448,6 +448,32 @@ def test_nullspace_lift_needs_crt(monkeypatch):
     assert [rank for _, rank in runs[-1][0][:3]] == [0, 0, 2]
 
 
+def test_nullspace_skips_a_rung_with_a_worse_profile(monkeypatch):
+    """A modulus whose pivots are worse than the best so far is skipped:
+    [3 (2**89 - 1), 2**95 + 1] has its pivot in column 0 mod P but in
+    column 1 mod 2**89 - 1, so that rung neither joins the CRT product
+    nor lifts, and the kernel lifts modulo P (2**107 - 1) (2**127 - 1)."""
+    rows = [[3 * (2**89 - 1), 2**95 + 1]]
+    kernels, lifts = [], []
+    lift = exact._lift
+
+    def logged_lift(vec, m):
+        lifts.append(m)
+        return lift(vec, m)
+
+    _spy_kernels(monkeypatch, lambda p, pivots: kernels.append((p, pivots)))
+    monkeypatch.setattr(exact, "_lift", logged_lift)
+
+    def verify(vec):
+        return vec if sum(x * v for x, v in zip(rows[0], vec)) == 0 else None
+
+    assert modular_nullspace(echelons(rows, 2), verify) == \
+        [[-(2**95 + 1) // 3, 2**89 - 1]]
+    assert kernels == [(P, [0]), (2**89 - 1, [1]),
+                       (2**107 - 1, [0]), (2**127 - 1, [0])]
+    assert lifts == [P, P * (2**107 - 1), P * (2**107 - 1) * (2**127 - 1)]
+
+
 @st.composite
 def _kernel_cases(draw):
     """(rows, width, p): a Mersenne modulus p of the first five, and rows

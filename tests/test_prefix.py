@@ -116,3 +116,30 @@ def test_inner_byte_order_mark_is_malformed(tmp_path, text):
                        match=rf"^{re.escape(str(path))}: line {lineno}: "
                              rf"malformed rational "):
         load_prefix(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "  [ ]\n", "",
+                                  "# only a comment\n\n   # another\n"])
+def test_input_without_terms_is_an_empty_sequence(text):
+    with pytest.raises(PrefixFormatError, match=r"^<input>: empty sequence$"):
+        parse_prefix_text(text)
+
+
+def test_json_prefix_must_be_a_whole_array():
+    """Truncated JSON is invalid JSON.  Text is read as JSON only when it
+    starts with "[", and such text that parses is an array, so a JSON
+    object is read as lines and its first line is malformed."""
+    with pytest.raises(PrefixFormatError, match=r"^<input>: invalid JSON: "):
+        parse_prefix_text('["1", "2"')
+    with pytest.raises(PrefixFormatError,
+                       match=r"^<input>: line 1: malformed rational "
+                             r"'\{\"a\": 1\}'$"):
+        parse_prefix_text('{"a": 1}')
+
+
+def test_repr_shows_at_most_six_terms():
+    assert repr(SequencePrefix([Fraction(-1, 2)])) == "SequencePrefix([-1/2])"
+    assert repr(SequencePrefix(range(1, 7))) == \
+        "SequencePrefix([1, 2, 3, 4, 5, 6])"
+    assert repr(SequencePrefix(range(1, 8))) == \
+        "SequencePrefix([1, 2, 3, 4, 5, 6, ...])"
