@@ -85,7 +85,8 @@ def ansatz(d, m):
     """The size-d ansatz: columns (monomial, z-power) k-major, (slot(k), i)
     for k <= d and i <= m, each of shift max(p, 0) - i.  Size d's columns
     are a prefix of size d + 1's."""
-    return list(itertools.product(map(slot, range(d + 1)), range(m + 1)))
+    return [(mono, i) for mono in map(slot, range(d + 1))
+            for i in range(m + 1)]
 
 
 class _SlotRows:
