@@ -7,23 +7,30 @@ Taylor coefficients, times den, of combinations sum(c * z^e * f^(p)),
 every entry computed once by one rule through `exact.falling_weight`,
 the one weight function; an order p is the combination f^(p), and
 f^(-1) = 1 is den, 0, 0, ...  One evaluator, `term_numerator`, gives the
-z^m coefficient of a product F * f^(q) as the dot product of two such
+z^m coefficient of a product G * f^(q) as the dot product of two such
 sequences, an integer numerator over den**2.  Past a measured size it
 pairs the products (Winograd's inner product): (m + 1) / 2 products of
 sums, less two running pair sums that `Derivatives` keeps, so a row
 costs about half the big multiplications, and the identity is exact.
+A square, G = f^(q), takes each cross product once and reads no pair
+sums.
 
 The one row loop (`sequences._walk`) reads whole equations through
 `QuadEquation.row_numerator`, which factors the products: the terms that
 share their lower order q form one group, and row n is the sum over
 groups of the z^(n - s0) coefficient of f^(q) * G_q, where s0 is the
-group's smallest z-power and G_q = sum of c * z^(s - s0) * f^(p) is a
-combination that `Derivatives` builds once.  So each row costs one dot
-product per distinct lower order, not one per product term, and each
-such product about m / 2 big multiplications once paired; linear and
+group's smallest z-power and G_q = sum of c * z^(s - s0) * f^(p).  So
+each row costs one dot product per distinct lower order, not one per
+product term, and each such product about m / 2 big multiplications
+once paired.  The store keeps only the sequences those dot products
+read: nums, f^(q) for each q >= 1, and G_q for each product group.  A
+single-term G_q = c * f^(p) is order p's own sequence, with c
+multiplied after the dot product, and a square when p = q.  Linear and
 constant terms form the group q = -1, whose row is one coefficient,
-den * G_q[n - s0].  Every step is a ring operation, so the same evaluator
-on nums and den reduced mod P gives the rows mod P.
+den * G_q[n - s0], computed on the fly and kept in no sequence.  So a
+walk never builds f^(-1); only `guessing._SlotRows`, which packs whole
+sequences mod a prime, reads it.  Every step is a ring operation, so the
+same evaluator on nums and den reduced mod P gives the rows mod P.
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1; p = q = -1 is the constant term.
@@ -71,6 +78,11 @@ def monomial_of_orders(p, q):
     return QuadMonomial(p, q) if p >= q else QuadMonomial(q, p)
 
 
+def _combination(key):
+    """The terms ((e, p, c), ...) of an order or combination key."""
+    return ((0, key, 1),) if type(key) is int else key
+
+
 class Derivatives:
     """Taylor coefficients, times den, of linear combinations of the
     derivatives of the sequence nums / den, in one store.  `derivs[key]`
@@ -79,9 +91,14 @@ class Derivatives:
     with u >= e, c * falling_weight(u - e, p) * nums[u - e + p] for
     p >= 0 and c * den at u = e for p = -1, for
     u < len(nums) - max(max(p, 0) - e).  An order p is short for
-    ((0, p, 1),): derivs[-1] is den, 0, 0, ..., and derivs[0] is nums.
-    Each sequence is built on first use, kept once it has an entry, and
-    gains one entry per term `put` in; only its last reads the last term.
+    ((0, p, 1),), and both keys read one sequence: derivs[-1] is den, 0,
+    0, ..., and derivs[0] is nums.  Each sequence is built on first use,
+    kept once it has an entry, and gains one entry per term `put` in;
+    only its last reads the last term.  `put`, `set_last` and `scale` work
+    on every kept sequence, so a walk keeps only the sequences its dot
+    products read (`QuadEquation.row_numerator`) and computes one-off
+    entries, such as a linear group's, by `_entry`; derivs[-1] is for
+    packing mod p only.
 
     For `term_numerator`'s paired rows the store also keeps, per key, a
     window of the _WINDOW pair sums of largest index read (`pair_sum`):
@@ -90,7 +107,9 @@ class Derivatives:
     index 0.
     Each key has its own window, so the groups of an equation, which read
     F = f^(q) under distinct q, never restart each other's; two groups
-    with one combination G at offsets s0 up to 14 apart share G's."""
+    with one combination G at offsets s0 up to 14 apart share G's.  A
+    single-term G = c * f^(p) is read under the key ((0, p, 1),): the
+    sequence of order p, but not the window of f^(p) read as F under p."""
 
     __slots__ = ("nums", "den", "_kept", "_seqs", "_pairs")
 
@@ -98,14 +117,15 @@ class Derivatives:
         self.nums = list(nums)
         self.den = den
         self._kept = {}                 # key tuple -> its sequence
-        self._seqs = {0: self.nums}     # every key read -> its sequence
+        # every key read -> its sequence; order 0 is nums as int or tuple
+        self._seqs = {0: self.nums, ((0, 0, 1),): self.nums}
         self._pairs = {}                # key -> {j: pair_sum(key, j)}
 
     def __getitem__(self, key):
         try:
             return self._seqs[key]
         except KeyError:
-            terms = ((0, key, 1),) if type(key) is int else key
+            terms = _combination(key)
         seq = self._kept.get(terms)
         if seq is None:
             top = len(self.nums) - max(max(p, 0) - e for e, p, _ in terms)
@@ -179,14 +199,18 @@ class Derivatives:
 
 
 def term_numerator(derivs, m, p, q):
-    """The z^m coefficient of F * f^(q) times den**2 on the sequence
-    derivs.nums / derivs.den, an int, where F is derivs[p] for an order
+    """The z^m coefficient of G * f^(q) times den**2 on the sequence
+    derivs.nums / derivs.den, an int, where G is derivs[p] for an order
     or combination key p (see Derivatives), and 0 for m < 0.  For
-    f^(-1) = 1 it is one coefficient of F times den, no dot product.
-    Requires len(derivs[p]) > m and, for q >= 0, len(derivs[q]) > m.
+    f^(-1) = 1 it is entry m of G, computed on the fly (`_entry`) and
+    kept in no sequence, times den: no dot product.  Requires entry m of
+    derivs[p] and, for q >= 0, of derivs[q] to exist.
 
     Otherwise it is the dot product sum(G[i] * F[m - i]) of G = derivs[p]
-    and F = derivs[q], past a measured size in Winograd's paired form
+    and F = derivs[q].  When they are one sequence (p == q, or p is
+    ((0, q, 1),)) it is a square: twice the sum of G[i] * G[m - i] over
+    i < (m + 1) // 2, plus G[m // 2]**2 for even m, with no pair sums.
+    Other products are, past a measured size, in Winograd's paired form
     ("A new algorithm for inner product", IEEE Trans. Comput. C-17, 1968):
     the sum of (G[2k] + F[m-2k-1]) * (G[2k+1] + F[m-2k]) over
     k < (m + 1) // 2, less G's pair sum A = sum(G[2k] * G[2k+1]) over the
@@ -204,9 +228,12 @@ def term_numerator(derivs, m, p, q):
     shrink along the row, like den / i!)."""
     if m < 0:
         return 0
-    if q == -1:                      # F times the constant 1
-        return derivs[p][m] * derivs.den
+    if q == -1:                      # F times the constant 1: one entry
+        return derivs._entry(_combination(p), m) * derivs.den
     g, f = derivs[p], derivs[q]
+    if g is f:                       # a square: each cross product once
+        total = 2 * sum(map(mul, g[:(m + 1) // 2], f[m:m // 2:-1]))
+        return total + g[m // 2] ** 2 if m % 2 == 0 else total
     bits = derivs.den.bit_length()
     if (m * bits < _PAIRED_MIN or not (f[m - 1] and f[m])
             or 2 * f[m].bit_length() < bits):
@@ -278,10 +305,17 @@ class QuadEquation:
         """Row n times coeff_den * den**2 on the sequence derivs.nums /
         derivs.den, an int (indices up to n + max_shift must fit): per
         group, the z^(n - s0) coefficient of its combination times f^(q),
-        one dot product (none for q = -1)."""
+        one dot product (none for q = -1).  A single-term combination
+        c * f^(p) is read as order p's own sequence, under the key
+        ((0, p, 1),) so that its pair sums keep their own window, and c
+        multiplies the result."""
         total = 0
         for q, s0, terms in self.groups:
-            total += term_numerator(derivs, n - s0, terms, q)
+            if len(terms) == 1:         # c * f^(p), s0 its own z-power
+                (_, p, c), = terms
+                total += c * term_numerator(derivs, n - s0, ((0, p, 1),), q)
+            else:
+                total += term_numerator(derivs, n - s0, terms, q)
         return total
 
     def rescaled(self, lam):

@@ -161,6 +161,7 @@ class _Verifier:
 
     def __init__(self, values, columns, count):
         self.values, self.columns, self.count = values, columns, count
+        self.column_set = set(columns)
         self.passed = set()          # the terms of each passed equation
 
     def __call__(self, vec):
@@ -169,9 +170,9 @@ class _Verifier:
             return eq
         if not self.vanishes(eq):
             return None
-        terms, columns = eq.terms, set(self.columns)
+        terms = eq.terms
         self.passed.add(terms)
-        while all((mono, s + 1) in columns for s, mono, _ in terms):
+        while all((mono, s + 1) in self.column_set for s, mono, _ in terms):
             terms = tuple((s + 1, mono, c) for s, mono, c in terms)
             self.passed.add(terms)
         return eq

@@ -12,7 +12,12 @@ as that term is in: one convolution per group of terms that share their
 lower derivative order, in integer numerators, each in about m / 2 big
 products once paired (`equations.term_numerator`): the store's pair
 sums carry from row to row, a rescale multiplies them and replacing the
-placeholder drops the one that read it.  A row on given terms
+placeholder drops the one that read it.  Every rescale and every term
+put in touches each kept sequence, so the store keeps only those the
+convolutions read: a single-term group reads its order's own sequence
+(a square when both orders agree), and the linear group q = -1 reads
+one entry per row, computed on the fly; the walk never builds f^(-1) =
+1, and `_slope` reads its den directly.  A row on given terms
 must vanish; `check` reports the first that does not (`Fraction`
 normalizes the residual).  Extension realizes the recurrence as a
 recursion: each later row introduces the single unknown a_{n + max_shift},
@@ -61,7 +66,7 @@ def _slope(eq, derivs, n):
     """Coefficient of nums[t], t = n + max_shift, in eq.row_numerator(derivs,
     n), an int.  Only terms with p - s = max_shift reach index t: at
     convolution index m and, if q = p, at 0 too (NonlinearStepError when
-    also m = 0)."""
+    also m = 0).  Entry 0 of f^(-1) = 1 is den."""
     slope = 0
     for s, mono, coeff in eq.int_terms:
         m = n - s
@@ -71,7 +76,7 @@ def _slope(eq, derivs, n):
         if q == p and m == 0:
             raise NonlinearStepError(n)
         slope += coeff * ((2 if q == p else 1) * falling_weight(m, p)
-                          * derivs[q][0])
+                          * (derivs[q][0] if q >= 0 else derivs.den))
     return slope
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -281,15 +282,35 @@ def test_term_numerator_matches_schoolbook(monkeypatch):
     assert paths == {"plain", "paired"}
 
 
-@pytest.mark.parametrize("gap", [1, 5, 14])
-def test_pair_sum_windows_do_not_restart_in_row_order(monkeypatch, gap):
-    """Rows read in order restart each pair-sum chain once: two groups
-    whose combination G is one key, at z-offsets s0 = 0 and gap, share
-    G's window without evicting each other's sums, and each F = f^(q)
-    chain starts once per parity, however long the rows."""
-    eq = QuadEquation([(0, monomial_of_orders(1, 0), 3),
-                       (gap, monomial_of_orders(1, 1), 3)])
-    assert [g[2] for g in eq.groups] == [((0, 1, 3),)] * 2
+# G on f' at z^0 with F = f, and beside it at z^gap either the square
+# (f')^2, which reads no pair sums, or a combination G' with F = f'
+_WINDOW_ROLES = {
+    "one-g": lambda gap: [(0, 1, 0, 3), (gap, 1, 1, 3)],
+    "g-beside-f": lambda gap: [(0, 1, 0, 3), (gap, 2, 1, 1),
+                               (gap + 1, 1, 1, 2)],
+}
+
+
+@pytest.mark.parametrize(
+    "gap,roles", [(gap, roles) for roles in _WINDOW_ROLES
+                  for gap in (1, 5, 14)],
+    ids=["1", "5", "14", "g-beside-f-1", "g-beside-f-5", "g-beside-f-14"])
+def test_pair_sum_windows_do_not_restart_in_row_order(monkeypatch, gap,
+                                                       roles):
+    """Rows read in order restart each pair-sum chain once, however long
+    the rows: each G chain once (odd j only) and each F = f^(q) chain
+    once per parity.  A single-term G = c * f^(p) reads order p's own
+    sequence, under the key ((0, p, 1),): its window is not that of p's
+    F role, so a group whose F is f^(p), z-offset up to 14 rows away,
+    does not evict it.  A single-term group with p == q is a square and
+    reads none."""
+    eq = QuadEquation([(s, monomial_of_orders(p, q), c)
+                       for s, p, q, c in _WINDOW_ROLES[roles](gap)])
+    if roles == "one-g":     # the second group is a square
+        assert [g[2] for g in eq.groups] == [((0, 1, 3),)] * 2
+    else:
+        assert [g[2] for g in eq.groups] == [((0, 1, 3),),
+                                             ((1, 1, 2), (0, 2, 1))]
     derivs = Derivatives(*oracle_sequence("zeta-rescaled", 140).scaled())
     restarts = []
     pair_sum = Derivatives.pair_sum
@@ -303,8 +324,12 @@ def test_pair_sum_windows_do_not_restart_in_row_order(monkeypatch, gap):
     monkeypatch.setattr(Derivatives, "pair_sum", spy)
     for n in range(len(derivs.nums) - eq.max_shift):
         eq.row_numerator(derivs, n)
-    # G's odd chain once, each F's two chains once
-    assert len(restarts) <= 5, restarts
+    # G = 3 * f' under ((0, 1, 1),) with F = f; with g-beside-f also the
+    # combination G' with F = f': one chain per G, two per F
+    chains = {((0, 1, 1),): 1, 0: 2}
+    if roles == "g-beside-f":
+        chains.update({((1, 1, 2), (0, 2, 1)): 1, 1: 2})
+    assert Counter(key for key, _ in restarts) == chains, restarts
 
 
 # (s, p, q, c): few lower orders q, so that products share them; p = q

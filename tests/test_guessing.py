@@ -668,6 +668,32 @@ def test_scaling_invariance_of_solutions():
     assert scaled.rescaled(lam) == SequencePrefix(list(prefix))
 
 
+def _monic(eq):
+    """eq's terms over its last coefficient: equal for scalar multiples."""
+    return tuple((s, mono, c / eq.terms[-1][2]) for s, mono, c in eq.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLES)), count=st.integers(20, 40),
+       lam=st.sampled_from([Fraction(3), Fraction(-2, 5),
+                            Fraction(3 ** 40, 2 ** 50 + 1)]),
+       cfg=st.sampled_from([GuessConfig(), GuessConfig(m=0, d_start=1)]))
+# its kernel lifts only past P, at 2^89 - 1
+@example(name="zigzag-egf", count=26, lam=Fraction(3 ** 40, 2 ** 50 + 1),
+         cfg=GuessConfig())
+def test_guess_commutes_with_rescaling(name, count, lam, cfg):
+    """Rescaling is a symmetry of guess: z -> z / lam keeps the z-degree
+    of every polynomial coefficient, so on a_n / lam^n guess ends with
+    the same status at the same d, and its basis is the original's
+    mapped by QuadEquation.rescaled(1 / lam), vector by vector, up to a
+    scalar each."""
+    prefix = oracle_sequence(name, count)
+    result, scaled = guess(prefix, cfg), guess(prefix.rescaled(lam), cfg)
+    assert (scaled.status, scaled.d) == (result.status, result.d)
+    assert [_monic(eq) for eq in scaled.basis] == \
+        [_monic(eq.rescaled(1 / lam)) for eq in result.basis]
+
+
 def test_zeta_graded_check_at_n0():
     # first row of the rescaled zeta recurrence: 5 * (1/90) = 2 * (1/6)^2
     a = oracle_sequence("zeta-rescaled", 2)

@@ -305,7 +305,8 @@ def _spied_walk(run):
     it reads, and after every put and set_last every kept sequence, equals
     that of a fresh Derivatives of the store's own state.  Returns run()'s
     outcome (its value or the QuadGuessError raised) and the rows read,
-    as (n, numerator, den) with den the store's denominator then."""
+    as (n, numerator, den) with den the store's denominator then.  No
+    kept sequence holds f^(-1) = 1: constant terms are read on the fly."""
     rows = []
     row_numerator = QuadEquation.row_numerator
 
@@ -323,6 +324,7 @@ def _spied_walk(run):
             step(derivs, arg)
             for key, seq in derivs._kept.items():
                 assert seq == fresh(derivs)[key], key
+                assert all(p >= 0 for _, p, _ in key), key
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
@@ -431,6 +433,44 @@ def test_walk_pairs_long_rows(monkeypatch, eq, name, start):
     assert [n for n, _, _ in rows] == list(range(count))
     _assert_whole_prefix_rows(eq, rows, grown.values)
     assert grown_pairs and len(paired) > grown_pairs
+
+
+@pytest.mark.parametrize("eq,name,start,kept", [
+    # the linear group keeps no list; G_0 = -4z*f' - 2f
+    (ZETA_EQ, "zeta-rescaled", 1, {((0, 0, -2), (1, 1, -4))}),
+    # G_0 = f'' - f', and f' for F = f' and the square (f')^2
+    (BELL_EQ, "bell-egf", 2, {((0, 1, -1), (0, 2, 1)), ((0, 1, 1),)}),
+    # G_0 = f' is order 1's own list; the linear group keeps none
+    (LAMBERTW_EQ, "lambertw", 2, {((0, 1, 1),)})],
+    ids=["zeta-rescaled", "bell-egf", "lambertw"])
+def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
+                                                 start, kept):
+    """extend by 200 and check of the result keep, besides nums, only
+    the sequences their dot products read: no f^(-1) = 1 and no list for
+    the linear group q = -1, whose row is one entry read on the fly, and
+    a single-term G = c * f^(p) reads order p's own.  Neither reads
+    derivs[-1]; guess's mod-p packing does."""
+    stores, keys = [], []
+    init, getitem = Derivatives.__init__, Derivatives.__getitem__
+
+    def spy_init(derivs, nums, den):
+        init(derivs, nums, den)
+        stores.append(derivs)
+
+    def spy_getitem(derivs, key):
+        keys.append(key)
+        return getitem(derivs, key)
+
+    monkeypatch.setattr(Derivatives, "__init__", spy_init)
+    monkeypatch.setattr(Derivatives, "__getitem__", spy_getitem)
+    grown = extend(eq, oracle_sequence(name, start), 200)
+    assert check(eq, grown).passed
+    assert len(stores) == 2
+    for derivs in stores:
+        assert set(derivs._kept) == kept
+    assert -1 not in keys and ((0, -1, 1),) not in keys
+    guess(oracle_sequence(name, 30))
+    assert -1 in keys
 
 
 @settings(max_examples=300, deadline=None)
