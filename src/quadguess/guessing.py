@@ -29,7 +29,7 @@ rows packed once per search the same way.
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, isqrt
 
 from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
@@ -161,8 +161,13 @@ class _Verifier:
 
     def __init__(self, values, columns, count):
         self.values, self.columns, self.count = values, columns, count
-        self.column_set = set(columns)
         self.passed = set()          # the terms of each passed equation
+
+    @cached_property
+    def column_set(self):
+        """The columns as a set, built once, at the first pass: a size
+        that passes nothing, as in a failing search, builds none."""
+        return set(self.columns)
 
     def __call__(self, vec):
         eq = normalize(vec, self.columns)
