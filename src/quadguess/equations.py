@@ -228,7 +228,7 @@ def term_numerator(derivs, m, p, q):
     shrink along the row, like den / i!)."""
     if m < 0:
         return 0
-    if q == -1:                      # F times the constant 1: one entry
+    if q == -1:                      # G times the constant 1: one entry
         return derivs._entry(_combination(p), m) * derivs.den
     g, f = derivs[p], derivs[q]
     if g is f:                       # a square: each cross product once
