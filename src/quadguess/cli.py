@@ -25,7 +25,7 @@ from quadguess.errors import (DegenerateInputError, EquationFormatError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError,
                               PrefixFormatError)
-from quadguess.exact import format_rational, parse_rational
+from quadguess.exact import format_rational
 from quadguess.guessing import GuessConfig, guess
 from quadguess.prefix import dump_prefix, load_prefix, read_text
 from quadguess.sequences import ORACLES, check, extend, oracle_sequence
@@ -55,8 +55,6 @@ def _build_parser():
     p_guess.add_argument("--d-max", type=int, default=None)
     p_guess.add_argument("--min-verify", type=int, default=2,
                          help="held-out rows required beyond the system rows")
-    p_guess.add_argument("--rescale", metavar="LAMBDA", default=None,
-                         help="divide a_n by LAMBDA^n before guessing")
 
     p_extend = sub.add_parser("extend", help="grow a sequence from an equation")
     p_extend.add_argument("--equation", required=True,
@@ -95,11 +93,9 @@ def _print_rationals(values, fmt):
 def _cmd_guess(args):
     prefix = load_prefix(args.input)
     try:
-        if args.rescale is not None:
-            prefix = prefix.rescaled(parse_rational(args.rescale))
         cfg = GuessConfig(m=args.max_poly_deg, d_start=args.d_start,
                           d_max=args.d_max, min_verify_rows=args.min_verify)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: bad guess option: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = guess(prefix, cfg)

@@ -318,20 +318,6 @@ class QuadEquation:
                 total += term_numerator(derivs, n - s0, terms, q)
         return total
 
-    def rescaled(self, lam):
-        """Equation satisfied by b_n = a_n * lam^n whenever self is
-        satisfied by a_n: each coefficient picks up
-        lam^(s - max(p, 0) - max(q, 0)), as f^(-1) = 1 does not scale.
-        lam is a nonzero int or Fraction."""
-        lam = as_rational(lam, "rescale factor")
-        if lam == 0:
-            raise ValueError("rescale factor must be nonzero")
-        out = []
-        for s, mono, coeff in self.terms:
-            exp = s - max(mono.p, 0) - max(mono.q, 0)
-            out.append((s, mono, coeff * lam ** exp))
-        return QuadEquation(out)
-
 
 def equation_to_obj(eq):
     return {"terms": [{"s": s, "p": mono.p, "q": mono.q,

@@ -4,7 +4,8 @@ The size-d ansatz is a list of columns (monomial, z-power) (`ansatz`):
 column (mono, i) is the unknown coefficient of z^i * mono, and its row n
 reads terms up to n plus its shift max(p, 0) - i.  For growing d, form
 the homogeneous linear system of the columns, one row per recurrence row
-the prefix determines, and return its nullspace basis as normalized
+the prefix determines (N - p rows for N terms, p that of slot(d), the
+largest shift), and return its nullspace basis as normalized
 equations.  The first len(columns) rows determine the unknowns and the
 rest are held-out verification: one joint nullspace is at least as
 strict as filtering basis vectors against leftover rows individually.
@@ -20,7 +21,7 @@ reads the kernel mod P off the same echelon (`ColumnEchelon.kernel`) and
 lifts it to Q.  Each lifted vector, normalized over the columns to a
 QuadEquation, is verified exactly by `check`'s walk (`sequences._walk`),
 the one row loop; the equation and its z-multiples (every z-power one
-higher) are kept by terms and accepted from that pass.  Only if a lift
+higher, up to m) are kept by terms and accepted from that pass.  Only if a lift
 fails does `modular_nullspace` climb the further Mersenne primes, each
 on P's path: one echelon per search, kept across d, and each monomial's
 rows packed once per search the same way.
@@ -29,7 +30,7 @@ rows packed once per search the same way.
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, isqrt
 
 from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
@@ -120,15 +121,11 @@ class _SlotRows:
         return self.kept[mono]
 
 
-def _usable_rows(prefix, columns):
-    """How many rows of a system with these columns the prefix determines,
-    at most one per term: row n reads terms up to n plus the largest
-    shift max(p, 0) - i."""
-    shift = 0
-    for mono, i in columns:
-        if mono.p - i > shift:          # a shift above 0 has p > 0
-            shift = mono.p - i
-    return max(0, len(prefix) - shift)
+def _usable_rows(n_terms, d):
+    """How many rows of the size-d system n_terms terms determine, at most
+    one per term: row n reads terms up to n plus the largest shift, that
+    of column (slot(d), 0), as p never decreases with k."""
+    return max(0, n_terms - slot(d).p)
 
 
 def normalize(vector, columns):
@@ -154,20 +151,15 @@ class _Verifier:
     returns the vector's equation (`normalize`) if `check`'s walk
     (`sequences._walk`) finds those rows zero, else None.  Passed
     equations are kept by their terms, so a multiple of a passed vector
-    makes no pass of its own.  Once an equation E passes, so does z * E,
-    every term's z-power one higher, if every term it moves is still a
-    column, and so on, without a pass of their own: row n of z * E is row
-    n - 1 of E."""
+    makes no pass of its own.  The columns are an `ansatz(d, m)`, so the
+    last one's z-power is m.  Once an equation E passes, so does z * E,
+    every term's z-power one higher, if E's highest z-power is below m,
+    and so on, without a pass of their own: row n of z * E is row n - 1
+    of E."""
 
     def __init__(self, values, columns, count):
         self.values, self.columns, self.count = values, columns, count
         self.passed = set()          # the terms of each passed equation
-
-    @cached_property
-    def column_set(self):
-        """The columns as a set, built once, at the first pass: a size
-        that passes nothing, as in a failing search, builds none."""
-        return set(self.columns)
 
     def __call__(self, vec):
         eq = normalize(vec, self.columns)
@@ -177,7 +169,7 @@ class _Verifier:
             return None
         terms = eq.terms
         self.passed.add(terms)
-        while all((mono, s + 1) in self.column_set for s, mono, _ in terms):
+        for _ in range(self.columns[-1][1] - max(s for s, _, _ in terms)):
             terms = tuple((s + 1, mono, c) for s, mono, c in terms)
             self.passed.add(terms)
         return eq
@@ -242,7 +234,6 @@ def guess(prefix, cfg=GuessConfig()):
     m = cfg.m
     attempted = False
     nums, den = prefix.scaled()
-    usable = n_terms
 
     @cache
     def modulus(p):
@@ -261,12 +252,10 @@ def guess(prefix, cfg=GuessConfig()):
     for d in itertools.count(cfg.d_start):
         if cfg.d_max is not None and d > cfg.d_max:
             break
-        if (d + 1) * (m + 1) + cfg.min_verify_rows > usable:
-            break  # too many unknowns for the rows left: build no columns
-        columns = ansatz(d, m)
-        usable = _usable_rows(prefix, columns)
-        if usable < len(columns) + cfg.min_verify_rows:
+        usable = _usable_rows(n_terms, d)
+        if usable < (d + 1) * (m + 1) + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
+        columns = ansatz(d, m)
         attempted = True
         basis = modular_nullspace(
             echelon_at, _Verifier(prefix.values, columns, usable))

@@ -6,7 +6,6 @@ computed on each call; `guess` asks for it once per search.
 """
 
 import json
-from fractions import Fraction
 
 from quadguess.errors import PrefixFormatError
 from quadguess.exact import (as_rational, clear_denominators,
@@ -50,19 +49,6 @@ class SequencePrefix:
     def scaled(self):
         """(nums, den): integer numerators over one common denominator."""
         return clear_denominators(self.values)
-
-    def rescaled(self, lam):
-        """New prefix with a_n -> a_n / lam^n (lam a nonzero int or
-        Fraction)."""
-        lam = as_rational(lam, "rescale factor")
-        if lam == 0:
-            raise ValueError("rescale factor must be nonzero")
-        scale = Fraction(1)
-        out = []
-        for v in self.values:
-            out.append(v / scale)
-            scale *= lam
-        return SequencePrefix(out)
 
 
 # Longest echo of a malformed entry that an error message shows in full.

@@ -15,7 +15,7 @@ from quadguess.cli import main
 from quadguess.equations import equation_to_json
 from quadguess.guessing import GuessResult
 from test_guessing import spy_ansatz
-from test_sequences import EXP_EQ, SQUARE_EQ, ZETA_EQ, ZIGZAG_EQ
+from test_sequences import EXP_EQ, SQUARE_EQ, ZIGZAG_EQ
 
 
 @pytest.fixture
@@ -118,22 +118,7 @@ def test_guess_missing_file(capsys):
     assert main(["guess", "--input", "/nonexistent/seq.txt"]) == 2
 
 
-def test_guess_rescale(tmp_path, capsys):
-    # zeta-rescaled scaled back up by 4^n, undone with --rescale 4
-    from quadguess.sequences import oracle_sequence
-    vals = [v * 4 ** n for n, v in enumerate(oracle_sequence("zeta-rescaled",
-                                                             24))]
-    path = tmp_path / "scaled.txt"
-    path.write_text("\n".join(f"{v.numerator}/{v.denominator}" for v in vals))
-    code = main(["guess", "--input", str(path), "--rescale", "4",
-                 "--format", "json"])
-    assert code == 0
-    result = GuessResult.from_json(capsys.readouterr().out)
-    assert ZETA_EQ in result.basis
-
-
 @pytest.mark.parametrize("option", [
-    ["--rescale", "0"], ["--rescale", "abc"], ["--rescale", "1/0"],
     ["--max-poly-deg", "-1"], ["--d-start", "0"], ["--min-verify", "-1"],
     ["--d-max", "1"], ["--d-max", "-4"],
 ], ids=" ".join)
@@ -148,6 +133,20 @@ def test_guess_bad_option_is_usage_error(tmp_path, option, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def test_guess_rescale_is_unrecognized(tmp_path, capsys):
+    """guess has no --rescale option: argparse rejects it with exit 2."""
+    from quadguess.prefix import dump_prefix
+    from quadguess.sequences import oracle_sequence
+    path = tmp_path / "exp.txt"
+    path.write_text(dump_prefix(oracle_sequence("exp", 20)))
+    with pytest.raises(SystemExit) as exc:
+        main(["guess", "--input", str(path), "--rescale", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --rescale 4" in captured.err
 
 
 def test_extend_subcommand(tmp_path, zigzag_eq_file, capsys):
@@ -474,8 +473,7 @@ def test_reused_parser_matches_a_fresh_one(monkeypatch, tmp_path, zigzag_file,
         ["oracle", "--name", "exp", "--count", "5"],
         ["guess", "--input", zig, "--min-verify", "0", "--d-max", "3"],
         ["guess", "--input", zig, "--min-verify", "0"],
-        ["guess", "--input", str(scaled), "--rescale", "4", "--format",
-         "latex"],
+        ["guess", "--input", str(scaled), "--format", "latex"],
         ["guess", "--input", str(scaled)],
         ["guess", "--input", zig, "--min-verify", "0", "--format", "json"],
         ["guess"],

@@ -17,7 +17,8 @@ from quadguess.exact import falling_weight
 from quadguess.guessing import ansatz, guess, normalize
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
-from util_exact import row_bruteforce, term_coeff_bruteforce
+from util_exact import (rescaled_equation, row_bruteforce,
+                        term_coeff_bruteforce)
 
 
 def _random_prefix(rng, length):
@@ -432,8 +433,8 @@ def test_equation_takes_ints_and_fractions_and_reloads():
     assert eq.coeff_den == 3
     assert [c for _, _, c in eq.int_terms] == [12, 9, -1]
     assert equation_from_json(equation_to_json(eq)) == eq
-    assert equation_from_json(equation_to_json(eq.rescaled(7))) == \
-        eq.rescaled(7)
+    assert equation_from_json(equation_to_json(rescaled_equation(eq, 7))) == \
+        rescaled_equation(eq, 7)
 
 
 def test_equation_json_roundtrip():
@@ -527,7 +528,7 @@ def test_library_equations_reload(default_digit_limit, terms, digits, lam):
     except ValueError:  # every coefficient cancelled
         assume(False)
     assert _reloads(eq)
-    assert _reloads(eq.rescaled(lam))
+    assert _reloads(rescaled_equation(eq, lam))
     if all(mono.p >= 0 for _, mono, _ in eq.terms):
         # the vector of eq in the (k, i) columns of guess's system
         slots = [(mono.p + 1) * (mono.p + 2) // 2 + mono.q
@@ -768,25 +769,25 @@ RESCALE_INPUTS = [
 
 
 def test_rescaled_equation_roundtrip():
-    """eq annihilates a_n iff eq.rescaled(lam) annihilates lam^n a_n: row
-    n picks up lam^n, on equations with constant terms too.  So -y + 1
-    (f = 1) is its own rescaling, and y' - 3z^2 (f = z^3) rescaled passes
-    check on lam^n a_n."""
+    """eq annihilates a_n iff rescaled_equation(eq, lam) annihilates
+    lam^n a_n: row n picks up lam^n, on equations with constant terms too.
+    So -y + 1 (f = 1) is its own rescaling, and y' - 3z^2 (f = z^3)
+    rescaled passes check on lam^n a_n."""
     lam = Fraction(3, 2)
     rng = random.Random(43)
     prefix = _random_prefix(rng, 12)
     scaled = [v * lam ** n for n, v in enumerate(prefix)]
     for eq in RESCALE_INPUTS:
-        eq_scaled = eq.rescaled(lam)
+        eq_scaled = rescaled_equation(eq, lam)
         for n in range(len(prefix) - eq.max_shift):
             assert row_bruteforce(eq_scaled, scaled, n) == \
                 lam ** n * row_bruteforce(eq, list(prefix), n), (eq, n)
-        assert eq_scaled.rescaled(1 / lam) == eq
+        assert rescaled_equation(eq_scaled, 1 / lam) == eq
     one, cube = RESCALE_INPUTS[1:3]
-    assert one.rescaled(2) == one
+    assert rescaled_equation(one, 2) == one
     cubes = [0, 0, 0, 1, 0, 0, 0, 0]
     assert check(cube, SequencePrefix(cubes)).passed
-    assert check(cube.rescaled(lam), SequencePrefix(
+    assert check(rescaled_equation(cube, lam), SequencePrefix(
         [v * lam ** n for n, v in enumerate(cubes)])).passed
 
 

@@ -11,6 +11,7 @@ from quadguess.exact import P
 from quadguess.guessing import GuessConfig, guess
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, oracle_sequence
+from util_exact import rescaled_prefix
 
 # GuessResult.to_json() at 26 terms, default GuessConfig.
 ORACLE_GOLDEN = {
@@ -235,7 +236,7 @@ def test_guess_config_golden(key):
 
 def test_guess_rescaled_past_p_golden():
     lam = Fraction(12157665459056928801, 1125899906842625)
-    prefix = oracle_sequence("zigzag-egf", 26).rescaled(lam)
+    prefix = rescaled_prefix(oracle_sequence("zigzag-egf", 26), lam)
     assert guess(prefix).to_json() == RESCALED_GOLDEN
 
 

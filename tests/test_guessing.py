@@ -19,6 +19,7 @@ from quadguess.guessing import (GuessConfig, GuessResult, _SlotRows,
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import (bareiss_nullspace, equation_vector, in_span,
+                        rescaled_equation, rescaled_prefix,
                         term_coeff_bruteforce)
 
 
@@ -34,7 +35,7 @@ def _exact_system(prefix, d, m, slots=None):
     or a fresh one)."""
     slots = _exact_slots(prefix) if slots is None else slots
     columns = ansatz(d, m)
-    usable = _usable_rows(prefix, columns)
+    usable = _usable_rows(len(prefix), d)
     return [[term_numerator(slots, n - i, mono.p, mono.q)
              for mono, i in columns]
             for n in range(usable)], usable
@@ -55,17 +56,16 @@ def test_ansatz_sizes_are_prefixes(m):
 @pytest.mark.parametrize("m", range(4))
 def test_ansatz_shift_is_one_term_max_shift(m):
     """Column (mono, i)'s shift max(p, 0) - i is the max_shift of its
-    one-term equation, and the rows a system of columns can form are the
-    prefix's 12 terms less the largest such shift, at most 12."""
-    prefix = oracle_sequence("exp", 12)
-    for d in range(8):
+    one-term equation, and the rows the size-d system can form from N
+    terms, N less the largest shift of a scan of its columns and at least
+    0, are _usable_rows's closed form N - slot(d).p."""
+    for d in range(41):
         columns = ansatz(d, m)
         shifts = [QuadEquation([(i, mono, 1)]).max_shift
                   for mono, i in columns]
         assert shifts == [max(mono.p, 0) - i for mono, i in columns]
-        assert _usable_rows(prefix, columns) == max(0, 12 - max(shifts))
-        for column, shift in zip(columns, shifts):
-            assert _usable_rows(prefix, [column]) == 12 - max(shift, 0)
+        for n_terms in (1, 2, 5, 12, 40, 151):
+            assert _usable_rows(n_terms, d) == max(0, n_terms - max(shifts))
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -353,7 +353,8 @@ def test_guess_matches_full_exact_path(monkeypatch):
     lam = Fraction(3**40, 2**50 + 1)
     rescaled_fallbacks = 0
     for name in sorted(ORACLES):
-        values = oracle_sequence(name, rng.randint(28, 32)).rescaled(lam)
+        values = rescaled_prefix(oracle_sequence(name, rng.randint(28, 32)),
+                                 lam)
         _, fallback = compare(list(values))
         rescaled_fallbacks += True in fallback
     assert rescaled_fallbacks >= 5
@@ -442,7 +443,7 @@ def _systems(draw, noise=True):
     values = draw(_short_prefixes)
     d, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     top = draw(st.integers(0, m))
-    usable = _usable_rows(SequencePrefix(values), ansatz(d, m))
+    usable = _usable_rows(len(values), d)
     assume(usable > 0)
     count = draw(st.integers(1, usable))
     width = (m + 1) * (d + 1)
@@ -526,8 +527,7 @@ def test_verifier_accepts_multiples_of_a_passed_shift():
     prefix = oracle_sequence("exp", 20)
     eq = QuadEquation([(0, slot(2), 1), (0, slot(0), -1)])
     vec = equation_vector(eq, d, m)
-    verifier = _Verifier(prefix.values, columns,
-                         _usable_rows(prefix, columns))
+    verifier = _Verifier(prefix.values, columns, _usable_rows(len(prefix), d))
     passes = _counted(verifier)
     assert verifier(vec) == eq and passes[0] == 1
     shifted = QuadEquation([(s + 1, mono, c) for s, mono, c in eq.terms])
@@ -662,10 +662,11 @@ def test_scaling_invariance_of_solutions():
     scaled = SequencePrefix([v * lam ** n for n, v in enumerate(prefix)])
     result = guess(prefix)
     for eq in result.basis:
-        assert check(eq.rescaled(lam), scaled).passed
-        assert check(eq.rescaled(lam).rescaled(1 / lam), prefix).passed
-    # the CLI-style inverse: dividing out lam^n recovers the original
-    assert scaled.rescaled(lam) == SequencePrefix(list(prefix))
+        assert check(rescaled_equation(eq, lam), scaled).passed
+        assert check(rescaled_equation(rescaled_equation(eq, lam), 1 / lam),
+                     prefix).passed
+    # the inverse: dividing out lam^n recovers the original
+    assert rescaled_prefix(scaled, lam) == SequencePrefix(list(prefix))
 
 
 def _monic(eq):
@@ -685,13 +686,14 @@ def test_guess_commutes_with_rescaling(name, count, lam, cfg):
     """Rescaling is a symmetry of guess: z -> z / lam keeps the z-degree
     of every polynomial coefficient, so on a_n / lam^n guess ends with
     the same status at the same d, and its basis is the original's
-    mapped by QuadEquation.rescaled(1 / lam), vector by vector, up to a
+    mapped by rescaled_equation(eq, 1 / lam), vector by vector, up to a
     scalar each."""
     prefix = oracle_sequence(name, count)
-    result, scaled = guess(prefix, cfg), guess(prefix.rescaled(lam), cfg)
+    result = guess(prefix, cfg)
+    scaled = guess(rescaled_prefix(prefix, lam), cfg)
     assert (scaled.status, scaled.d) == (result.status, result.d)
     assert [_monic(eq) for eq in scaled.basis] == \
-        [_monic(eq.rescaled(1 / lam)) for eq in result.basis]
+        [_monic(rescaled_equation(eq, 1 / lam)) for eq in result.basis]
 
 
 def test_zeta_graded_check_at_n0():

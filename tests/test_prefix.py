@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from quadguess.equations import QuadEquation, monomial_of_orders
 from quadguess.errors import PrefixFormatError
 from quadguess.prefix import (SequencePrefix, dump_prefix, load_prefix,
                               parse_prefix_text)
@@ -49,30 +48,16 @@ def test_malformed_term_echo_is_capped():
 
 
 def test_terms_and_rescale_factors_are_exact():
-    """SequencePrefix and both `rescaled` methods take only ints and
-    Fractions: a float, a numeric string, a Decimal or a bool raises
-    TypeError naming the term's index or the factor, and is never
-    coerced."""
-    eq = QuadEquation([(0, monomial_of_orders(1, -1), 1),
-                       (0, monomial_of_orders(0, -1), -1)])
+    """SequencePrefix takes only ints and Fractions: a float, a numeric
+    string, a Decimal or a bool raises TypeError naming the term's index,
+    and is never coerced."""
     for bad in (0.1, "0.1", "1", Decimal("0.1"), True, False, None):
         with pytest.raises(TypeError, match=r"^term 1 must be an int or a "
                                             r"Fraction, not \w+$"):
             SequencePrefix([1, bad, 2])
-        with pytest.raises(TypeError, match=r"^rescale factor "):
-            SequencePrefix([1, 2]).rescaled(bad)
-        with pytest.raises(TypeError, match=r"^rescale factor "):
-            eq.rescaled(bad)
     prefix = SequencePrefix([1, Fraction(1, 10), -3])
     assert prefix.values == (1, Fraction(1, 10), -3)
     assert all(type(v) is Fraction for v in prefix)
-    assert prefix.rescaled(Fraction(1, 2)) == SequencePrefix(
-        [1, Fraction(1, 5), -12])
-    assert prefix.rescaled(-1) == SequencePrefix([1, Fraction(-1, 10), -3])
-    assert eq.rescaled(2) == eq.rescaled(Fraction(2))
-    for rescaled in (prefix.rescaled, eq.rescaled):
-        with pytest.raises(ValueError):
-            rescaled(0)
 
 
 @pytest.mark.parametrize("head", [b"", b"1\n2\n3\n", b"1\n" * 50_000],

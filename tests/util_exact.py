@@ -4,6 +4,9 @@ Deliberately naive: truncated power-series arithmetic by direct
 differentiation/convolution, plain Gaussian elimination over Fraction,
 fraction-free Bareiss elimination over the integers, and a dense linear
 solver.  These stay separate from the code paths they check.
+`rescaled_prefix` and `rescaled_equation` rescale prefixes and
+equations, for the tests of guess's rescaling symmetry and for inputs
+whose kernel lifts only past P.
 `echelon_nullspace` is not a reference but a driver: it feeds a matrix to
 `exact.modular_nullspace` through the views `guess` gives it, a column
 echelon mod each Mersenne prime asked for and an exact check, which keeps
@@ -13,10 +16,12 @@ each vector that passes as `normalize_vector` scales it.
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+from quadguess.equations import QuadEquation
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError)
 from quadguess.exact import ColumnEchelon, modular_nullspace, pack
+from quadguess.prefix import SequencePrefix
 
 
 def bernoulli_numbers(count):
@@ -288,3 +293,19 @@ def equation_vector(eq, d, m):
         assert 0 <= k <= d and 0 <= s <= m
         vec[k * (m + 1) + s] = coeff
     return vec
+
+
+def rescaled_prefix(values, lam):
+    """The prefix a_n / lam^n of the terms a_n, for a nonzero rational
+    lam: the coefficients of f(z / lam)."""
+    return SequencePrefix([Fraction(v) / Fraction(lam) ** n
+                           for n, v in enumerate(values)])
+
+
+def rescaled_equation(eq, lam):
+    """The equation b_n = a_n * lam^n satisfies whenever eq holds for a_n,
+    for a nonzero rational lam: each coefficient picks up
+    lam^(s - max(p, 0) - max(q, 0)), as f^(-1) = 1 does not scale."""
+    return QuadEquation([
+        (s, mono, c * Fraction(lam) ** (s - max(mono.p, 0) - max(mono.q, 0)))
+        for s, mono, c in eq.terms])
