@@ -5,15 +5,15 @@ row n is the z^n Taylor coefficient of the equation on a sequence prefix.
 For the prefix scaled to nums / den, `Derivatives` is one store of the
 Taylor coefficients, times den, of combinations sum(c * z^e * f^(p)),
 every entry computed once by one rule through `exact.falling_weight`,
-the one weight function; an order p is the combination f^(p), and
-f^(-1) = 1 is den, 0, 0, ...  One evaluator, `term_numerator`, gives the
-z^m coefficient of a product G * f^(q) as the dot product of two such
-sequences, an integer numerator over den**2.  Past a measured size it
-pairs the products (Winograd's inner product): (m + 1) / 2 products of
-sums, less two running pair sums that `Derivatives` keeps, so a row
-costs about half the big multiplications, and the identity is exact.
-A square, G = f^(q), takes each cross product once and reads no pair
-sums.
+the one weight function, each sequence under one key: the int p for
+f^(p) (f^(-1) = 1 is den, 0, 0, ...), a tuple for any other.  One
+evaluator, `term_numerator`, gives the z^m coefficient of a product
+G * f^(q) as the dot product of two such sequences, an integer numerator
+over den**2.  Past a measured size it pairs the products (Winograd's
+inner product): (m + 1) / 2 products of sums, less two running pair sums
+that `Derivatives` keeps, so a row costs about half the big
+multiplications, and the identity is exact.  A square, G = f^(q), takes
+each cross product once and reads no pair sums.
 
 The one row loop (`sequences._walk`) reads whole equations through
 `QuadEquation.row_numerator`, which factors the products: the terms that
@@ -24,13 +24,13 @@ each row costs one dot product per distinct lower order, not one per
 product term, and each such product about m / 2 big multiplications
 once paired.  The store keeps only the sequences those dot products
 read: nums, f^(q) for each q >= 1, and G_q for each product group.  A
-single-term G_q = c * f^(p) is order p's own sequence, with c
+single-term G_q = c * f^(p) is order p's own sequence, under p, with c
 multiplied after the dot product, and a square when p = q.  Linear and
 constant terms form the group q = -1, whose row is one coefficient,
 den * G_q[n - s0], computed on the fly and kept in no sequence.  So a
-walk never builds f^(-1); only `guessing._SlotRows`, which packs whole
-sequences mod a prime, reads it.  Every step is a ring operation, so the
-same evaluator on nums and den reduced mod P gives the rows mod P.
+walk never builds f^(-1); only `guessing._packed_orders`, which packs
+whole sequences mod a prime, reads it.  Every step is a ring operation,
+so the same evaluator on nums and den reduced mod P gives the rows mod P.
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1; p = q = -1 is the constant term.
@@ -53,7 +53,7 @@ from quadguess.exact import (as_rational, clear_denominators,
 # m * bits = 5 000 at 768 bits and 12 000 at 96 to 192 bits, and from
 # 2**14 on it was faster at every size measured (BENCH_paired_products.json).
 _PAIRED_MIN = 1 << 14
-_WINDOW = 8                       # pair sums kept per key (pair_sum)
+_WINDOW = 8                   # pair sums kept per key and role (pair_sum)
 
 
 @dataclass(frozen=True, order=True)
@@ -85,59 +85,53 @@ def _combination(key):
 
 class Derivatives:
     """Taylor coefficients, times den, of linear combinations of the
-    derivatives of the sequence nums / den, in one store.  `derivs[key]`
-    for a key ((e, p, c), ...) holds those of sum(c * z^e * f^(p)), where
-    f^(-1) is the constant 1: entry u (`_entry`) sums, over the terms
-    with u >= e, c * falling_weight(u - e, p) * nums[u - e + p] for
-    p >= 0 and c * den at u = e for p = -1, for
-    u < len(nums) - max(max(p, 0) - e).  An order p is short for
-    ((0, p, 1),), and both keys read one sequence: derivs[-1] is den, 0,
-    0, ..., and derivs[0] is nums.  Each sequence is built on first use,
-    kept once it has an entry, and gains one entry per term `put` in;
-    only its last reads the last term.  `put`, `set_last` and `scale` work
-    on every kept sequence, so a walk keeps only the sequences its dot
-    products read (`QuadEquation.row_numerator`) and computes one-off
-    entries, such as a linear group's, by `_entry`; derivs[-1] is for
-    packing mod p only.
+    derivatives of the sequence nums / den, in one store, each sequence
+    under one key.  `derivs[key]` for a key ((e, p, c), ...) holds those
+    of sum(c * z^e * f^(p)), where f^(-1) is the constant 1, and for an
+    int p those of f^(p), as for ((0, p, 1),): entry u (`_entry`) sums,
+    over the terms with u >= e, c * falling_weight(u - e, p) *
+    nums[u - e + p] for p >= 0 and c * den at u = e for p = -1, for
+    u < len(nums) - max(max(p, 0) - e).  So derivs[-1] is den, 0, 0, ...,
+    and derivs[0] is nums.  Each sequence is built on first use, kept
+    once it has an entry, and gains one entry per term `put` in; only its
+    last reads the last term.  `put`,
+    `set_last` and `scale` work on every kept sequence, so a walk keeps
+    only the sequences its dot products read (`QuadEquation.row_numerator`)
+    and computes one-off entries, such as a linear group's, by `_entry`;
+    derivs[-1] is for packing mod p only.
 
-    For `term_numerator`'s paired rows the store also keeps, per key, a
-    window of the _WINDOW pair sums of largest index read (`pair_sum`):
-    `scale` multiplies them by factor**2, `set_last` drops the one that
-    reads the replaced entry, and a read below the window restarts from
-    index 0.
-    Each key has its own window, so the groups of an equation, which read
-    F = f^(q) under distinct q, never restart each other's; two groups
-    with one combination G at offsets s0 up to 14 apart share G's.  A
-    single-term G = c * f^(p) is read under the key ((0, p, 1),): the
-    sequence of order p, but not the window of f^(p) read as F under p."""
+    For `term_numerator`'s paired rows the store also keeps, per key and
+    role ("G" or "F", the sequence's factor in the product), a window of
+    the _WINDOW pair sums of largest index read (`pair_sum`): `scale`
+    multiplies them by factor**2, `set_last` drops the one that reads the
+    replaced entry, and a read below the window restarts from index 0.
+    So the groups of an equation, which read F = f^(q) under distinct q,
+    never restart each other's; two groups with one combination G at
+    offsets s0 up to 14 apart share G's; and G = c * f^(p), read under p,
+    keeps a window apart from that of f^(p) read as F."""
 
-    __slots__ = ("nums", "den", "_kept", "_seqs", "_pairs")
+    __slots__ = ("nums", "den", "_seqs", "_pairs")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
-        self._kept = {}                 # key tuple -> its sequence
-        # every key read -> its sequence; order 0 is nums as int or tuple
-        self._seqs = {0: self.nums, ((0, 0, 1),): self.nums}
-        self._pairs = {}                # key -> {j: pair_sum(key, j)}
+        self._seqs = {0: self.nums}     # every kept key -> its sequence
+        self._pairs = {}                # (key, role) -> {j: pair sum}
 
     def __getitem__(self, key):
-        try:
-            return self._seqs[key]
-        except KeyError:
-            terms = _combination(key)
-        seq = self._kept.get(terms)
+        seq = self._seqs.get(key)
         if seq is None:
-            top = len(self.nums) - max(max(p, 0) - e for e, p, _ in terms)
-            seq = [self._entry(terms, u) for u in range(top)]
-        if seq:
-            self._kept[terms] = self._seqs[key] = seq
+            top = len(self.nums) - max(max(p, 0) - e
+                                       for e, p, _ in _combination(key))
+            seq = [self._entry(key, u) for u in range(top)]
+            if seq:
+                self._seqs[key] = seq
         return seq
 
     def _entry(self, key, u):
         """Entry u of key's sequence."""
         total = 0
-        for e, p, c in key:
+        for e, p, c in _combination(key):
             j = u - e
             if p >= 0 and j >= 0:
                 total += c * falling_weight(j, p) * self.nums[j + p]
@@ -153,38 +147,39 @@ class Derivatives:
         if common != self.den:
             self.scale(common // self.den)
         self.nums += [x.numerator * (self.den // x.denominator) for x in terms]
-        for key, seq in self._kept.items():
-            seq += [self._entry(key, u)
-                    for u in range(len(seq), len(seq) + len(terms))]
+        for key, seq in self._seqs.items():
+            if seq is not self.nums:
+                seq += [self._entry(key, u)
+                        for u in range(len(seq), len(seq) + len(terms))]
 
     def set_last(self, term):
-        """Replace the last term by term: drop the last entry of nums and
-        of every kept sequence, the only one that reads it, and the pair
-        sum that reads that entry, and put term."""
-        for seq in (self.nums, *self._kept.values()):
+        """Replace the last term by term: drop the last entry of every kept
+        sequence, nums too, the only one that reads it, and the pair sum
+        that reads that entry, and put term."""
+        for seq in self._seqs.values():
             seq.pop()
-        for key, window in self._pairs.items():
+        for (key, _), window in self._pairs.items():
             window.pop(len(self._seqs[key]), None)
         self.put((term,))
 
     def scale(self, factor):
-        """Multiply den, nums and every kept sequence by factor, and every
-        kept pair sum by factor**2."""
+        """Multiply den and every kept sequence, nums too, by factor, and
+        every kept pair sum by factor**2."""
         self.den *= factor
-        for seq in (self.nums, *self._kept.values()):
+        for seq in self._seqs.values():
             seq[:] = [x * factor for x in seq]
         square = factor * factor
         for window in self._pairs.values():
             for j in window:
                 window[j] *= square
 
-    def pair_sum(self, key, j):
+    def pair_sum(self, key, j, role):
         """The sum of s[i] * s[i - 1] over i = j, j - 2, ... >= 1 for the
         sequence s = self[key] (0 for j < 1; requires len(s) > j): one
-        product more than pair_sum(key, j - 2) if that is in key's
-        window, else a restart from i = 0.  The window keeps the _WINDOW
-        largest j read."""
-        window = self._pairs.setdefault(key, {})
+        product more than pair_sum(key, j - 2, role) if that is in the
+        window of (key, role), else a restart from i = 0.  The window
+        keeps the _WINDOW largest j read."""
+        window = self._pairs.setdefault((key, role), {})
         total = window.get(j)
         if total is None:
             seq = self[key]
@@ -207,9 +202,9 @@ def term_numerator(derivs, m, p, q):
     derivs[p] and, for q >= 0, of derivs[q] to exist.
 
     Otherwise it is the dot product sum(G[i] * F[m - i]) of G = derivs[p]
-    and F = derivs[q].  When they are one sequence (p == q, or p is
-    ((0, q, 1),)) it is a square: twice the sum of G[i] * G[m - i] over
-    i < (m + 1) // 2, plus G[m // 2]**2 for even m, with no pair sums.
+    and F = derivs[q].  When they are one sequence (p == q) it is a
+    square: twice the sum of G[i] * G[m - i] over i < (m + 1) // 2, plus
+    G[m // 2]**2 for even m, with no pair sums.
     Other products are, past a measured size, in Winograd's paired form
     ("A new algorithm for inner product", IEEE Trans. Comput. C-17, 1968):
     the sum of (G[2k] + F[m-2k-1]) * (G[2k+1] + F[m-2k]) over
@@ -218,8 +213,8 @@ def term_numerator(derivs, m, p, q):
     plus G[m] * F[0] for even m.  Each product expands to the two terms of
     the row it pairs and to one term each of A and B, so the identity is
     exact in the integers; A and B are running sums
-    (`Derivatives.pair_sum`), one product per row, so a row costs about
-    m / 2 big products, not m + 1.
+    (`Derivatives.pair_sum`, in the roles "G" and "F"), one product per
+    row, so a row costs about m / 2 big products, not m + 1.
     The paired sums are as large as their larger halves, so rows keep the
     plain product when m * den.bit_length() is below _PAIRED_MIN (small
     entries, where the additions cost as much as the products saved), when
@@ -229,7 +224,7 @@ def term_numerator(derivs, m, p, q):
     if m < 0:
         return 0
     if q == -1:                      # G times the constant 1: one entry
-        return derivs._entry(_combination(p), m) * derivs.den
+        return derivs._entry(p, m) * derivs.den
     g, f = derivs[p], derivs[q]
     if g is f:                       # a square: each cross product once
         total = 2 * sum(map(mul, g[:(m + 1) // 2], f[m:m // 2:-1]))
@@ -241,7 +236,8 @@ def term_numerator(derivs, m, p, q):
     total = sum(map(mul, map(add, g[0:m:2], f[m - 1::-2]),
                     map(add, g[1:m + 1:2], f[m::-2])))
     # A's last pair is G[2k] * G[2k + 1] with 2k + 1 = (m - 1) | 1
-    total -= derivs.pair_sum(p, (m - 1) | 1) + derivs.pair_sum(q, m)
+    total -= (derivs.pair_sum(p, (m - 1) | 1, "G")
+              + derivs.pair_sum(q, m, "F"))
     return total + g[m] * f[0] if m % 2 == 0 else total
 
 
@@ -306,14 +302,13 @@ class QuadEquation:
         derivs.den, an int (indices up to n + max_shift must fit): per
         group, the z^(n - s0) coefficient of its combination times f^(q),
         one dot product (none for q = -1).  A single-term combination
-        c * f^(p) is read as order p's own sequence, under the key
-        ((0, p, 1),) so that its pair sums keep their own window, and c
-        multiplies the result."""
+        c * f^(p) is read as order p's own sequence, under the key p, and
+        c multiplies the result."""
         total = 0
         for q, s0, terms in self.groups:
             if len(terms) == 1:         # c * f^(p), s0 its own z-power
                 (_, p, c), = terms
-                total += c * term_numerator(derivs, n - s0, ((0, p, 1),), q)
+                total += c * term_numerator(derivs, n - s0, p, q)
             else:
                 total += term_numerator(derivs, n - s0, terms, q)
         return total

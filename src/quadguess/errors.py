@@ -46,9 +46,4 @@ class EquationFormatError(QuadGuessError):
 
 
 class PrefixFormatError(QuadGuessError):
-    """Malformed sequence file; carries a line number when known (the
-    message names it too)."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(message)
+    """Malformed sequence file; the message names the line when known."""

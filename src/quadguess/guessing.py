@@ -12,8 +12,9 @@ strict as filtering basis vectors against leftover rows individually.
 
 The system is read only modulo primes.  Column (mono, i) is column
 (mono, 0) shifted down i rows, and size d's columns are a prefix of size
-d + 1's, so one search packs each monomial's rows once, from the prefix
-reduced mod P, as one product of two packed derivative sequences.
+d + 1's, so one search packs each derivative order once, from the
+prefix reduced mod P (`_packed_orders`), and each monomial's rows are
+one product of two packed orders, made where its columns enter.
 `guess` ranks the systems mod P in one `exact.ColumnEchelon` per search:
 each d cuts it to its usable rows and adds only its new columns; a size
 of full rank there is skipped.  Otherwise `exact.modular_nullspace`
@@ -23,8 +24,8 @@ QuadEquation, is verified exactly by `check`'s walk (`sequences._walk`),
 the one row loop; the equation and its z-multiples (every z-power one
 higher, up to m) are kept by terms and accepted from that pass.  Only if a lift
 fails does `modular_nullspace` climb the further Mersenne primes, each
-on P's path: one echelon per search, kept across d, and each monomial's
-rows packed once per search the same way.
+on P's path: one echelon and one memo of packed orders per search,
+kept across d, and each monomial's rows made once the same way.
 """
 
 import itertools
@@ -90,35 +91,14 @@ def ansatz(d, m):
             for i in range(m + 1)]
 
 
-class _SlotRows:
-    """Recurrence-row residues mod a prime p of the monomials on
-    nums / den: `slot(mono, count)` packs (`exact.pack`) rows
-    0 .. count - 1 of mono, its z^n coefficients times den**2, below
-    count * p**2: the low count slots (carries only move up) of one
-    product of its two derivative sequences mod p, each packed once;
-    f^(-1) packs to den.  A monomial is packed at its first count only (a
-    search's usable rows never grow), in slots as wide as `bits`, those of
-    the search's echelon mod p: `slot(mono, count) << bits * i` is column
-    (mono, i) as it takes it."""
-
-    def __init__(self, nums, den, p, bits):
-        self.derivs = Derivatives([x % p for x in nums], den % p)
-        self.p, self.bits = p, bits
-        self.orders, self.kept = {}, {}
-
-    def _packed(self, order):
-        """The coefficients of f^(order) mod p, packed, kept."""
-        if order not in self.orders:
-            self.orders[order] = pack(
-                [x % self.p for x in self.derivs[order]], self.bits)
-        return self.orders[order]
-
-    def slot(self, mono, count):
-        """Rows 0 .. count - 1 (or more) of mono, packed."""
-        if mono not in self.kept:
-            self.kept[mono] = (self._packed(mono.p) * self._packed(mono.q)
-                               & (1 << self.bits * count) - 1)
-        return self.kept[mono]
+def _packed_orders(nums, den, p, bits):
+    """A memo: order -> the coefficients of f^(order) on nums / den, times
+    den, mod p, packed once (`exact.pack`) in `bits`-bit slots, those of
+    the search's echelon mod p; f^(-1) packs to den.  Slots n < count of
+    two orders' product, each below count * p**2 (carries only move up),
+    are rows n of their monomial, times den**2, mod p."""
+    derivs = Derivatives([x % p for x in nums], den % p)
+    return cache(lambda order: pack([x % p for x in derivs[order]], bits))
 
 
 def _usable_rows(n_terms, d):
@@ -232,21 +212,25 @@ def guess(prefix, cfg=GuessConfig()):
         raise DegenerateInputError("degenerate input: all terms zero")
     n_terms = len(prefix)
     m = cfg.m
-    attempted = False
     nums, den = prefix.scaled()
 
     @cache
     def modulus(p):
-        """The search's echelon mod p and its residues, made once."""
+        """The search's echelon mod p and its packed orders, made once."""
         at = ColumnEchelon(usable, p)
-        return at, _SlotRows(nums, den, p, at.bits)
+        return at, _packed_orders(nums, den, p, at.bits)
 
     def echelon_at(p):
-        """The current system mod p, on the search's echelon mod p."""
-        at, rows = modulus(p)
+        """The current system mod p, on the search's echelon mod p.  Each
+        d adds whole monomials k-major (at.width is a multiple of m + 1),
+        each as one product made where its columns enter."""
+        at, packed = modulus(p)
         at.cut(usable)
-        for mono, i in columns[at.width:]:     # row n - i at n
-            at.add(rows.slot(mono, usable) << at.bits * i)
+        mask = (1 << at.bits * usable) - 1
+        for mono, _ in columns[at.width::m + 1]:
+            rows = packed(mono.p) * packed(mono.q) & mask
+            for i in range(m + 1):                # row n - i at n
+                at.add(rows << at.bits * i)
         return at
 
     for d in itertools.count(cfg.d_start):
@@ -256,14 +240,13 @@ def guess(prefix, cfg=GuessConfig()):
         if usable < (d + 1) * (m + 1) + cfg.min_verify_rows:
             break  # larger d only demands more rows; never fabricate terms
         columns = ansatz(d, m)
-        attempted = True
         basis = modular_nullspace(
             echelon_at, _Verifier(prefix.values, columns, usable))
         if basis:
             return GuessResult(status="success", d=d, m=m, basis=tuple(basis),
                                construction_rows=len(columns),
                                verification_rows=usable - len(columns))
-    if not attempted:
+    if d == cfg.d_start:       # the loop ends at a break: nothing tried
         raise InsufficientTermsError(
             f"{n_terms} terms admit no system at d = {cfg.d_start} "
             f"(m = {m}, min_verify_rows = {cfg.min_verify_rows})")

@@ -94,8 +94,8 @@ def parse_prefix_text(text, source="<input>"):
             values.append(parse_rational(line))
         except (ValueError, ZeroDivisionError) as exc:
             raise PrefixFormatError(
-                f"{source}: line {lineno}: malformed rational {_echo(line)}",
-                line=lineno) from exc
+                f"{source}: line {lineno}: malformed rational {_echo(line)}"
+            ) from exc
     if not values:
         raise PrefixFormatError(f"{source}: empty sequence")
     return SequencePrefix(values)

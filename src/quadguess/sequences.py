@@ -11,13 +11,14 @@ n + max_shift and is read through `QuadEquation.row_numerator` as soon
 as that term is in: one convolution per group of terms that share their
 lower derivative order, in integer numerators, each in about m / 2 big
 products once paired (`equations.term_numerator`): the store's pair
-sums carry from row to row, a rescale multiplies them and replacing the
-placeholder drops the one that read it.  Every rescale and every term
-put in touches each kept sequence, so the store keeps only those the
-convolutions read: a single-term group reads its order's own sequence
-(a square when both orders agree), and the linear group q = -1 reads
-one entry per row, computed on the fly; the walk never builds f^(-1) =
-1, and `_slope` reads its den directly.  A row on given terms
+sums, a window per sequence and role, carry from row to row, a rescale
+multiplies them and replacing the placeholder drops the one that read
+it.  Every rescale and every term put in touches each kept sequence, so
+the store keeps each under one key, and only those the convolutions
+read: a single-term group reads its order's own
+sequence (a square when both orders agree), and the linear group q = -1
+reads one entry per row, computed on the fly; the walk never builds
+f^(-1) = 1, and `_slope` reads its den directly.  A row on given terms
 must vanish; `check` reports the first that does not (`Fraction`
 normalizes the residual).  Extension realizes the recurrence as a
 recursion: each later row introduces the single unknown a_{n + max_shift},

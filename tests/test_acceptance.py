@@ -4,6 +4,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -12,6 +13,7 @@ from quadguess.cli import main
 from quadguess.equations import (Derivatives, QuadEquation,
                                  monomial_of_orders, render_text,
                                  term_numerator)
+from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.guessing import GuessConfig, ansatz, guess, normalize, slot
 from quadguess.prefix import SequencePrefix, dump_prefix
 from quadguess.sequences import check, extend, oracle_sequence
@@ -197,6 +199,12 @@ def test_criterion_9_negative_control(tmp_path):
     print("PASS criterion 9: negative control and soundness")
 
 
+def _lacunary(count):
+    """The first count terms of sum z^(2^n)."""
+    return SequencePrefix([int(k > 0 and k & (k - 1) == 0)
+                           for k in range(count)])
+
+
 @pytest.mark.parametrize("count", [40, 60])
 def test_lacunary_negative_control(count):
     """Sum z^(2^n) is a Mahler function and not rational, so it satisfies
@@ -204,13 +212,66 @@ def test_lacunary_negative_control(count):
     J. AMS 2021): whatever guess emits from `count` terms must fail check
     on 4 * count terms.  At 60 terms guess emits two d = 16 equations that
     fit the prefix."""
-    def lacunary(n):
-        return SequencePrefix([int(k > 0 and k & (k - 1) == 0)
-                               for k in range(n)])
-    result = guess(lacunary(count))
-    longer = lacunary(4 * count)
+    result = guess(_lacunary(count))
+    longer = _lacunary(4 * count)
     for eq in result.basis:
-        assert check(eq, lacunary(count)).passed
+        assert check(eq, _lacunary(count)).passed
         assert not check(eq, longer).passed
     print(f"PASS negative control: lacunary series, {count} terms, "
           f"{len(result.basis)} equations refuted on {4 * count}")
+
+
+def _qualifying(make, count):
+    """guess's result on make(count) terms if it succeeds and every
+    equation it emits passes check on make(4 * count) terms, else None."""
+    try:
+        result = guess(make(count))
+    except (DegenerateInputError, InsufficientTermsError):
+        return None
+    longer = make(4 * count)
+    if result.succeeded and all(check(eq, longer).passed
+                                for eq in result.basis):
+        return result
+    return None
+
+
+# Terms needed under the default config: per oracle, the fewest terms N
+# that qualify (`_qualifying`), and there d, the basis size and the known
+# equation, which is in the basis.  A change may lower an N; raising one
+# is a regression to explain.
+TERMS_NEEDED = {
+    "bell-egf": (25, 6, 3, BELL_EQ),
+    "bernoulli-egf": (15, 3, 2, BERNOULLI_EQ),
+    "euler-egf": (25, 6, 3, EULER_EQ),
+    "exp": (15, 3, 6, EXP_EQ),
+    "lambertw": (15, 3, 2, LAMBERTW_EQ),
+    "zeta-rescaled": (22, 5, 2, ZETA_EQ),
+    "zigzag-egf": (22, 5, 3, ZIGZAG_EQ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERMS_NEEDED))
+def test_terms_needed_table(name):
+    """No prefix of the oracle shorter than its table N qualifies, N
+    does, and there guess has the table's d and basis size, and the known
+    equation is in the basis."""
+    count, d, size, known = TERMS_NEEDED[name]
+    results = [_qualifying(partial(oracle_sequence, name), n)
+               for n in range(1, count + 1)]
+    assert results[:-1] == [None] * (count - 1)
+    result = results[-1]
+    assert result is not None
+    assert (result.d, len(result.basis)) == (d, size)
+    assert known in result.basis
+    print(f"PASS terms needed: {name}, {count} terms, d = {d}")
+
+
+@pytest.mark.parametrize("count,d", [(20, None), (30, None), (40, None),
+                                     (60, 16)])
+def test_lacunary_never_qualifies(count, d):
+    """The lacunary series, which satisfies no such equation, never
+    qualifies: guess fails at 20, 30 and 40 terms, and the d = 16
+    equations it emits at 60 fail check on 240."""
+    result = guess(_lacunary(count))
+    assert (result.succeeded, result.d) == (d is not None, d)
+    assert _qualifying(_lacunary, count) is None

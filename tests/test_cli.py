@@ -118,6 +118,16 @@ def test_guess_missing_file(capsys):
     assert main(["guess", "--input", "/nonexistent/seq.txt"]) == 2
 
 
+def test_module_entry_point():
+    """`python -m quadguess.cli` runs main and exits with its code."""
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "quadguess.cli", "oracle", "--name", "exp",
+         "--count", "3"], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "1\n1\n1/2\n"
+
+
 @pytest.mark.parametrize("option", [
     ["--max-poly-deg", "-1"], ["--d-start", "0"], ["--min-verify", "-1"],
     ["--d-max", "1"], ["--d-max", "-4"],
@@ -218,10 +228,13 @@ def test_check_json_output(tmp_path, zigzag_eq_file, zigzag_file, capsys):
 
 
 def test_equation_file_validation(tmp_path, zigzag_file, capsys):
-    """A malformed equation file, a missing one and one whose terms all
-    cancel (y - y) exit 2 naming the reason, for check and extend alike."""
+    """A malformed equation file, one that is not an object, a missing one
+    and one whose terms all cancel (y - y) exit 2 naming the reason, for
+    check and extend alike."""
     path = tmp_path / "eq.json"
     path.write_text('{"terms": "no"}')
+    array = tmp_path / "array.json"
+    array.write_text("[]")
     cancelled = tmp_path / "cancelled.json"
     cancelled.write_text(json.dumps({"terms": [
         {"s": 0, "p": 0, "q": -1, "c": "1"},
@@ -229,6 +242,7 @@ def test_equation_file_validation(tmp_path, zigzag_file, capsys):
     missing = tmp_path / "missing.json"
     for source, error in (
             (path, 'error: "terms" must be a nonempty list\n'),
+            (array, 'error: expected an object with a "terms" list\n'),
             (missing, f"error: {missing}: [Errno 2] "),
             (cancelled,
              "error: an equation needs at least one nonzero term\n")):

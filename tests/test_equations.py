@@ -240,9 +240,9 @@ def test_term_numerator_matches_schoolbook(monkeypatch):
     paired, paths = [], set()
     pair_sum = Derivatives.pair_sum
 
-    def spy(derivs, key, j):
+    def spy(derivs, key, j, role):
         paired.append(key)
-        return pair_sum(derivs, key, j)
+        return pair_sum(derivs, key, j, role)
 
     monkeypatch.setattr(Derivatives, "pair_sum", spy)
 
@@ -300,11 +300,11 @@ def test_pair_sum_windows_do_not_restart_in_row_order(monkeypatch, gap,
                                                        roles):
     """Rows read in order restart each pair-sum chain once, however long
     the rows: each G chain once (odd j only) and each F = f^(q) chain
-    once per parity.  A single-term G = c * f^(p) reads order p's own
-    sequence, under the key ((0, p, 1),): its window is not that of p's
-    F role, so a group whose F is f^(p), z-offset up to 14 rows away,
-    does not evict it.  A single-term group with p == q is a square and
-    reads none."""
+    once per parity, counted per key and role.  A single-term
+    G = c * f^(p) reads order p's own sequence, under the key p, in the
+    role "G": its window is not that of p's F role, so a group whose F is
+    f^(p), z-offset up to 14 rows away, does not evict it.  A single-term
+    group with p == q is a square and reads none."""
     eq = QuadEquation([(s, monomial_of_orders(p, q), c)
                        for s, p, q, c in _WINDOW_ROLES[roles](gap)])
     if roles == "one-g":     # the second group is a square
@@ -316,20 +316,20 @@ def test_pair_sum_windows_do_not_restart_in_row_order(monkeypatch, gap,
     restarts = []
     pair_sum = Derivatives.pair_sum
 
-    def spy(derivs, key, j):
-        window = derivs._pairs.get(key, {})
+    def spy(derivs, key, j, role):
+        window = derivs._pairs.get((key, role), {})
         if j >= 1 and j not in window and j - 2 not in window:
-            restarts.append((key, j))
-        return pair_sum(derivs, key, j)
+            restarts.append(((key, role), j))
+        return pair_sum(derivs, key, j, role)
 
     monkeypatch.setattr(Derivatives, "pair_sum", spy)
     for n in range(len(derivs.nums) - eq.max_shift):
         eq.row_numerator(derivs, n)
-    # G = 3 * f' under ((0, 1, 1),) with F = f; with g-beside-f also the
-    # combination G' with F = f': one chain per G, two per F
-    chains = {((0, 1, 1),): 1, 0: 2}
+    # G = 3 * f' under 1 with F = f; with g-beside-f also the combination
+    # G' with F = f', under 1 too: one chain per G, two per F
+    chains = {(1, "G"): 1, (0, "F"): 2}
     if roles == "g-beside-f":
-        chains.update({((1, 1, 2), (0, 2, 1)): 1, 1: 2})
+        chains.update({(((1, 1, 2), (0, 2, 1)), "G"): 1, (1, "F"): 2})
     assert Counter(key for key, _ in restarts) == chains, restarts
 
 
@@ -406,6 +406,11 @@ def test_equation_rejects_empty():
         QuadEquation([(0, monomial_of_orders(0, -1), 0)])
 
 
+def test_equation_rejects_negative_z_power():
+    with pytest.raises(ValueError, match="^z-power must be >= 0$"):
+        QuadEquation([(-1, monomial_of_orders(0, -1), 1)])
+
+
 @pytest.mark.parametrize("s,coeff,message", [
     (0, 0.1, "term 1: coefficient must be an int or a Fraction, not float"),
     (0, True, "term 1: coefficient must be an int or a Fraction, not bool"),
@@ -460,6 +465,9 @@ def test_equation_json_validation():
         equation_from_json('{"terms": [{"s": -1, "p": 0, "q": -1, "c": "1"}]}')
     with pytest.raises(EquationFormatError):
         equation_from_json('not json')
+    with pytest.raises(EquationFormatError,
+                       match='^expected an object with a "terms" list$'):
+        equation_from_json("[]")
     # p = q = -1 is the constant term
     constant = equation_from_json(
         '{"terms": [{"s": 2, "p": -1, "q": -1, "c": "1"}]}')
@@ -575,6 +583,9 @@ def test_render_ode_text_goldens():
         "2*z*y'' - 4*z*y*y' + 5*y' - 2*y^2 = 0"
     only_f = QuadEquation([(0, monomial_of_orders(0, -1), 1)])
     assert render_text(only_f, "ode") == "y = 0"
+    assert repr(ZIGZAG_EQ) == """QuadEquation("y'' - y*y' = 0")"""
+    with pytest.raises(ValueError, match="^unknown render mode 'bogus'$"):
+        render_text(ZIGZAG_EQ, "bogus")
 
 
 def test_render_recurrence_text_goldens():

@@ -13,7 +13,7 @@ from quadguess.equations import (Derivatives, QuadEquation,
                                  term_numerator)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import P, ColumnEchelon
-from quadguess.guessing import (GuessConfig, GuessResult, _SlotRows,
+from quadguess.guessing import (GuessConfig, GuessResult, _packed_orders,
                                 _usable_rows, _Verifier, ansatz, guess,
                                 normalize, slot)
 from quadguess.prefix import SequencePrefix
@@ -159,19 +159,20 @@ def _slot_cases(draw):
 @example(([7], 5, 3, 0, [1]))
 @settings(max_examples=300, deadline=None)
 def test_packed_slot_rows_match_term_numerator(case):
-    """Slot k's packed rows mod p are its term_numerator rows mod p, at
-    every count read after the first call packed the most rows (a search's
-    usable rows never grow), also at a count below the one before it and
-    back up to the packed count; every slot is below count * p**2 for the
-    count that packed it."""
+    """Slot k's packed rows mod p, the product of its two orders from one
+    `_packed_orders` memo masked to count slots as guess masks them to its
+    usable rows, are its term_numerator rows mod p at every count, in
+    slots as wide as the most rows read need, also at a count below the
+    one before it and back up; every slot is below count * p**2 for that
+    largest count."""
     nums, den, p, k, counts = case
     mono = slot(k)
     derivs = Derivatives(nums, den)
     packed = max(counts)
     bits = exact.slot_bits(packed, p)
-    slots = _SlotRows(nums, den, p, bits)
+    orders = _packed_orders(nums, den, p, bits)
     for count in [packed] + counts:
-        rows = slots.slot(mono, count)
+        rows = orders(mono.p) * orders(mono.q) & (1 << bits * count) - 1
         values = [rows >> bits * n & (1 << bits) - 1 for n in range(count)]
         assert max(values) < packed * p * p
         assert [x % p for x in values] == [
@@ -361,19 +362,21 @@ def test_guess_matches_full_exact_path(monkeypatch):
 
 
 def test_guess_packs_each_modulus_once(monkeypatch):
-    """guess keeps one _SlotRows and one ColumnEchelon per modulus for the
-    whole search: on bell-egf with P added to term 30, where every d from
-    the oracle's own on is rank-deficient only mod P and takes the
-    fallback, the residues mod each modulus are packed once, not once per
-    d, and each modulus's echelon, P's and the fallback's alike, is built
-    once and adds each column once, so its adds are its final width."""
+    """guess keeps one memo of packed orders (`_packed_orders`) and one
+    ColumnEchelon per modulus for the whole search: on bell-egf with P
+    added to term 30, where every d from the oracle's own on is
+    rank-deficient only mod P and takes the fallback, the residues mod
+    each modulus are packed once, not once per d, and each modulus's
+    echelon, P's and the fallback's alike, is built once and adds each
+    column once, so its adds are its final width."""
     built, echelons, adds = Counter(), {}, Counter()
-    slot_rows, column_echelon = guessing._SlotRows, guessing.ColumnEchelon
+    packed_orders = guessing._packed_orders
+    column_echelon = guessing.ColumnEchelon
     add = ColumnEchelon.add
 
     def counted(nums, den, p, bits):
         built[p] += 1
-        return slot_rows(nums, den, p, bits)
+        return packed_orders(nums, den, p, bits)
 
     def counted_echelon(height, p=P):
         echelons.setdefault(p, []).append(column_echelon(height, p))
@@ -383,7 +386,7 @@ def test_guess_packs_each_modulus_once(monkeypatch):
         adds[echelon.p] += 1
         add(echelon, column)
 
-    monkeypatch.setattr(guessing, "_SlotRows", counted)
+    monkeypatch.setattr(guessing, "_packed_orders", counted)
     monkeypatch.setattr(guessing, "ColumnEchelon", counted_echelon)
     monkeypatch.setattr(ColumnEchelon, "add", counted_add)
     values = list(oracle_sequence("bell-egf", 60).values)

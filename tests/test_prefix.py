@@ -122,6 +122,11 @@ def test_json_prefix_must_be_a_whole_array():
         parse_prefix_text('{"a": 1}')
 
 
+def test_empty_prefix_is_rejected():
+    with pytest.raises(ValueError, match="^a prefix needs at least one term$"):
+        SequencePrefix([])
+
+
 def test_repr_shows_at_most_six_terms():
     assert repr(SequencePrefix([Fraction(-1, 2)])) == "SequencePrefix([-1/2])"
     assert repr(SequencePrefix(range(1, 7))) == \
