@@ -88,16 +88,16 @@ class Derivatives:
     derivatives of the sequence nums / den, in one store, each sequence
     under one key.  `derivs[key]` for a key ((e, p, c), ...) holds those
     of sum(c * z^e * f^(p)), where f^(-1) is the constant 1, and for an
-    int p those of f^(p), as for ((0, p, 1),): entry u (`_entry`) sums,
-    over the terms with u >= e, c * falling_weight(u - e, p) *
-    nums[u - e + p] for p >= 0 and c * den at u = e for p = -1, for
-    u < len(nums) - max(max(p, 0) - e).  So derivs[-1] is den, 0, 0, ...,
-    and derivs[0] is nums.  Each sequence is built on first use, kept
-    once it has an entry, and gains one entry per term `put` in; only its
-    last reads the last term.  `put`,
-    `set_last` and `scale` work on every kept sequence, so a walk keeps
-    only the sequences its dot products read (`QuadEquation.row_numerator`)
-    and computes one-off entries, such as a linear group's, by `_entry`;
+    int p those of f^(p), the one term e = 0, c = 1 (`_combination`):
+    entry u (`_entry`) sums, over the terms with u >= e,
+    c * falling_weight(u - e, p) * nums[u - e + p] for p >= 0 and c * den
+    at u = e for p = -1, for u < len(nums) - max(max(p, 0) - e).  So
+    derivs[-1] is den, 0, 0, ..., and derivs[0] is nums.  Each sequence is
+    built on first use, kept once it has an entry, and gains one entry per
+    term `put` in; only its last reads the last term.  `put`, `set_last`
+    and `scale` work on every kept sequence, so a walk keeps only the
+    sequences its dot products read (`QuadEquation.row_numerator`) and
+    computes one-off entries, such as a linear group's, by `_entry`;
     derivs[-1] is for packing mod p only.
 
     For `term_numerator`'s paired rows the store also keeps, per key and
