@@ -3,34 +3,24 @@
 A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
 row n is the z^n Taylor coefficient of the equation on a sequence prefix.
 For the prefix scaled to nums / den, `Derivatives` is one store of the
-Taylor coefficients, times den, of combinations sum(c * z^e * f^(p)),
-every entry computed once by one rule through `exact.falling_weight`,
-the one weight function, each sequence under one key: the int p for
-f^(p) (f^(-1) = 1 is den, 0, 0, ...), a tuple for any other.  One
-evaluator, `term_numerator`, gives the z^m coefficient of a product
-G * f^(q) as the dot product of two such sequences, an integer numerator
-over den**2.  Past a measured size it pairs the products (Winograd's
-inner product): (m + 1) / 2 products of sums, less two running pair sums
-that `Derivatives` keeps, so a row costs about half the big
-multiplications, and the identity is exact.  A square, G = f^(q), takes
-each cross product once and reads no pair sums.
+Taylor coefficients, times den, of the derivatives f^(j), each computed
+once by one rule through `exact.falling_weight`, the one weight
+function, and times den**2 of their squares S_j = (f^(j))**2.
 
-The one row loop (`sequences._walk`) reads whole equations through
-`QuadEquation.row_numerator`, which factors the products: the terms that
-share their lower order q form one group, and row n is the sum over
-groups of the z^(n - s0) coefficient of f^(q) * G_q, where s0 is the
-group's smallest z-power and G_q = sum of c * z^(s - s0) * f^(p).  So
-each row costs one dot product per distinct lower order, not one per
-product term, and each such product about m / 2 big multiplications
-once paired.  The store keeps only the sequences those dot products
-read: nums, f^(q) for each q >= 1, and G_q for each product group.  A
-single-term G_q = c * f^(p) is order p's own sequence, under p, with c
-multiplied after the dot product, and a square when p = q.  Linear and
-constant terms form the group q = -1, whose row is one coefficient,
-den * G_q[n - s0], computed on the fly and kept in no sequence.  So a
-walk never builds f^(-1); only `guessing._packed_orders`, which packs
-whole sequences mod a prime, reads it.  Every step is a ring operation,
-so the same evaluator on nums and den reduced mod P gives the rows mod P.
+Every product of derivatives is a sum of derivatives of squares:
+f^(q+1) * f^(q) = (S_q)' / 2 and f^(p) * f^(q) = (f^(p-1) * f^(q))' -
+f^(p-1) * f^(q+1), so `QuadEquation` plans its quadratic terms once
+(`_square_plan`) as integral terms (s, a, j, c): row n is the sum of
+c * falling_weight(n - s, a) * S_j[n - s + a], with the plan's
+denominator, a power of two, divided out at the end.  S_j[u] is
+2 * sum(F[i] * F[u - i], i < (u + 1) / 2), plus F[u / 2]**2 for even u,
+for F = f^(j): one half-length dot product per order and index, computed
+once and kept in a window while rows can read it.  Linear and constant
+terms read one entry per row, computed on the fly and kept in no
+sequence.  So a walk never builds f^(-1); only `guessing._packed_orders`,
+which packs whole sequences mod a prime, reads it.  Every entry of f^(j)
+is a ring operation on nums and den, so the same store on nums and den
+reduced mod P gives the orders mod P.
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1; p = q = -1 is the constant term.
@@ -39,21 +29,14 @@ with p >= q >= -1; p = q = -1 is the constant term.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from operator import add, mul
+from operator import mul
 
 from quadguess.errors import EquationFormatError
 from quadguess.exact import (as_rational, clear_denominators,
                              falling_weight, format_rational, parse_int,
                              parse_rational)
-
-
-# term_numerator pairs a row's products from m * den.bit_length() >= this
-# on.  On random entries of den's size, pairing broke even near
-# m * bits = 5 000 at 768 bits and 12 000 at 96 to 192 bits, and from
-# 2**14 on it was faster at every size measured (BENCH_paired_products.json).
-_PAIRED_MIN = 1 << 14
-_WINDOW = 8                   # pair sums kept per key and role (pair_sum)
 
 
 @dataclass(frozen=True, order=True)
@@ -78,66 +61,49 @@ def monomial_of_orders(p, q):
     return QuadMonomial(p, q) if p >= q else QuadMonomial(q, p)
 
 
-def _combination(key):
-    """The terms ((e, p, c), ...) of an order or combination key."""
-    return ((0, key, 1),) if type(key) is int else key
-
-
 class Derivatives:
-    """Taylor coefficients, times den, of linear combinations of the
-    derivatives of the sequence nums / den, in one store, each sequence
-    under one key.  `derivs[key]` for a key ((e, p, c), ...) holds those
-    of sum(c * z^e * f^(p)), where f^(-1) is the constant 1, and for an
-    int p those of f^(p), the one term e = 0, c = 1 (`_combination`):
-    entry u (`_entry`) sums, over the terms with u >= e,
-    c * falling_weight(u - e, p) * nums[u - e + p] for p >= 0 and c * den
-    at u = e for p = -1, for u < len(nums) - max(max(p, 0) - e).  So
-    derivs[-1] is den, 0, 0, ..., and derivs[0] is nums.  Each sequence is
-    built on first use, kept once it has an entry, and gains one entry per
-    term `put` in; only its last reads the last term.  `put`, `set_last`
-    and `scale` work on every kept sequence, so a walk keeps only the
-    sequences its dot products read (`QuadEquation.row_numerator`) and
-    computes one-off entries, such as a linear group's, by `_entry`;
-    derivs[-1] is for packing mod p only.
+    """Taylor coefficients, times den, of the derivatives of the sequence
+    nums / den, and times den**2 of their squares, in one store.
+    `derivs[j]` holds those of f^(j): entry u (`_entry`) is
+    falling_weight(u, j) * nums[u + j] for j >= 0, and den at u = 0, 0
+    after, for the constant f^(-1) = 1, for u < len(nums) - max(j, 0).  So
+    derivs[0] is nums.  Each is built on first use, kept once it has an
+    entry, and gains one entry per term `put` in; only its last reads the
+    last term.
 
-    For `term_numerator`'s paired rows the store also keeps, per key and
-    role ("G" or "F", the sequence's factor in the product), a window of
-    the _WINDOW pair sums of largest index read (`pair_sum`): `scale`
-    multiplies them by factor**2, `set_last` drops the one that reads the
-    replaced entry, and a read below the window restarts from index 0.
-    So the groups of an equation, which read F = f^(q) under distinct q,
-    never restart each other's; two groups with one combination G at
-    offsets s0 up to 14 apart share G's; and G = c * f^(p), read under p,
-    keeps a window apart from that of f^(p) read as F."""
+    `square(j, u)` is S_j[u], the z^u coefficient of (f^(j))**2: the
+    schoolbook square of derivs[j] up to u, each cross product once.  It
+    is computed once and kept in a window per j, which `scale` multiplies
+    by factor**2 and `drop_squares` cuts once no row can read it.  Of a
+    window only S_j[u] for the last entry u of derivs[j] reads the last
+    term, through its cross terms 2 * F[0] * F[u] (F[0]**2 at u = 0):
+    `set_last` takes the old ones out and adds the new ones, so the
+    placeholder extension puts in is fixed up, never recomputed.  `put`,
+    `set_last` and `scale` work on every kept sequence, so a walk keeps
+    only those its squares read; derivs[-1] is for packing mod p only."""
 
-    __slots__ = ("nums", "den", "_seqs", "_pairs")
+    __slots__ = ("nums", "den", "_seqs", "_squares")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
-        self._seqs = {0: self.nums}     # every kept key -> its sequence
-        self._pairs = {}                # (key, role) -> {j: pair sum}
+        self._seqs = {0: self.nums}     # every kept order -> its sequence
+        self._squares = {}              # j -> {u: S_j[u]}
 
-    def __getitem__(self, key):
-        seq = self._seqs.get(key)
+    def __getitem__(self, j):
+        seq = self._seqs.get(j)
         if seq is None:
-            top = len(self.nums) - max(max(p, 0) - e
-                                       for e, p, _ in _combination(key))
-            seq = [self._entry(key, u) for u in range(top)]
+            seq = [self._entry(j, u)
+                   for u in range(len(self.nums) - max(j, 0))]
             if seq:
-                self._seqs[key] = seq
+                self._seqs[j] = seq
         return seq
 
-    def _entry(self, key, u):
-        """Entry u of key's sequence."""
-        total = 0
-        for e, p, c in _combination(key):
-            j = u - e
-            if p >= 0 and j >= 0:
-                total += c * falling_weight(j, p) * self.nums[j + p]
-            elif j == 0:                   # f^(-1) = 1
-                total += c * self.den
-        return total
+    def _entry(self, j, u):
+        """Entry u of f^(j)'s sequence."""
+        if j >= 0:
+            return falling_weight(u, j) * self.nums[u + j]
+        return self.den if u == 0 else 0
 
     def put(self, terms):
         """Append terms (ints or Fractions) to the sequence, after one
@@ -147,98 +113,80 @@ class Derivatives:
         if common != self.den:
             self.scale(common // self.den)
         self.nums += [x.numerator * (self.den // x.denominator) for x in terms]
-        for key, seq in self._seqs.items():
+        for j, seq in self._seqs.items():
             if seq is not self.nums:
-                seq += [self._entry(key, u)
+                seq += [self._entry(j, u)
                         for u in range(len(seq), len(seq) + len(terms))]
 
     def set_last(self, term):
         """Replace the last term by term: drop the last entry of every kept
-        sequence, nums too, the only one that reads it, and the pair sum
-        that reads that entry, and put term."""
+        sequence, nums too, the only one that reads it, and put term.  The
+        one kept square coefficient per order that reads it loses the
+        cross terms of the old entry and gains those of the new."""
+        reads = [(j, window, u) for j, window in self._squares.items()
+                 for u in [len(self[j]) - 1] if u in window]
+        for j, window, u in reads:
+            window[u] -= self._cross(j, u)
         for seq in self._seqs.values():
             seq.pop()
-        for (key, _), window in self._pairs.items():
-            window.pop(len(self._seqs[key]), None)
         self.put((term,))
+        for j, window, u in reads:
+            window[u] += self._cross(j, u)
 
     def scale(self, factor):
         """Multiply den and every kept sequence, nums too, by factor, and
-        every kept pair sum by factor**2."""
+        every kept square coefficient by factor**2."""
         self.den *= factor
         for seq in self._seqs.values():
             seq[:] = [x * factor for x in seq]
         square = factor * factor
-        for window in self._pairs.values():
-            for j in window:
-                window[j] *= square
+        for window in self._squares.values():
+            for u in window:
+                window[u] *= square
 
-    def pair_sum(self, key, j, role):
-        """The sum of s[i] * s[i - 1] over i = j, j - 2, ... >= 1 for the
-        sequence s = self[key] (0 for j < 1; requires len(s) > j): one
-        product more than pair_sum(key, j - 2, role) if that is in the
-        window of (key, role), else a restart from i = 0.  The window
-        keeps the _WINDOW largest j read."""
-        window = self._pairs.setdefault((key, role), {})
-        total = window.get(j)
-        if total is None:
-            seq = self[key]
-            i = j - 2 if j - 2 in window else -(j & 1)
-            total = window.get(i, 0)
-            for i in range(i + 2, j + 1, 2):
-                total += seq[i] * seq[i - 1]
-            window[j] = total
-            if len(window) > _WINDOW:
-                del window[min(window)]
-        return total
+    def square(self, j, u):
+        """S_j[u] for j >= 0 (requires len(self[j]) > u), from the window
+        of j if kept there, else computed (`_square`) and kept."""
+        window = self._squares.setdefault(j, {})
+        value = window.get(u)
+        if value is None:
+            value = window[u] = self._square(j, u)
+        return value
+
+    def _square(self, j, u):
+        """S_j[u] = 2 * sum(F[i] * F[u - i], i < (u + 1) // 2), plus
+        F[u // 2]**2 for even u, for F = self[j]."""
+        f = self[j]
+        total = 2 * sum(map(mul, f[:(u + 1) // 2], f[u:u // 2:-1]))
+        return total + f[u // 2] ** 2 if u % 2 == 0 else total
+
+    def _cross(self, j, u):
+        """The part of S_j[u] that reads F[u], F = self[j]: 2 * F[0] * F[u],
+        or F[0]**2 at u = 0."""
+        f = self[j]
+        return 2 * f[0] * f[u] if u else f[0] * f[0]
+
+    def drop_squares(self, low):
+        """Drop every kept square coefficient of index below low."""
+        for window in self._squares.values():
+            for u in [u for u in window if u < low]:
+                del window[u]
 
 
-def term_numerator(derivs, m, p, q):
-    """The z^m coefficient of G * f^(q) times den**2 on the sequence
-    derivs.nums / derivs.den, an int, where G is derivs[p] for an order
-    or combination key p (see Derivatives), and 0 for m < 0.  For
-    f^(-1) = 1 it is entry m of G, computed on the fly (`_entry`) and
-    kept in no sequence, times den: no dot product.  Requires entry m of
-    derivs[p] and, for q >= 0, of derivs[q] to exist.
-
-    Otherwise it is the dot product sum(G[i] * F[m - i]) of G = derivs[p]
-    and F = derivs[q].  When they are one sequence (p == q) it is a
-    square: twice the sum of G[i] * G[m - i] over i < (m + 1) // 2, plus
-    G[m // 2]**2 for even m, with no pair sums.
-    Other products are, past a measured size, in Winograd's paired form
-    ("A new algorithm for inner product", IEEE Trans. Comput. C-17, 1968):
-    the sum of (G[2k] + F[m-2k-1]) * (G[2k+1] + F[m-2k]) over
-    k < (m + 1) // 2, less G's pair sum A = sum(G[2k] * G[2k+1]) over the
-    same k and F's pair sum B = sum(F[j] * F[j-1], j = m, m - 2, ... >= 1),
-    plus G[m] * F[0] for even m.  Each product expands to the two terms of
-    the row it pairs and to one term each of A and B, so the identity is
-    exact in the integers; A and B are running sums
-    (`Derivatives.pair_sum`, in the roles "G" and "F"), one product per
-    row, so a row costs about m / 2 big products, not m + 1.
-    The paired sums are as large as their larger halves, so rows keep the
-    plain product when m * den.bit_length() is below _PAIRED_MIN (small
-    entries, where the additions cost as much as the products saved), when
-    F[m - 1] or F[m] is 0 (alternate zeros, which the plain product skips
-    for free) and when F[m] has less than half of den's bits (entries that
-    shrink along the row, like den / i!)."""
-    if m < 0:
-        return 0
-    if q == -1:                      # G times the constant 1: one entry
-        return derivs._entry(p, m) * derivs.den
-    g, f = derivs[p], derivs[q]
-    if g is f:                       # a square: each cross product once
-        total = 2 * sum(map(mul, g[:(m + 1) // 2], f[m:m // 2:-1]))
-        return total + g[m // 2] ** 2 if m % 2 == 0 else total
-    bits = derivs.den.bit_length()
-    if (m * bits < _PAIRED_MIN or not (f[m - 1] and f[m])
-            or 2 * f[m].bit_length() < bits):
-        return sum(map(mul, g, f[m::-1]))
-    total = sum(map(mul, map(add, g[0:m:2], f[m - 1::-2]),
-                    map(add, g[1:m + 1:2], f[m::-2])))
-    # A's last pair is G[2k] * G[2k + 1] with 2k + 1 = (m - 1) | 1
-    total -= (derivs.pair_sum(p, (m - 1) | 1, "G")
-              + derivs.pair_sum(q, m, "F"))
-    return total + g[m] * f[0] if m % 2 == 0 else total
+@cache
+def _square_plan(p, q):
+    """f^(p) * f^(q) for p >= q >= 0 as {(a, j): w}, the sum of w times
+    the a-th derivative of S_j = (f^(j))**2: S_q for p = q, S_q' / 2 for
+    p = q + 1, and (f^(p-1) * f^(q))' - f^(p-1) * f^(q+1) above.  Every
+    key has 2j + a = p + q, and j runs from q to (p + q) // 2."""
+    if p == q:
+        return {(0, q): Fraction(1)}
+    if p == q + 1:
+        return {(1, q): Fraction(1, 2)}
+    plan = {(a + 1, j): w for (a, j), w in _square_plan(p - 1, q).items()}
+    for key, w in _square_plan(p - 1, q + 1).items():
+        plan[key] = plan.get(key, 0) - w
+    return plan
 
 
 class QuadEquation:
@@ -249,13 +197,17 @@ class QuadEquation:
     its position).
     `coeff_den` is the lcm of the coefficients' denominators, and
     `int_terms` holds the terms with their coefficients times it, as ints.
-    `groups` factors int_terms by lower order: one
-    (q, s0, ((s - s0, p, c), ...)) per distinct q, ascending, where s0 is
-    the smallest z-power among the group's terms.  `max_shift` is the max
+    `linear` holds the int terms (s, p, c) with q = -1, p = -1 the
+    constant.  `squares` plans the other int terms once, as sums of
+    derivatives of squares (`_square_plan`), merged by (s, a, j): terms
+    (s, a, j, c) with ints c, sorted, each of row n
+    c * falling_weight(n - s, a) * S_j[n - s + a], and their sum is
+    2**square_shift times the products' row.  `max_shift` is the max
     over terms of max(p, 0) - s: row n reads prefix indices up to
     n + max_shift, and introduces term n + max_shift when extending."""
 
-    __slots__ = ("terms", "coeff_den", "int_terms", "groups", "max_shift")
+    __slots__ = ("terms", "coeff_den", "int_terms", "max_shift", "linear",
+                 "squares", "square_shift", "_reach")
 
     def __init__(self, terms):
         merged = {}
@@ -280,13 +232,18 @@ class QuadEquation:
         ints, self.coeff_den = clear_denominators([c for _, _, c in cleaned])
         self.int_terms = tuple((s, mono, c)
                                for (s, mono, _), c in zip(cleaned, ints))
-        by_q = {}
+        self.linear = tuple((s, mono.p, c) for s, mono, c in self.int_terms
+                            if mono.q == -1)
+        plan = {}
         for s, mono, c in self.int_terms:
-            by_q.setdefault(mono.q, []).append((s, mono.p, c))
-        self.groups = tuple(
-            (q, s0, tuple((s - s0, p, c) for s, p, c in group))
-            for q, group in sorted(by_q.items())
-            for s0 in [min(s for s, _, _ in group)])
+            if mono.q >= 0:
+                for (a, j), w in _square_plan(mono.p, mono.q).items():
+                    plan[s, a, j] = plan.get((s, a, j), 0) + c * w
+        keys = sorted(key for key, w in plan.items() if w)
+        weights, two = clear_denominators([plan[key] for key in keys])
+        self.squares = tuple(key + (w,) for key, w in zip(keys, weights))
+        self.square_shift = two.bit_length() - 1
+        self._reach = max((s for s, _, _ in keys), default=0)
 
     def __eq__(self, other):
         return isinstance(other, QuadEquation) and self.terms == other.terms
@@ -299,19 +256,19 @@ class QuadEquation:
 
     def row_numerator(self, derivs, n):
         """Row n times coeff_den * den**2 on the sequence derivs.nums /
-        derivs.den, an int (indices up to n + max_shift must fit): per
-        group, the z^(n - s0) coefficient of its combination times f^(q),
-        one dot product (none for q = -1).  A single-term combination
-        c * f^(p) is read as order p's own sequence, under the key p, and
-        c multiplies the result."""
-        total = 0
-        for q, s0, terms in self.groups:
-            if len(terms) == 1:         # c * f^(p), s0 its own z-power
-                (_, p, c), = terms
-                total += c * term_numerator(derivs, n - s0, p, q)
-            else:
-                total += term_numerator(derivs, n - s0, terms, q)
-        return total
+        derivs.den, an int (indices up to n + max_shift must fit): the
+        planned squares' sum, divided by 2**square_shift, plus den times
+        the linear terms' entries.  Square coefficients of index below
+        n less the largest z-power of `squares` are dropped, as no later
+        row reads them."""
+        square = derivs.square
+        total = sum(c * falling_weight(n - s, a) * square(j, n - s + a)
+                    for s, a, j, c in self.squares
+                    if s <= n) >> self.square_shift
+        derivs.drop_squares(n - self._reach)
+        entry = derivs._entry
+        return total + derivs.den * sum(c * entry(p, n - s)
+                                        for s, p, c in self.linear if s <= n)
 
 
 def equation_to_obj(eq):

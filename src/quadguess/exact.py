@@ -65,7 +65,7 @@ def parse_rational(text):
     match = _RATIONAL.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"not a rational: {text!r}")
-    num, den = match.groups()
+    num, den = match.group(1, 2)
     return Fraction(parse_int(num), parse_int(den) if den else 1)
 
 

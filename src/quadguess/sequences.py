@@ -8,21 +8,18 @@ denominator per block rather than per term (each term of an EGF brings a
 new factor).  So it holds the denominator of the terms so far, at most
 `_BLOCK - 1` ahead, never the whole prefix's.  Row n reads terms up to
 n + max_shift and is read through `QuadEquation.row_numerator` as soon
-as that term is in: one convolution per group of terms that share their
-lower derivative order, in integer numerators, each in about m / 2 big
-products once paired (`equations.term_numerator`): the store's pair
-sums, a window per sequence and role, carry from row to row, a rescale
-multiplies them and replacing the placeholder drops the one that read
-it.  Every rescale and every term put in touches each kept sequence, so
-the store keeps each under one key, and only those the convolutions
-read: a single-term group reads its order's own
-sequence (a square when both orders agree), and the linear group q = -1
-reads one entry per row, computed on the fly; the walk never builds
-f^(-1) = 1, and `_slope` reads its den directly.  A row on given terms
-must vanish; `check` reports the first that does not (`Fraction`
-normalizes the residual).  Extension realizes the recurrence as a
-recursion: each later row introduces the single unknown a_{n + max_shift},
-which it solves."""
+as that term is in: its products as derivatives of squares, one new
+square coefficient per squared order per row, each a half-length dot
+product in integer numerators, computed once and kept in the store's
+window while later rows read it; a rescale multiplies them.  Every
+rescale and every term put in touches each kept sequence, so the store
+keeps only those the squares read: nums and f^(j) for each squared
+order j >= 1.  Linear terms read one entry per row, computed on the
+fly; the walk never builds f^(-1) = 1, and `_slope` reads its den
+directly.  A row on given terms must vanish; `check` reports the first
+that does not (`Fraction` normalizes the residual).  Extension realizes
+the recurrence as a recursion: each later row introduces the single
+unknown a_{n + max_shift}, which it solves."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,7 +85,10 @@ def _walk(eq, values, count):
     given terms up to t + _BLOCK - 1 go in.  The first row on given terms
     that does not vanish is returned as (n, residual).  Each later row is
     linear in term t: solved with a placeholder 0 in, the term replaces
-    it and joins values.  Returns None when every given row vanishes."""
+    it and joins values.  The one square coefficient per order that read
+    the placeholder, S_j[t - j], then gains its cross term
+    2 * f^(j)[0] * f^(j)[t - j] (`Derivatives.set_last`) and is not
+    recomputed.  Returns None when every given row vanishes."""
     shift = eq.max_shift
     known = len(values)
     derivs = Derivatives([], 1)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
                                  equation_from_json, equation_to_json,
                                  monomial_of_orders, render_latex,
-                                 render_text, term_numerator)
+                                 render_text)
 from quadguess.errors import EquationFormatError
 from quadguess.exact import falling_weight
 from quadguess.guessing import ansatz, guess, normalize
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
-from util_exact import (rescaled_equation, row_bruteforce,
+from util_exact import (monomial_row, rescaled_equation, row_bruteforce,
                         term_coeff_bruteforce)
 
 
@@ -41,9 +41,11 @@ ZIGZAG_EQ = QuadEquation([
 
 def _term_row(prefix, s, mono, n):
     """Row n of the single term z^s * f^(p) * f^(q) on the prefix, times
-    den**2, through the evaluator; and den**2."""
+    den**2, through the evaluator (the one-term equation's row); and
+    den**2."""
     derivs = Derivatives(*prefix.scaled())
-    return term_numerator(derivs, n - s, mono.p, mono.q), derivs.den ** 2
+    return (QuadEquation([(s, mono, 1)]).row_numerator(derivs, n),
+            derivs.den ** 2)
 
 
 def test_compile_term_quadratic_example():
@@ -119,16 +121,19 @@ def test_compiler_vs_series_oracle():
 
 
 def test_cauchy_symmetry():
-    """Product rows are symmetric in the two derivative orders."""
+    """Product rows are symmetric in the two derivative orders, and the
+    one-term equation's row, read through squares, is that product."""
     rng = random.Random(17)
     derivs = Derivatives([rng.randint(-9, 9) for _ in range(20)], 1)
     for p in range(0, 4):
         for q in range(0, 4):
+            term = QuadEquation([(0, monomial_of_orders(p, q), 1)])
             for m in range(0, 14):
                 if m + max(p, q) >= len(derivs.nums):
                     continue
-                assert term_numerator(derivs, m, p, q) == \
-                    term_numerator(derivs, m, q, p)
+                assert monomial_row(derivs, m, p, q) == \
+                    monomial_row(derivs, m, q, p) == \
+                    term.row_numerator(derivs, m)
 
 
 def test_row_locality():
@@ -149,19 +154,14 @@ def test_row_locality():
             Fraction(*_term_row(altered, s, mono, n))
 
 
-# combination keys ((e, p, c), ...): z-shifts e > 0 and f^(-1) terms too
-_KEYS = st.one_of(
-    st.integers(-1, 3),
-    st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 3),
-                       st.sampled_from([-3, -1, 1, 2, 5])),
-             min_size=1, max_size=4).map(tuple))
 # terms whose denominators force a rescale at random steps
 _STEP_TERMS = st.builds(Fraction, st.integers(-50, 50),
                         st.sampled_from([1, 1, 2, 3, 7, 2 ** 30]))
 _STEPS = st.one_of(
     st.tuples(st.just("put"), st.lists(_STEP_TERMS, min_size=1, max_size=9)),
     st.tuples(st.just("set_last"), _STEP_TERMS),
-    st.tuples(st.just("scale"), st.sampled_from([1, 2, 3, 2 ** 30])))
+    st.tuples(st.just("scale"), st.sampled_from([1, 2, 3, 2 ** 30])),
+    st.tuples(st.just("drop_squares"), st.integers(0, 6)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,15 +178,19 @@ _STEPS = st.one_of(
                 ("set_last", Fraction(5, 2 ** 30)), ("scale", 3)],
          data=None)
 def test_derivatives_store_stays_in_step(nums, den, steps, data):
-    """Sequences read before and between random put / set_last / scale
-    steps equal, entry by entry, those of a fresh Derivatives of the
-    state after each step, as long as the documented rule says, and
-    nums / den are the terms put in; derivs[p] is falling_weight(j, p) *
-    nums[j + p], derivs[-1] is den, 0, 0, ..., as long as nums, and
-    derivs[0] is nums."""
+    """Sequences and square coefficients read before and between random
+    put / set_last / scale / drop_squares steps equal, entry by entry,
+    those of a fresh Derivatives of the state after each step, as long as
+    the documented rule says, and nums / den are the terms put in;
+    derivs[p] is falling_weight(j, p) * nums[j + p], derivs[-1] is den,
+    0, 0, ..., as long as nums, and derivs[0] is nums.  Every kept square
+    coefficient S_j[u] is the schoolbook sum(F[i] * F[u - i]) of
+    F = derivs[j]: after each step the last index of S_0 and S_1 is read,
+    the one that reads the last term, so set_last fixes up a kept one, as
+    extend's placeholder path does."""
     derivs = Derivatives(nums, den)
     terms = [Fraction(x, den) for x in nums]
-    read = [-1, 2, ((1, -1, 2), (0, 1, -1)), ((2, 0, 3), (3, -1, 1))]
+    read, squares = [-1, 2], [(0, 1), (1, 0), (2, 2)]
     for step in [None] + steps:
         if step is not None:
             name, arg = step
@@ -198,150 +202,89 @@ def test_derivatives_store_stays_in_step(nums, den, steps, data):
                 if name == "set_last":
                     terms[-1] = arg
         if data is not None:
-            read += data.draw(st.lists(_KEYS, max_size=3))
+            read += data.draw(st.lists(st.integers(-1, 3), max_size=3))
+            squares += data.draw(st.lists(st.tuples(st.integers(0, 3),
+                                                    st.integers(0, 8)),
+                                          max_size=3))
         for key in read:
             derivs[key]
+        last = [(j, len(derivs[j]) - 1) for j in (0, 1) if derivs[j]]
+        for j, u in squares + last:
+            if u < len(derivs[j]):
+                derivs.square(j, u)
         note(f"nums={derivs.nums} den={derivs.den}")
         assert [Fraction(x, derivs.den) for x in derivs.nums] == terms
         fresh = Derivatives(derivs.nums, derivs.den)
         size = len(derivs.nums)
         for key in read:
-            combo = ((0, key, 1),) if type(key) is int else key
-            top = size - max(max(p, 0) - e for e, p, _ in combo)
             assert derivs[key] == fresh[key], key
-            assert len(fresh[key]) == max(0, top), key
+            assert len(fresh[key]) == max(0, size - max(key, 0)), key
         assert derivs[-1] == ([derivs.den] + [0] * (size - 1))[:size]
         assert derivs[0] is derivs.nums
         for p in range(4):
             assert derivs[p] == [falling_weight(j, p) * derivs.nums[j + p]
                                  for j in range(size - p)]
+        for j, window in derivs._squares.items():
+            f = fresh[j]
+            for u, value in window.items():
+                assert value == sum(f[i] * f[u - i] for i in range(u + 1)), \
+                    (j, u)
 
 
-# (c, r) makes an entry c * den + r: den's size for c != 0, small or 0 else
-_ENTRY_PARTS = st.tuples(st.integers(-50, 50), st.integers(0, 2 ** 64))
-# den bits: 1 000 pairs rows from m = 17 on, 16 400 from m = 1 on
-_PAIRED_DENS = st.sampled_from([1, 6, (1 << 1000) + 1, (1 << 16400) + 7])
-_PRODUCT_KEYS = st.tuples(
-    st.integers(-1, 3).flatmap(lambda q: st.tuples(
-        st.integers(max(q, 0), 3) | _KEYS.filter(lambda k: type(k) is tuple),
-        st.just(q))),
-    st.sampled_from(["up", "down", "shuffled"]))
-
-
-def test_term_numerator_matches_schoolbook(monkeypatch):
-    """term_numerator(derivs, m, p, q) is the schoolbook
-    sum(derivs[p][i] * derivs[q][m - i]) for every row m (0, 1, 2, odd and
-    even) on signed entries with zeros, for order and combination keys p
-    and squares p == q, read upward, downward (backward reads) or shuffled
-    between random put (with new denominators, so scale runs), set_last
-    and scale steps.  Entries of den's size with den of 1 000 or 16 400
-    bits put rows on both sides of the cutoff: the plain and the paired
-    path (the one that reads pair sums) both run."""
-    paired, paths = [], set()
-    pair_sum = Derivatives.pair_sum
-
-    def spy(derivs, key, j, role):
-        paired.append(key)
-        return pair_sum(derivs, key, j, role)
-
-    monkeypatch.setattr(Derivatives, "pair_sum", spy)
-
-    @settings(max_examples=120, deadline=None)
-    @given(den=_PAIRED_DENS,
-           parts=st.lists(_ENTRY_PARTS, min_size=1, max_size=26),
-           steps=st.lists(_STEPS, max_size=3),
-           reads=st.lists(_PRODUCT_KEYS, min_size=1, max_size=3),
-           data=st.data())
-    # a combination read upward and a square read downward, past a rescale
-    # and a replaced last term: rows from m = 17 on are paired
-    @example(den=(1 << 1000) + 1, parts=[(c, 0) for c in range(1, 26)],
-             steps=[("put", [Fraction(1, 3)]), ("set_last", Fraction(-2, 7))],
-             reads=[((((0, 1, 2), (1, 0, -1)), 0), "up"), ((2, 2), "down")],
-             data=None)
-    def run(den, parts, steps, reads, data):
-        derivs = Derivatives([c * den + r for c, r in parts], den)
-        for step in [None] + steps:
-            if step is not None:
-                name, arg = step
-                if name == "put" or derivs.nums:
-                    getattr(derivs, name)(arg)
-            for (p, q), order in reads:
-                g, f = derivs[p], derivs[q]
-                rows = list(range(min(len(g), len(f))))
-                if order == "down":
-                    rows.reverse()
-                elif order == "shuffled":
-                    rows = data.draw(st.permutations(rows))
-                for m in rows:
-                    before = len(paired)
-                    value = term_numerator(derivs, m, p, q)
-                    paths.add("paired" if len(paired) > before else "plain")
-                    assert value == sum(g[i] * f[m - i]
-                                        for i in range(m + 1)), (p, q, m)
-
-    run()
-    assert paths == {"plain", "paired"}
-
-
-# G on f' at z^0 with F = f, and beside it at z^gap either the square
-# (f')^2, which reads no pair sums, or a combination G' with F = f'
-_WINDOW_ROLES = {
-    "one-g": lambda gap: [(0, 1, 0, 3), (gap, 1, 1, 3)],
-    "g-beside-f": lambda gap: [(0, 1, 0, 3), (gap, 2, 1, 1),
+# (s, p, q, c): 3 * y * y' at z^0 and, gap rows away, either 3 * (y')^2
+# alone or y' * y'' beside 2 * z * (y')^2
+_WINDOW_TERMS = {
+    "one-order": lambda gap: [(0, 1, 0, 3), (gap, 1, 1, 3)],
+    "two-orders": lambda gap: [(0, 1, 0, 3), (gap, 2, 1, 1),
                                (gap + 1, 1, 1, 2)],
 }
 
 
 @pytest.mark.parametrize(
-    "gap,roles", [(gap, roles) for roles in _WINDOW_ROLES
+    "gap,terms", [(gap, terms) for terms in _WINDOW_TERMS
                   for gap in (1, 5, 14)],
-    ids=["1", "5", "14", "g-beside-f-1", "g-beside-f-5", "g-beside-f-14"])
-def test_pair_sum_windows_do_not_restart_in_row_order(monkeypatch, gap,
-                                                       roles):
-    """Rows read in order restart each pair-sum chain once, however long
-    the rows: each G chain once (odd j only) and each F = f^(q) chain
-    once per parity, counted per key and role.  A single-term
-    G = c * f^(p) reads order p's own sequence, under the key p, in the
-    role "G": its window is not that of p's F role, so a group whose F is
-    f^(p), z-offset up to 14 rows away, does not evict it.  A single-term
-    group with p == q is a square and reads none."""
+    ids=[f"{terms}-{gap}" for terms in _WINDOW_TERMS for gap in (1, 5, 14)])
+def test_square_windows_do_not_recompute_in_row_order(monkeypatch, gap,
+                                                       terms):
+    """Rows read in order compute each square coefficient they read once,
+    however far apart (up to 15 rows) the z-powers of the terms that read
+    it, and after row n the windows keep no index below n less the plan's
+    largest z-power.  3 * y * y' is (3/2) * (S_0)', and (y')^2 and
+    y' * y'' read S_1 at a = 0 and 1, all cleared by 2."""
     eq = QuadEquation([(s, monomial_of_orders(p, q), c)
-                       for s, p, q, c in _WINDOW_ROLES[roles](gap)])
-    if roles == "one-g":     # the second group is a square
-        assert [g[2] for g in eq.groups] == [((0, 1, 3),)] * 2
-    else:
-        assert [g[2] for g in eq.groups] == [((0, 1, 3),),
-                                             ((1, 1, 2), (0, 2, 1))]
+                       for s, p, q, c in _WINDOW_TERMS[terms](gap)])
+    planned = ({"one-order": [(gap, 0, 1, 6)],
+                "two-orders": [(gap, 1, 1, 1), (gap + 1, 0, 1, 4)]}[terms])
+    assert eq.squares == tuple([(0, 1, 0, 3)] + planned)
+    assert eq.square_shift == 1
+    reach = max(s for s, _, _, _ in eq.squares)
     derivs = Derivatives(*oracle_sequence("zeta-rescaled", 140).scaled())
-    restarts = []
-    pair_sum = Derivatives.pair_sum
+    computed = []
+    compute = Derivatives._square
 
-    def spy(derivs, key, j, role):
-        window = derivs._pairs.get((key, role), {})
-        if j >= 1 and j not in window and j - 2 not in window:
-            restarts.append(((key, role), j))
-        return pair_sum(derivs, key, j, role)
+    def spy(derivs, j, u):
+        computed.append((j, u))
+        return compute(derivs, j, u)
 
-    monkeypatch.setattr(Derivatives, "pair_sum", spy)
+    monkeypatch.setattr(Derivatives, "_square", spy)
     for n in range(len(derivs.nums) - eq.max_shift):
         eq.row_numerator(derivs, n)
-    # G = 3 * f' under 1 with F = f; with g-beside-f also the combination
-    # G' with F = f', under 1 too: one chain per G, two per F
-    chains = {(1, "G"): 1, (0, "F"): 2}
-    if roles == "g-beside-f":
-        chains.update({(((1, 1, 2), (0, 2, 1)), "G"): 1, (1, "F"): 2})
-    assert Counter(key for key, _ in restarts) == chains, restarts
+        assert all(u >= n - reach for window in derivs._squares.values()
+                   for u in window), n
+    assert len(computed) == len(set(computed))
+    assert {j for j, _ in computed} == {0, 1}
 
 
-# (s, p, q, c): few lower orders q, so that products share them; p = q
-# gives squares, q = -1 linear terms and p = q = -1 the constant 1
-_TERMS = st.tuples(st.integers(0, 3), st.integers(-1, 2)).flatmap(
+# (s, p, q, c) with orders up to 5, so that one product reads up to three
+# squares and products share them; p = q gives squares, q = -1 linear
+# terms and p = q = -1 the constant 1
+_TERMS = st.tuples(st.integers(0, 3), st.integers(-1, 3)).flatmap(
     lambda sq: st.tuples(
-        st.just(sq[0]), st.integers(sq[1], 3), st.just(sq[1]),
+        st.just(sq[0]), st.integers(sq[1], 5), st.just(sq[1]),
         st.builds(Fraction, st.sampled_from([-5, -2, -1, 1, 3]),
                   st.integers(1, 3))))
 _VALUES = st.lists(st.builds(Fraction, st.integers(-9, 9),
-                             st.integers(1, 6)), min_size=1, max_size=12)
+                             st.integers(1, 6)), min_size=1, max_size=24)
 
 
 @settings(max_examples=400, deadline=None)
@@ -357,10 +300,18 @@ _VALUES = st.lists(st.builds(Fraction, st.integers(-9, 9),
          values=[Fraction(2, 3), 1, -4])
 # negative max_shift with products: z^3 * f * f' and z^2 * f^2
 @example(terms=[(3, 1, 0, 1), (2, 0, 0, -1)], values=[1, Fraction(1, 2)])
+# y * y'' + y': S_0 at a = 2 and S_1, on its own solution
+@example(terms=[(0, 2, 0, 1), (0, 1, -1, 1)],
+         values=[1, Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8),
+                 Fraction(-7, 96), Fraction(47, 960)])
+# z^2 * y * y^(4): three squares, S_0 at a = 4, S_1 at a = 2 and S_2
+@example(terms=[(2, 4, 0, 1)],
+         values=[2, -1, Fraction(1, 3), 4, Fraction(-5, 2), 1, 7,
+                 Fraction(3, 4), -6, Fraction(1, 5)])
 def test_row_numerator_matches_bruteforce(terms, values):
-    """Grouped rows equal coeff_den * den**2 times the rows of direct
-    series arithmetic, for every row the prefix determines, all read from
-    one Derivatives."""
+    """Rows read through squares equal coeff_den * den**2 times the rows
+    of direct series arithmetic, for every row the prefix determines, all
+    read in order from one Derivatives."""
     try:
         eq = QuadEquation([(s, QuadMonomial(p, q), c)
                            for s, p, q, c in terms])
@@ -374,21 +325,31 @@ def test_row_numerator_matches_bruteforce(terms, values):
             row_bruteforce(eq, values, n) * scale
 
 
-def test_groups_factor_products_by_lower_order():
-    """Terms sharing their lower order q form one group whose series
-    starts at the group's smallest z-power, so rows convolve no leading
-    zeros: zeta-rescaled is y * (-4z*y' - 2y) plus a linear group, and in
-    z*y*y' + z*y' - y the product group starts at z^1."""
-    assert ZETA_EQ.groups == ((-1, 0, ((0, 1, 5), (1, 2, 2))),
-                              (0, 0, ((0, 0, -2), (1, 1, -4))))
-    lambertw = QuadEquation([(1, monomial_of_orders(1, 0), 1),
-                             (1, monomial_of_orders(1, -1), 1),
-                             (0, monomial_of_orders(0, -1), -1)])
-    assert lambertw.groups == ((-1, 0, ((0, 0, -1), (1, 1, 1))),
-                               (0, 1, ((0, 1, 1),)))
-    shifted = QuadEquation([(3, monomial_of_orders(2, 1), Fraction(1, 2)),
-                            (2, monomial_of_orders(1, 1), 3)])
-    assert shifted.groups == ((1, 2, ((0, 1, 6), (1, 2, 1))),)
+def test_square_plans_read_the_fewest_squares():
+    """Each product is planned once as derivatives of squares
+    S_j = (f^(j))**2, merged by (s, a, j) and cleared by one power of two.
+    Zeta-rescaled, -2y^2 - 4z*y*y', is -2 S_0 - 2z (S_0)'; lambertw reads
+    z*y*y' = z (S_0)' / 2; bell-egf, y*y'' - y*y' - (y')^2, reads S_0 and
+    S_1; y*y'' + y' reads S_0 at a = 2 and S_1; z^2 * y * y^(4) reads
+    three squares; and in y*y'' + (y')^2 = (S_0)'' / 2, S_1 cancels."""
+    def plan(*terms):
+        eq = QuadEquation([(s, monomial_of_orders(p, q), c)
+                           for s, p, q, c in terms])
+        return eq.squares, eq.square_shift
+
+    assert plan((1, 2, -1, 2), (0, 1, -1, 5), (1, 1, 0, -4),
+                (0, 0, 0, -2)) == (((0, 0, 0, -2), (1, 1, 0, -2)), 0)
+    assert plan((1, 1, 0, 1), (1, 1, -1, 1), (0, 0, -1, -1)) == \
+        (((1, 1, 0, 1),), 1)
+    assert plan((0, 2, 0, 1), (0, 1, 0, -1), (0, 1, 1, -1)) == \
+        (((0, 0, 1, -4), (0, 1, 0, -1), (0, 2, 0, 1)), 1)
+    assert plan((0, 2, 0, 1), (0, 1, -1, 1)) == \
+        (((0, 0, 1, -2), (0, 2, 0, 1)), 1)
+    assert plan((2, 4, 0, 1)) == \
+        (((2, 0, 2, 2), (2, 2, 1, -4), (2, 4, 0, 1)), 1)
+    assert plan((0, 2, 0, 1), (0, 1, 1, 1)) == (((0, 2, 0, 1),), 1)
+    assert plan((0, 1, -1, 3), (2, -1, -1, 1)) == ((), 0)
+    assert ZETA_EQ.linear == ((0, 1, 5), (1, 2, 2))
 
 
 def test_equation_merges_and_sorts_terms():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from quadguess import exact, guessing
 from quadguess.equations import (Derivatives, QuadEquation,
-                                 monomial_of_orders, render_text,
-                                 term_numerator)
+                                 monomial_of_orders, render_text)
 from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.exact import P, ColumnEchelon
 from quadguess.guessing import (GuessConfig, GuessResult, _packed_orders,
@@ -19,7 +18,7 @@ from quadguess.guessing import (GuessConfig, GuessResult, _packed_orders,
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import (bareiss_nullspace, equation_vector, in_span,
-                        rescaled_equation, rescaled_prefix,
+                        monomial_row, rescaled_equation, rescaled_prefix,
                         term_coeff_bruteforce)
 
 
@@ -30,13 +29,13 @@ def _exact_slots(prefix):
 
 def _exact_system(prefix, d, m, slots=None):
     """(matrix, usable): rows 0 .. usable - 1 of the size-d system on the
-    prefix, entry (mono, i) of row n the term_numerator of mono at row
+    prefix, entry (mono, i) of row n the monomial_row of mono at row
     n - i, read from `slots` (one `_exact_slots(prefix)` reused across d,
     or a fresh one)."""
     slots = _exact_slots(prefix) if slots is None else slots
     columns = ansatz(d, m)
     usable = _usable_rows(len(prefix), d)
-    return [[term_numerator(slots, n - i, mono.p, mono.q)
+    return [[monomial_row(slots, n - i, mono.p, mono.q)
              for mono, i in columns]
             for n in range(usable)], usable
 
@@ -161,7 +160,7 @@ def _slot_cases(draw):
 def test_packed_slot_rows_match_term_numerator(case):
     """Slot k's packed rows mod p, the product of its two orders from one
     `_packed_orders` memo masked to count slots as guess masks them to its
-    usable rows, are its term_numerator rows mod p at every count, in
+    usable rows, are its schoolbook rows mod p at every count, in
     slots as wide as the most rows read need, also at a count below the
     one before it and back up; every slot is below count * p**2 for that
     largest count."""
@@ -176,7 +175,7 @@ def test_packed_slot_rows_match_term_numerator(case):
         values = [rows >> bits * n & (1 << bits) - 1 for n in range(count)]
         assert max(values) < packed * p * p
         assert [x % p for x in values] == [
-            term_numerator(derivs, n, mono.p, mono.q) % p
+            monomial_row(derivs, n, mono.p, mono.q) % p
             for n in range(count)], (count, values)
 
 

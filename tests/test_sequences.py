@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadguess.equations import (Derivatives, QuadEquation, _combination,
+from quadguess.equations import (Derivatives, QuadEquation,
                                  monomial_of_orders)
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
@@ -302,11 +302,12 @@ def test_check_walk_matches_bruteforce(terms, values, grow, perturb):
 
 def _spied_walk(run):
     """run() with the walk's stores checked against fresh ones: every row
-    it reads, and after every put and set_last every kept sequence, equals
-    that of a fresh Derivatives of the store's own state.  Returns run()'s
-    outcome (its value or the QuadGuessError raised) and the rows read,
-    as (n, numerator, den) with den the store's denominator then.  No
-    kept sequence holds f^(-1) = 1: constant terms are read on the fly."""
+    it reads, and after every put and set_last every kept sequence and
+    square coefficient, equals that of a fresh Derivatives of the store's
+    own state.  Returns run()'s outcome (its value or the QuadGuessError
+    raised) and the rows read, as (n, numerator, den) with den the
+    store's denominator then.  No kept sequence holds f^(-1) = 1: constant
+    terms are read on the fly."""
     rows = []
     row_numerator = QuadEquation.row_numerator
 
@@ -319,12 +320,21 @@ def _spied_walk(run):
         rows.append((n, value, derivs.den))
         return value
 
+    depth = []                 # set_last puts in: check the outer step
+
     def in_step(step):
         def spy(derivs, arg):
+            depth.append(step)
             step(derivs, arg)
+            depth.pop()
+            if depth:
+                return
             for key, seq in derivs._seqs.items():
                 assert seq == fresh(derivs)[key], key
-                assert all(p >= 0 for _, p, _ in _combination(key)), key
+                assert key >= 0, key
+            for j, window in derivs._squares.items():
+                for u, value in window.items():
+                    assert value == fresh(derivs).square(j, u), (j, u)
         return spy
 
     with pytest.MonkeyPatch.context() as mp:
@@ -405,51 +415,42 @@ def test_walk_rows_are_whole_prefix_rows(terms, lead, values, grow,
 
 @pytest.mark.parametrize("eq,name,start", [
     (ZETA_EQ, "zeta-rescaled", 1),
-    # its product group reads the newest term, so the placeholder too
+    # its squares read the newest term, so the placeholder too
     (BELL_EQ, "bell-egf", 2)], ids=["zeta-rescaled", "bell-egf"])
-def test_walk_pairs_long_rows(monkeypatch, eq, name, start):
+def test_walk_long_rows_match_fresh_stores(eq, name, start):
     """An oracle extended from its first terms by 80 terms, then checked:
-    denominators reach 400 (bell-egf) to 900 (zeta-rescaled) bits, so
-    later rows take term_numerator's paired path (pair sums read), with
-    rescales, placeholders and set_last between them.  Every row read
-    and every kept sequence equals that of a fresh store (`_spied_walk`),
-    check's rows are the whole prefix's, the terms are the oracle's and
-    check passes."""
-    paired = []
-    pair_sum = Derivatives.pair_sum
-
-    def spy(derivs, key, j, role):
-        paired.append(key)
-        return pair_sum(derivs, key, j, role)
-
-    monkeypatch.setattr(Derivatives, "pair_sum", spy)
+    denominators reach 400 (bell-egf) to 900 (zeta-rescaled) bits, with
+    rescales, placeholders and set_last between the rows.  Every row read
+    and every kept sequence and square coefficient equals that of a fresh
+    store (`_spied_walk`), check's rows are the whole prefix's, the terms
+    are the oracle's and check passes."""
     grown, _ = _spied_walk(
         lambda: extend(eq, oracle_sequence(name, start), 80))
     assert grown == oracle_sequence(name, start + 80)
-    grown_pairs = len(paired)
     report, rows = _spied_walk(lambda: check(eq, grown))
     count = start + 80 - eq.max_shift
     assert report.passed and report.rows_checked == count
     assert [n for n, _, _ in rows] == list(range(count))
     _assert_whole_prefix_rows(eq, rows, grown.values)
-    assert grown_pairs and len(paired) > grown_pairs
 
 
-@pytest.mark.parametrize("eq,name,start,kept", [
-    # the linear group keeps no list; G_0 = -4z*f' - 2f
-    (ZETA_EQ, "zeta-rescaled", 1, {((0, 0, -2), (1, 1, -4))}),
-    # G_0 = f'' - f', and f' for F = f' and the square (f')^2
-    (BELL_EQ, "bell-egf", 2, {((0, 1, -1), (0, 2, 1)), 1}),
-    # G_0 = f' is order 1's own list; the linear group keeps none
-    (LAMBERTW_EQ, "lambertw", 2, {1})],
+_WORKLOAD_EQUATIONS = pytest.mark.parametrize("eq,name,start,kept", [
+    # -2y^2 - 4z*y*y' reads S_0 only; the linear terms keep no list
+    (ZETA_EQ, "zeta-rescaled", 1, set()),
+    # y*y'' - y*y' - (y')^2 reads S_0 and S_1, so f' is kept
+    (BELL_EQ, "bell-egf", 2, {1}),
+    # z*y*y' reads S_0 only
+    (LAMBERTW_EQ, "lambertw", 2, set())],
     ids=["zeta-rescaled", "bell-egf", "lambertw"])
+
+
+@_WORKLOAD_EQUATIONS
 def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
                                                  start, kept):
     """extend by 200 and check of the result keep, besides nums, only
-    the sequences their dot products read: no f^(-1) = 1 and no list for
-    the linear group q = -1, whose row is one entry read on the fly, and
-    a single-term G = c * f^(p) reads order p's own.  Neither reads
-    derivs[-1]; guess's mod-p packing does."""
+    f^(j) for each order j >= 1 their squares read: no f^(-1) = 1 and no
+    list for the linear terms, whose row is one entry each, read on the
+    fly.  Neither reads derivs[-1]; guess's mod-p packing does."""
     stores, keys = [], []
     init, getitem = Derivatives.__init__, Derivatives.__getitem__
 
@@ -468,9 +469,38 @@ def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
     assert len(stores) == 2
     for derivs in stores:
         assert set(derivs._seqs) == {0} | kept
-    assert -1 not in keys and ((0, -1, 1),) not in keys
+        assert set(derivs._squares) == {0} | kept
+    assert -1 not in keys
     guess(oracle_sequence(name, 30))
     assert -1 in keys
+
+
+@_WORKLOAD_EQUATIONS
+def test_walk_computes_each_square_once(monkeypatch, eq, name, start,
+                                        kept):
+    """extend by 200, then check of the result: each walk computes every
+    square coefficient S_j[u] its rows read exactly once, through block
+    rescales and, in extend, the placeholder that set_last fixes up
+    rather than recomputes, and computes no other."""
+    computed = []
+    compute = Derivatives._square
+
+    def spy(derivs, j, u):
+        computed.append((derivs, j, u))
+        return compute(derivs, j, u)
+
+    monkeypatch.setattr(Derivatives, "_square", spy)
+    grown = extend(eq, oracle_sequence(name, start), 200)
+    extended = computed[:]
+    computed.clear()
+    report = check(eq, grown)
+    assert report.passed
+    for calls, rows in ((extended, len(grown) - eq.max_shift),
+                        (computed, report.rows_checked)):
+        assert len({id(derivs) for derivs, _, _ in calls}) == 1
+        read = {(j, n - s + a) for n in range(rows)
+                for s, a, j, _ in eq.squares if n >= s}
+        assert sorted((j, u) for _, j, u in calls) == sorted(read)
 
 
 @settings(max_examples=300, deadline=None)

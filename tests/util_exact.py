@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately naive: truncated power-series arithmetic by direct
-differentiation/convolution, plain Gaussian elimination over Fraction,
+differentiation/convolution, the schoolbook row of one monomial, plain Gaussian elimination over Fraction,
 fraction-free Bareiss elimination over the integers, and a dense linear
 solver.  These stay separate from the code paths they check.
 `rescaled_prefix` and `rescaled_equation` rescale prefixes and
@@ -69,6 +69,17 @@ def term_coeff_bruteforce(a, s, p, q, n):
     if q >= 0:
         assert len(v) > m, "prefix too short for this coefficient"
     return series_product_coeff(u, v, m)
+
+
+def monomial_row(derivs, m, p, q):
+    """The z^m coefficient of f^(p) * f^(q) times den**2 on the sequence
+    derivs.nums / derivs.den, an int: the schoolbook convolution of
+    derivs[p] and derivs[q] (f^(-1) = 1 is den, 0, 0, ...), and 0 for
+    m < 0.  Requires entry m of both to exist."""
+    if m < 0:
+        return 0
+    g, f = derivs[p], derivs[q]
+    return sum(g[i] * f[m - i] for i in range(m + 1))
 
 
 def row_bruteforce(eq, a, n):
