@@ -27,6 +27,7 @@ with p >= q >= -1; p = q = -1 is the constant term.
 """
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -74,7 +75,7 @@ class Derivatives:
     `square(j, u)` is S_j[u], the z^u coefficient of (f^(j))**2: the
     schoolbook square of derivs[j] up to u, each cross product once.  It
     is computed once and kept in a window per j, which `scale` multiplies
-    by factor**2 and `drop_squares` cuts once no row can read it.  Of a
+    by factor**2; `drop_square` drops it once no later row reads it.  Of a
     window only S_j[u] for the last entry u of derivs[j] reads the last
     term, through its cross terms 2 * F[0] * F[u] (F[0]**2 at u = 0):
     `set_last` takes the old ones out and adds the new ones, so the
@@ -88,7 +89,7 @@ class Derivatives:
         self.nums = list(nums)
         self.den = den
         self._seqs = {0: self.nums}     # every kept order -> its sequence
-        self._squares = {}              # j -> {u: S_j[u]}
+        self._squares = defaultdict(dict)   # j -> {u: S_j[u]}
 
     def __getitem__(self, j):
         seq = self._seqs.get(j)
@@ -147,7 +148,7 @@ class Derivatives:
     def square(self, j, u):
         """S_j[u] for j >= 0 (requires len(self[j]) > u), from the window
         of j if kept there, else computed (`_square`) and kept."""
-        window = self._squares.setdefault(j, {})
+        window = self._squares[j]
         value = window.get(u)
         if value is None:
             value = window[u] = self._square(j, u)
@@ -166,23 +167,22 @@ class Derivatives:
         f = self[j]
         return 2 * f[0] * f[u] if u else f[0] * f[0]
 
-    def drop_squares(self, low):
-        """Drop every kept square coefficient of index below low."""
+    def drop_square(self, u):
+        """Drop the kept square coefficient of index u of every order."""
         for window in self._squares.values():
-            for u in [u for u in window if u < low]:
-                del window[u]
+            window.pop(u, None)
 
 
 @cache
 def _square_plan(p, q):
-    """f^(p) * f^(q) for p >= q >= 0 as {(a, j): w}, the sum of w times
-    the a-th derivative of S_j = (f^(j))**2: S_q for p = q, S_q' / 2 for
-    p = q + 1, and (f^(p-1) * f^(q))' - f^(p-1) * f^(q+1) above.  Every
-    key has 2j + a = p + q, and j runs from q to (p + q) // 2."""
+    """2 * f^(p) * f^(q) for p >= q >= 0 as {(a, j): w}, the sum of the
+    ints w times the a-th derivative of S_j = (f^(j))**2: 2 S_q for p = q,
+    S_q' for p = q + 1, and (f^(p-1) * f^(q))' - f^(p-1) * f^(q+1) above.
+    Every key has 2j + a = p + q, and j runs from q to (p + q) // 2."""
     if p == q:
-        return {(0, q): Fraction(1)}
+        return {(0, q): 2}
     if p == q + 1:
-        return {(1, q): Fraction(1, 2)}
+        return {(1, q): 1}
     plan = {(a + 1, j): w for (a, j), w in _square_plan(p - 1, q).items()}
     for key, w in _square_plan(p - 1, q + 1).items():
         plan[key] = plan.get(key, 0) - w
@@ -240,9 +240,10 @@ class QuadEquation:
                 for (a, j), w in _square_plan(mono.p, mono.q).items():
                     plan[s, a, j] = plan.get((s, a, j), 0) + c * w
         keys = sorted(key for key, w in plan.items() if w)
-        weights, two = clear_denominators([plan[key] for key in keys])
-        self.squares = tuple(key + (w,) for key, w in zip(keys, weights))
-        self.square_shift = two.bit_length() - 1
+        even = all(plan[key] % 2 == 0 for key in keys)
+        self.squares = tuple(key + (plan[key] // 2 if even else plan[key],)
+                             for key in keys)
+        self.square_shift = 0 if even else 1
         self._reach = max((s for s, _, _ in keys), default=0)
 
     def __eq__(self, other):
@@ -258,17 +259,21 @@ class QuadEquation:
         """Row n times coeff_den * den**2 on the sequence derivs.nums /
         derivs.den, an int (indices up to n + max_shift must fit): the
         planned squares' sum, divided by 2**square_shift, plus den times
-        the linear terms' entries.  Square coefficients of index below
-        n less the largest z-power of `squares` are dropped, as no later
-        row reads them."""
+        the linear terms' entries.  Row n reads no square coefficient of
+        index below n less the largest z-power of `squares`, so it drops
+        the one just below, which rows read in order (the walk) never read
+        again."""
         square = derivs.square
-        total = sum(c * falling_weight(n - s, a) * square(j, n - s + a)
-                    for s, a, j, c in self.squares
-                    if s <= n) >> self.square_shift
-        derivs.drop_squares(n - self._reach)
-        entry = derivs._entry
-        return total + derivs.den * sum(c * entry(p, n - s)
-                                        for s, p, c in self.linear if s <= n)
+        total = 0
+        for s, a, j, c in self.squares:
+            if s <= n:
+                total += c * falling_weight(n - s, a) * square(j, n - s + a)
+        derivs.drop_square(n - self._reach - 1)
+        linear = 0
+        for s, p, c in self.linear:
+            if s <= n:
+                linear += c * derivs._entry(p, n - s)
+        return (total >> self.square_shift) + derivs.den * linear
 
 
 def equation_to_obj(eq):

@@ -161,7 +161,7 @@ _STEPS = st.one_of(
     st.tuples(st.just("put"), st.lists(_STEP_TERMS, min_size=1, max_size=9)),
     st.tuples(st.just("set_last"), _STEP_TERMS),
     st.tuples(st.just("scale"), st.sampled_from([1, 2, 3, 2 ** 30])),
-    st.tuples(st.just("drop_squares"), st.integers(0, 6)))
+    st.tuples(st.just("drop_square"), st.integers(0, 6)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -179,7 +179,7 @@ _STEPS = st.one_of(
          data=None)
 def test_derivatives_store_stays_in_step(nums, den, steps, data):
     """Sequences and square coefficients read before and between random
-    put / set_last / scale / drop_squares steps equal, entry by entry,
+    put / set_last / scale / drop_square steps equal, entry by entry,
     those of a fresh Derivatives of the state after each step, as long as
     the documented rule says, and nums / den are the terms put in;
     derivs[p] is falling_weight(j, p) * nums[j + p], derivs[-1] is den,
