@@ -2,25 +2,19 @@
 
 A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
 row n is the z^n Taylor coefficient of the equation on a sequence prefix.
-For the prefix scaled to nums / den, `Derivatives` is one store of the
-Taylor coefficients, times den, of the derivatives f^(j), each computed
-once by one rule through `exact.falling_weight`, the one weight
-function, and times den**2 of their squares S_j = (f^(j))**2.
-
-Every product of derivatives is a sum of derivatives of squares:
-f^(q+1) * f^(q) = (S_q)' / 2 and f^(p) * f^(q) = (f^(p-1) * f^(q))' -
-f^(p-1) * f^(q+1), so `QuadEquation` plans its quadratic terms once
-(`_square_plan`) as integral terms (s, a, j, c): row n is the sum of
-c * falling_weight(n - s, a) * S_j[n - s + a], with the plan's
-denominator, a power of two, divided out at the end.  S_j[u] is
-2 * sum(F[i] * F[u - i], i < (u + 1) / 2), plus F[u / 2]**2 for even u,
-for F = f^(j): one half-length dot product per order and index, computed
-once and kept in a window while rows can read it.  Linear and constant
-terms read one entry per row, computed on the fly and kept in no
-sequence.  So a walk never builds f^(-1); only `guessing._packed_orders`,
-which packs whole sequences mod a prime, reads it.  Every entry of f^(j)
-is a ring operation on nums and den, so the same store on nums and den
-reduced mod P gives the orders mod P.
+Every product of derivatives is a sum of derivatives of squares
+S_j = (f^(j))**2: f^(q+1) * f^(q) = (S_q)' / 2 and f^(p) * f^(q) =
+(f^(p-1) * f^(q))' - f^(p-1) * f^(q+1).  So `QuadEquation` plans its
+products once (`_square_plan`) as integral terms (s, a, j, c): row n is
+the sum of c * falling_weight(n - s, a) * S_j[n - s + a], the plan's
+power of two divided out.  For the prefix scaled to nums / den,
+`Derivatives` keeps nums, den and the square coefficients rows read,
+times den**2.  S_j[T - 2j] is the sum over i + k = T of (i)_j (k)_j
+nums[i] nums[k], so the orders of one total index T read the same
+products nums[i] * nums[T - i], made once per walk.  Linear and constant
+terms read one entry of f^(p) per row (`Derivatives.entry`).  Every
+entry is a ring operation on nums and den, so the same store on them
+reduced mod P gives the orders mod P (`guessing._packed_orders`).
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1; p = q = -1 is the constant term.
@@ -30,7 +24,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import lcm
 from operator import mul
 
@@ -63,44 +57,29 @@ def monomial_of_orders(p, q):
 
 
 class Derivatives:
-    """Taylor coefficients, times den, of the derivatives of the sequence
-    nums / den, and times den**2 of their squares, in one store.
-    `derivs[j]` holds those of f^(j): entry u (`_entry`) is
-    falling_weight(u, j) * nums[u + j] for j >= 0, and den at u = 0, 0
-    after, for the constant f^(-1) = 1, for u < len(nums) - max(j, 0).  So
-    derivs[0] is nums.  Each is built on first use, kept once it has an
-    entry, and gains one entry per term `put` in; only its last reads the
-    last term.
+    """The sequence nums / den and, times den**2, the square coefficients
+    rows read.  `entry(j, u)` is entry u of f^(j): falling_weight(u, j) *
+    nums[u + j] for j >= 0, and den at u = 0, 0 after, for f^(-1) = 1;
+    `derivs[j]` lists f^(j) and keeps nothing.  `_squares[j]` maps u to
+    S_j[u], the z^u coefficient of (f^(j))**2, computed by `_square`, kept
+    until `drop_square` and rescaled by `scale`.  Only S_j[t - j], t the
+    last index of nums, reads the last term, through the pair (j, t):
+    `set_last` swaps that pair's part, so extend's placeholder is fixed
+    up, never recomputed."""
 
-    `square(j, u)` is S_j[u], the z^u coefficient of (f^(j))**2: the
-    schoolbook square of derivs[j] up to u, each cross product once.  It
-    is computed once and kept in a window per j, which `scale` multiplies
-    by factor**2; `drop_square` drops it once no later row reads it.  Of a
-    window only S_j[u] for the last entry u of derivs[j] reads the last
-    term, through its cross terms 2 * F[0] * F[u] (F[0]**2 at u = 0):
-    `set_last` takes the old ones out and adds the new ones, so the
-    placeholder extension puts in is fixed up, never recomputed.  `put`,
-    `set_last` and `scale` work on every kept sequence, so a walk keeps
-    only those its squares read; derivs[-1] is for packing mod p only."""
-
-    __slots__ = ("nums", "den", "_seqs", "_squares")
+    __slots__ = ("nums", "den", "_squares")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
-        self._seqs = {0: self.nums}     # every kept order -> its sequence
-        self._squares = defaultdict(dict)   # j -> {u: S_j[u]}
+        self._squares = defaultdict(dict)
 
     def __getitem__(self, j):
-        seq = self._seqs.get(j)
-        if seq is None:
-            seq = [self._entry(j, u)
-                   for u in range(len(self.nums) - max(j, 0))]
-            if seq:
-                self._seqs[j] = seq
-        return seq
+        if j == 0:
+            return self.nums[:]
+        return [self.entry(j, u) for u in range(len(self.nums) - max(j, 0))]
 
-    def _entry(self, j, u):
+    def entry(self, j, u):
         """Entry u of f^(j)'s sequence."""
         if j >= 0:
             return falling_weight(u, j) * self.nums[u + j]
@@ -108,69 +87,85 @@ class Derivatives:
 
     def put(self, terms):
         """Append terms (ints or Fractions) to the sequence, after one
-        rescale to their common denominator, and one entry per term to
-        every kept sequence, each computed once."""
+        rescale to their common denominator."""
         common = lcm(self.den, *(x.denominator for x in terms))
         if common != self.den:
             self.scale(common // self.den)
         self.nums += [x.numerator * (self.den // x.denominator) for x in terms]
-        for j, seq in self._seqs.items():
-            if seq is not self.nums:
-                seq += [self._entry(j, u)
-                        for u in range(len(seq), len(seq) + len(terms))]
 
     def set_last(self, term):
-        """Replace the last term by term: drop the last entry of every kept
-        sequence, nums too, the only one that reads it, and put term.  The
-        one kept square coefficient per order that reads it loses the
-        cross terms of the old entry and gains those of the new."""
-        reads = [(j, window, u) for j, window in self._squares.items()
-                 for u in [len(self[j]) - 1] if u in window]
+        """Replace the last term by term, and its part in the kept square
+        coefficients that read it."""
+        t = len(self.nums) - 1
+        reads = [(j, window, t - j) for j, window in self._squares.items()
+                 if t - j in window]
         for j, window, u in reads:
             window[u] -= self._cross(j, u)
-        for seq in self._seqs.values():
-            seq.pop()
+        self.nums.pop()
         self.put((term,))
         for j, window, u in reads:
             window[u] += self._cross(j, u)
 
     def scale(self, factor):
-        """Multiply den and every kept sequence, nums too, by factor, and
-        every kept square coefficient by factor**2."""
+        """Multiply den and nums by factor, the kept squares by factor**2."""
         self.den *= factor
-        for seq in self._seqs.values():
-            seq[:] = [x * factor for x in seq]
+        self.nums = [x * factor for x in self.nums]
         square = factor * factor
         for window in self._squares.values():
             for u in window:
                 window[u] *= square
 
-    def square(self, j, u):
-        """S_j[u] for j >= 0 (requires len(self[j]) > u), from the window
-        of j if kept there, else computed (`_square`) and kept."""
-        window = self._squares[j]
-        value = window.get(u)
-        if value is None:
-            value = window[u] = self._square(j, u)
-        return value
-
-    def _square(self, j, u):
-        """S_j[u] = 2 * sum(F[i] * F[u - i], i < (u + 1) // 2), plus
-        F[u // 2]**2 for even u, for F = self[j]."""
-        f = self[j]
-        total = 2 * sum(map(mul, f[:(u + 1) // 2], f[u:u // 2:-1]))
-        return total + f[u // 2] ** 2 if u % 2 == 0 else total
+    def _square(self, total, orders):
+        """Keep S_j[total - 2j] for each order j of `orders` (ascending)
+        with 2j <= total: the sum over i + k = total of (i)_j (k)_j nums[i]
+        nums[k].  Each product nums[i] * nums[total - i], i <= total / 2,
+        is made once: streamed into the sum for one order, else put in one
+        list that each order weights (`_pair_weights`)."""
+        nums = self.nums
+        if 2 * orders[-1] > total:
+            orders = [j for j in orders if 2 * j <= total]
+        half = (total + 1) // 2          # pairs (i, total - i) for i < half
+        low = orders[0]
+        products = map(mul, nums[low:half], nums[total - low:total - half:-1])
+        if len(orders) > 1:
+            products = list(products)
+        middle = 0 if total % 2 else nums[half] ** 2
+        for j in orders:
+            if j:
+                weights = _pair_weights(j, total)
+                value = 2 * sum(map(mul, products, weights[low:] if low
+                                    else weights)) + middle * weights[-1]
+            else:
+                value = 2 * sum(products) + middle
+            self._squares[j][total - 2 * j] = value
 
     def _cross(self, j, u):
-        """The part of S_j[u] that reads F[u], F = self[j]: 2 * F[0] * F[u],
-        or F[0]**2 at u = 0."""
-        f = self[j]
-        return 2 * f[0] * f[u] if u else f[0] * f[0]
+        """The part of S_j[u] that reads nums[u + j], the last term:
+        2 * F[0] * F[u] for F = f^(j), or F[0]**2 at u = 0."""
+        first = self.entry(j, 0)
+        return 2 * first * self.entry(j, u) if u else first * first
 
     def drop_square(self, u):
         """Drop the kept square coefficient of index u of every order."""
         for window in self._squares.values():
             window.pop(u, None)
+
+
+_FALLING = {}          # order j -> [(i)_j for i = 0, 1, ...], grown on demand
+
+
+@lru_cache(maxsize=256)
+def _pair_weights(j, total):
+    """(i)_j (total - i)_j for i < total / 2, then ((total / 2)_j)**2 for
+    even total: order j's weights on the products nums[i] * nums[total -
+    i], of the falling factorials (i)_j = falling_weight(i - j, j), 0 for
+    i < j.  Walks repeat their totals, so the latest are kept."""
+    weights = _FALLING.setdefault(j, [])
+    weights += [falling_weight(i - j, j) if i >= j else 0
+                for i in range(len(weights), total + 1)]
+    half = (total + 1) // 2
+    return list(map(mul, weights[:half],
+                    weights[total:total - half:-1])) + [weights[half] ** 2]
 
 
 @cache
@@ -204,10 +199,13 @@ class QuadEquation:
     c * falling_weight(n - s, a) * S_j[n - s + a], and their sum is
     2**square_shift times the products' row.  `max_shift` is the max
     over terms of max(p, 0) - s: row n reads prefix indices up to
-    n + max_shift, and introduces term n + max_shift when extending."""
+    n + max_shift, and introduces term n + max_shift when extending.
+    Row n first reads total index n + h of order j, h the max of a + 2j -
+    s over its terms; orders of one h share products (`_groups`), each
+    reading terms up to n + h - j <= n + max_shift."""
 
     __slots__ = ("terms", "coeff_den", "int_terms", "max_shift", "linear",
-                 "squares", "square_shift", "_reach")
+                 "squares", "square_shift", "_reach", "_groups")
 
     def __init__(self, terms):
         merged = {}
@@ -245,6 +243,13 @@ class QuadEquation:
                              for key in keys)
         self.square_shift = 0 if even else 1
         self._reach = max((s for s, _, _ in keys), default=0)
+        lead, groups = {}, {}
+        for s, a, j in keys:
+            if lead.get(j, -s) <= a + 2 * j - s:
+                lead[j] = a + 2 * j - s
+        for j in sorted(lead):
+            groups.setdefault(lead[j], []).append(j)
+        self._groups = {j: groups[h] for j, h in lead.items()}
 
     def __eq__(self, other):
         return isinstance(other, QuadEquation) and self.terms == other.terms
@@ -261,18 +266,22 @@ class QuadEquation:
         planned squares' sum, divided by 2**square_shift, plus den times
         the linear terms' entries.  Row n reads no square coefficient of
         index below n less the largest z-power of `squares`, so it drops
-        the one just below, which rows read in order (the walk) never read
-        again."""
-        square = derivs.square
+        the one just below, which later rows never read."""
+        windows, groups = derivs._squares, self._groups
         total = 0
         for s, a, j, c in self.squares:
             if s <= n:
-                total += c * falling_weight(n - s, a) * square(j, n - s + a)
+                u = n - s + a
+                value = windows[j].get(u)
+                if value is None:
+                    derivs._square(u + 2 * j, groups[j])
+                    value = windows[j][u]
+                total += c * falling_weight(n - s, a) * value
         derivs.drop_square(n - self._reach - 1)
         linear = 0
         for s, p, c in self.linear:
             if s <= n:
-                linear += c * derivs._entry(p, n - s)
+                linear += c * derivs.entry(p, n - s)
         return (total >> self.square_shift) + derivs.den * linear
 
 

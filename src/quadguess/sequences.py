@@ -5,20 +5,16 @@ generate reference sequences from classical integer triangles.
 (`_walk`), the one exact row loop.  It starts from an empty `Derivatives`
 and puts the given terms in `_BLOCK` at a time, one rescale to a common
 denominator per block rather than per term (each term of an EGF brings a
-new factor).  So it holds the denominator of the terms so far, at most
-`_BLOCK - 1` ahead, never the whole prefix's.  Row n reads terms up to
-n + max_shift and is read through `QuadEquation.row_numerator` as soon
-as that term is in: its products as derivatives of squares, one new
-square coefficient per squared order per row, each a half-length dot
-product in integer numerators, computed once and kept in the store's
-window while later rows read it; a rescale multiplies them.  Every
-rescale and every term put in touches each kept sequence, so the store
-keeps only those the squares read: nums and f^(j) for each squared
-order j >= 1.  Linear terms read one entry per row, computed on the
-fly; the walk never builds f^(-1) = 1, and `_slope` reads its den
-directly.  A row on given terms must vanish; `check` reports the first
-that does not (`Fraction` normalizes the residual).  Extension realizes
-the recurrence as a recursion: each later row introduces the single
+new factor).  Row n reads terms up to n + max_shift and is read through
+`QuadEquation.row_numerator` as soon as that term is in: its products as
+derivatives of squares, each square coefficient computed once, with
+those of the other orders of its total index from one set of products
+of two terms, and kept while later rows read it.  The store keeps only
+nums, den and those coefficients, so a rescale touches nothing else.
+Linear terms and `_slope` read single entries (`Derivatives.entry`).  A
+row on given terms must vanish; `check` reports the first that does not
+(`Fraction` normalizes the residual).  Extension realizes the recurrence
+as a recursion: each later row introduces the single
 unknown a_{n + max_shift}, which it solves."""
 
 from dataclasses import dataclass
@@ -64,7 +60,7 @@ def _slope(eq, derivs, n):
     """Coefficient of nums[t], t = n + max_shift, in eq.row_numerator(derivs,
     n), an int.  Only terms with p - s = max_shift reach index t: at
     convolution index m and, if q = p, at 0 too (NonlinearStepError when
-    also m = 0).  Entry 0 of f^(-1) = 1 is den."""
+    also m = 0)."""
     slope = 0
     for s, mono, coeff in eq.int_terms:
         m = n - s
@@ -74,7 +70,7 @@ def _slope(eq, derivs, n):
         if q == p and m == 0:
             raise NonlinearStepError(n)
         slope += coeff * ((2 if q == p else 1) * falling_weight(m, p)
-                          * (derivs[q][0] if q >= 0 else derivs.den))
+                          * derivs.entry(q, 0))
     return slope
 
 
@@ -86,8 +82,8 @@ def _walk(eq, values, count):
     that does not vanish is returned as (n, residual).  Each later row is
     linear in term t: solved with a placeholder 0 in, the term replaces
     it and joins values.  The one square coefficient per order that read
-    the placeholder, S_j[t - j], then gains its cross term
-    2 * f^(j)[0] * f^(j)[t - j] (`Derivatives.set_last`) and is not
+    the placeholder, S_j[t - j], then gains its part of the pair (j, t),
+    2 (j)_j (t)_j nums[j] nums[t] (`Derivatives.set_last`), and is not
     recomputed.  Returns None when every given row vanishes."""
     shift = eq.max_shift
     known = len(values)

@@ -18,6 +18,7 @@ from quadguess.guessing import ansatz, guess, normalize
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import (monomial_row, rescaled_equation, row_bruteforce,
+                        series_derivative, series_product_coeff,
                         term_coeff_bruteforce)
 
 
@@ -179,18 +180,18 @@ _STEPS = st.one_of(
          data=None)
 def test_derivatives_store_stays_in_step(nums, den, steps, data):
     """Sequences and square coefficients read before and between random
-    put / set_last / scale / drop_square steps equal, entry by entry,
-    those of a fresh Derivatives of the state after each step, as long as
-    the documented rule says, and nums / den are the terms put in;
-    derivs[p] is falling_weight(j, p) * nums[j + p], derivs[-1] is den,
-    0, 0, ..., as long as nums, and derivs[0] is nums.  Every kept square
-    coefficient S_j[u] is the schoolbook sum(F[i] * F[u - i]) of
-    F = derivs[j]: after each step the last index of S_0 and S_1 is read,
-    the one that reads the last term, so set_last fixes up a kept one, as
-    extend's placeholder path does."""
+    put / set_last / scale / drop_square steps follow the documented
+    rules, and nums / den are the terms put in: derivs[p] is
+    falling_weight(j, p) * nums[j + p], derivs[-1] is den, 0, 0, ..., as
+    long as nums, and derivs[0] equals nums but is a copy, as the store
+    keeps no sequence.  Every kept square coefficient S_j[u] is the
+    schoolbook sum(F[i] * F[u - i]) of F = derivs[j]: after each step
+    some totals are filled for groups of orders, and S_0 and S_1 at the
+    last index, the ones that read the last term through the pair (j, t),
+    so set_last fixes up a kept one, as extend's placeholder path does."""
     derivs = Derivatives(nums, den)
     terms = [Fraction(x, den) for x in nums]
-    read, squares = [-1, 2], [(0, 1), (1, 0), (2, 2)]
+    fills = [(3, [0, 1]), (2, [1]), (4, [0, 2])]
     for step in [None] + steps:
         if step is not None:
             name, arg = step
@@ -202,33 +203,120 @@ def test_derivatives_store_stays_in_step(nums, den, steps, data):
                 if name == "set_last":
                     terms[-1] = arg
         if data is not None:
-            read += data.draw(st.lists(st.integers(-1, 3), max_size=3))
-            squares += data.draw(st.lists(st.tuples(st.integers(0, 3),
-                                                    st.integers(0, 8)),
-                                          max_size=3))
-        for key in read:
-            derivs[key]
-        last = [(j, len(derivs[j]) - 1) for j in (0, 1) if derivs[j]]
-        for j, u in squares + last:
-            if u < len(derivs[j]):
-                derivs.square(j, u)
+            fills += data.draw(st.lists(st.tuples(
+                st.integers(0, 10),
+                st.sets(st.integers(0, 3), min_size=1).map(sorted)),
+                max_size=3))
+        t = len(derivs.nums) - 1
+        for total, orders in fills + [(t, [0]), (t + 1, [1])]:
+            ready = [j for j in orders if 2 * j <= total]
+            if ready and all(total - j <= t for j in ready):
+                derivs._square(total, orders)
         note(f"nums={derivs.nums} den={derivs.den}")
         assert [Fraction(x, derivs.den) for x in derivs.nums] == terms
-        fresh = Derivatives(derivs.nums, derivs.den)
         size = len(derivs.nums)
-        for key in read:
-            assert derivs[key] == fresh[key], key
-            assert len(fresh[key]) == max(0, size - max(key, 0)), key
         assert derivs[-1] == ([derivs.den] + [0] * (size - 1))[:size]
-        assert derivs[0] is derivs.nums
+        assert derivs[0] == derivs.nums and derivs[0] is not derivs.nums
         for p in range(4):
             assert derivs[p] == [falling_weight(j, p) * derivs.nums[j + p]
                                  for j in range(size - p)]
+        assert Derivatives.__slots__ == ("nums", "den", "_squares")
         for j, window in derivs._squares.items():
-            f = fresh[j]
+            f = derivs[j]
             for u, value in window.items():
                 assert value == sum(f[i] * f[u - i] for i in range(u + 1)), \
                     (j, u)
+
+
+# product terms (s, p, q, c) of derivative orders up to 4 and z-powers up
+# to 3, so that an equation may read up to five square orders
+_PRODUCT_TERMS = st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(
+    lambda sp: st.tuples(st.just(sp[0]), st.just(sp[1]),
+                         st.integers(0, sp[1]),
+                         st.sampled_from([-3, -1, 1, 2])))
+_WALK_STEPS = st.one_of(
+    st.tuples(st.just("put"), st.lists(_STEP_TERMS, min_size=1, max_size=4)),
+    st.tuples(st.just("extend"), _STEP_TERMS),
+    st.tuples(st.just("set_last"), _STEP_TERMS),
+    st.tuples(st.just("scale"), st.sampled_from([2, 3, 2 ** 30])),
+    st.tuples(st.just("drop_square"), st.integers(0, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_PRODUCT_TERMS, min_size=1, max_size=3),
+       linear=st.booleans(),
+       values=st.lists(_STEP_TERMS, max_size=8),
+       steps=st.lists(_WALK_STEPS, max_size=12))
+# y * y'''' + y': S_0, S_1 and S_2 of one total per row; S_0 reads the
+# placeholder
+@example(terms=[(0, 4, 0, 1)], linear=True,
+         values=[1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)],
+         steps=[("extend", Fraction(-1, 48)), ("extend", Fraction(5, 7)),
+                ("scale", 3), ("extend", 2)])
+# y' * y''' + 2 z y y': S_1 reads the placeholder, at T = t + 1
+@example(terms=[(0, 3, 1, 1), (1, 1, 0, 2)], linear=False,
+         values=[1, Fraction(1, 3), Fraction(-2, 5)],
+         steps=[("extend", Fraction(1, 2 ** 30)), ("extend", 3),
+                ("drop_square", 1), ("extend", Fraction(-4, 7))])
+# (y'')^2 + y'': S_2 reads the placeholder, at T = t + 2
+@example(terms=[(0, 2, 2, 1)], linear=True,
+         values=[2, Fraction(1, 3), Fraction(1, 7)],
+         steps=[("extend", Fraction(2, 3)), ("set_last", 5),
+                ("extend", Fraction(1, 7))])
+def test_square_coefficients_match_schoolbook(terms, linear, values, steps):
+    """A store read by the rows of an equation of up to three square
+    orders, in order as soon as their terms are in, between random put /
+    extend / set_last / scale / drop_square steps: every square
+    coefficient it keeps, times den**-2, is the schoolbook coefficient of
+    (f^(j))**2 on the exact terms (`util_exact`), and it keeps windows of
+    the squared orders only.  An extend step puts a placeholder 0 in,
+    reads the rows it completes and sets the term, as extend does: the
+    coefficients that read the placeholder, of order j through the pair
+    (j, t) at total t + j, are fixed up."""
+    if linear:
+        terms = terms + [(0, 1, -1, 1)]
+    try:
+        eq = QuadEquation([(s, QuadMonomial(p, q), c)
+                           for s, p, q, c in terms])
+    except ValueError:  # every coefficient cancelled
+        assume(False)
+    orders = {j for _, _, j, _ in eq.squares}
+    assume(0 < len(orders) <= 3)
+    derivs = Derivatives([], 1)
+    exact, row = [], 0
+
+    def put(new):
+        nonlocal row
+        derivs.put(new)
+        exact.extend(Fraction(x) for x in new)
+        while row + eq.max_shift < len(exact):
+            eq.row_numerator(derivs, row)
+            row += 1
+
+    def assert_schoolbook():
+        assert [Fraction(x, derivs.den) for x in derivs.nums] == exact
+        assert set(derivs._squares) <= orders
+        for j, window in derivs._squares.items():
+            f = series_derivative(exact, j)
+            for u, value in window.items():
+                assert value == series_product_coeff(f, f, u) \
+                    * derivs.den ** 2, (j, u)
+
+    if values:
+        put(values)
+    for name, arg in steps:
+        if name == "put":
+            put(arg)
+        elif name == "extend":
+            put([0])
+            assert_schoolbook()
+            derivs.set_last(arg)
+            exact[-1] = Fraction(arg)
+        elif exact:
+            getattr(derivs, name)(arg)
+            if name == "set_last":
+                exact[-1] = Fraction(arg)
+        assert_schoolbook()
 
 
 # (s, p, q, c): 3 * y * y' at z^0 and, gap rows away, either 3 * (y')^2
@@ -250,7 +338,11 @@ def test_square_windows_do_not_recompute_in_row_order(monkeypatch, gap,
     however far apart (up to 15 rows) the z-powers of the terms that read
     it, and after row n the windows keep no index below n less the plan's
     largest z-power.  3 * y * y' is (3/2) * (S_0)', and (y')^2 and
-    y' * y'' read S_1 at a = 0 and 1, all cleared by 2."""
+    y' * y'' read S_1 at a = 0 and 1, all cleared by 2.  Orders whose
+    rows first read a total index at the same row, h = a + 2j - s the
+    same at its largest, compute it from one set of products: each pair
+    nums[i] * nums[k] is made once then (3yy' + 3z(y')^2), and at most once
+    per such group otherwise."""
     eq = QuadEquation([(s, monomial_of_orders(p, q), c)
                        for s, p, q, c in _WINDOW_TERMS[terms](gap)])
     planned = ({"one-order": [(gap, 0, 1, 6)],
@@ -258,21 +350,30 @@ def test_square_windows_do_not_recompute_in_row_order(monkeypatch, gap,
     assert eq.squares == tuple([(0, 1, 0, 3)] + planned)
     assert eq.square_shift == 1
     reach = max(s for s, _, _, _ in eq.squares)
+    lead = {j: max(a + 2 * j - s for s, a, k, _ in eq.squares if k == j)
+            for j in (0, 1)}
     derivs = Derivatives(*oracle_sequence("zeta-rescaled", 140).scaled())
-    computed = []
+    fills = []
     compute = Derivatives._square
 
-    def spy(derivs, j, u):
-        computed.append((j, u))
-        return compute(derivs, j, u)
+    def spy(derivs, total, orders):
+        fills.append((total, [j for j in orders if 2 * j <= total]))
+        return compute(derivs, total, orders)
 
     monkeypatch.setattr(Derivatives, "_square", spy)
     for n in range(len(derivs.nums) - eq.max_shift):
         eq.row_numerator(derivs, n)
         assert all(u >= n - reach for window in derivs._squares.values()
                    for u in window), n
+    computed = [(j, total - 2 * j) for total, orders in fills
+                for j in orders]
     assert len(computed) == len(set(computed))
     assert {j for j, _ in computed} == {0, 1}
+    pairs = Counter((i, total - i) for total, orders in fills
+                    for i in range(orders[0], total // 2 + 1))
+    assert max(pairs.values()) <= len(set(lead.values()))
+    if (gap, terms) == (1, "one-order"):
+        assert lead == {0: 1, 1: 1} and max(pairs.values()) == 1
 
 
 # (s, p, q, c) with orders up to 5, so that one product reads up to three

@@ -16,7 +16,7 @@ from quadguess.guessing import GuessConfig, guess, slot
 from quadguess.prefix import SequencePrefix
 from quadguess.sequences import check, extend, oracle_sequence
 from util_exact import (bernoulli_numbers, check_bruteforce,
-                        extend_bruteforce)
+                        extend_bruteforce, monomial_row)
 
 
 def _eq(*terms):
@@ -302,13 +302,14 @@ def test_check_walk_matches_bruteforce(terms, values, grow, perturb):
 
 def _spied_walk(run):
     """run() with the walk's stores checked against fresh ones: every row
-    it reads, and after every put and set_last every kept sequence and
-    square coefficient, equals that of a fresh Derivatives of the store's
-    own state.  Returns run()'s outcome (its value or the QuadGuessError
-    raised) and the rows read, as (n, numerator, den) with den the
-    store's denominator then.  No kept sequence holds f^(-1) = 1: constant
-    terms are read on the fly."""
-    rows = []
+    it reads equals that of a fresh Derivatives of the store's own nums
+    and den, and after every put and set_last nums / den are the exact
+    terms put in so far, and every kept square coefficient S_j[u] is the
+    schoolbook square of a fresh store's f^(j) (`monomial_row`), for
+    orders j >= 0 only.  Returns run()'s outcome (its value or the
+    QuadGuessError raised) and the rows read, as (n, numerator, den) with
+    den the store's denominator then."""
+    rows, terms = [], {}
     row_numerator = QuadEquation.row_numerator
 
     def fresh(derivs):
@@ -329,18 +330,24 @@ def _spied_walk(run):
             depth.pop()
             if depth:
                 return
-            for key, seq in derivs._seqs.items():
-                assert seq == fresh(derivs)[key], key
-                assert key >= 0, key
+            exact = terms.setdefault(id(derivs), [])
+            if step is put:
+                exact += map(Fraction, arg)
+            else:
+                exact[-1] = Fraction(arg)
+            assert [Fraction(x, derivs.den) for x in derivs.nums] == exact
             for j, window in derivs._squares.items():
+                assert j >= 0, j
                 for u, value in window.items():
-                    assert value == fresh(derivs).square(j, u), (j, u)
+                    assert value == monomial_row(fresh(derivs), u, j, j), \
+                        (j, u)
         return spy
 
+    put, set_last = Derivatives.put, Derivatives.set_last
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(QuadEquation, "row_numerator", spy_row)
-        mp.setattr(Derivatives, "put", in_step(Derivatives.put))
-        mp.setattr(Derivatives, "set_last", in_step(Derivatives.set_last))
+        mp.setattr(Derivatives, "put", in_step(put))
+        mp.setattr(Derivatives, "set_last", in_step(set_last))
         try:
             outcome = run()
         except QuadGuessError as exc:
@@ -381,8 +388,9 @@ def test_walk_rows_are_whole_prefix_rows(terms, lead, values, grow,
     far, scaled by (den_N / den_t)**2, is that row of a fresh
     Derivatives(*prefix.scaled()) over den_N.  extend from the same seed
     agrees too: its warm-up rows are the grown prefix's rows, and every
-    grown row is 0 on it.  Throughout, rows and kept sequences equal those
-    of a fresh store of the walk's own state, the placeholder included."""
+    grown row is 0 on it.  Throughout, rows and kept square coefficients
+    equal those of a fresh store of the walk's own state, the placeholder
+    included (`_spied_walk`)."""
     if lead is not None:     # f^(r) at z^0 is slot (r + 1)(r + 2)/2 - 1
         terms = terms + [(0, (lead[0] + 1) * (lead[0] + 2) // 2 + 1, lead[1])]
     try:
@@ -421,9 +429,9 @@ def test_walk_long_rows_match_fresh_stores(eq, name, start):
     """An oracle extended from its first terms by 80 terms, then checked:
     denominators reach 400 (bell-egf) to 900 (zeta-rescaled) bits, with
     rescales, placeholders and set_last between the rows.  Every row read
-    and every kept sequence and square coefficient equals that of a fresh
-    store (`_spied_walk`), check's rows are the whole prefix's, the terms
-    are the oracle's and check passes."""
+    and every kept square coefficient equals that of a fresh store, and
+    nums / den are the terms put in (`_spied_walk`); check's rows are the
+    whole prefix's, the terms are the oracle's and check passes."""
     grown, _ = _spied_walk(
         lambda: extend(eq, oracle_sequence(name, start), 80))
     assert grown == oracle_sequence(name, start + 80)
@@ -437,7 +445,7 @@ def test_walk_long_rows_match_fresh_stores(eq, name, start):
 _WORKLOAD_EQUATIONS = pytest.mark.parametrize("eq,name,start,kept", [
     # -2y^2 - 4z*y*y' reads S_0 only; the linear terms keep no list
     (ZETA_EQ, "zeta-rescaled", 1, set()),
-    # y*y'' - y*y' - (y')^2 reads S_0 and S_1, so f' is kept
+    # y*y'' - y*y' - (y')^2 reads S_0 and S_1, which share products
     (BELL_EQ, "bell-egf", 2, {1}),
     # z*y*y' reads S_0 only
     (LAMBERTW_EQ, "lambertw", 2, set())],
@@ -447,10 +455,12 @@ _WORKLOAD_EQUATIONS = pytest.mark.parametrize("eq,name,start,kept", [
 @_WORKLOAD_EQUATIONS
 def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
                                                  start, kept):
-    """extend by 200 and check of the result keep, besides nums, only
-    f^(j) for each order j >= 1 their squares read: no f^(-1) = 1 and no
-    list for the linear terms, whose row is one entry each, read on the
-    fly.  Neither reads derivs[-1]; guess's mod-p packing does."""
+    """extend by 200 and check of the result keep nums, den and a window
+    of square coefficients for each order j their rows read, 0 and the
+    orders of `kept`, and nothing else: no sequence, neither f^(j) nor
+    f^(-1) = 1 nor a list for the linear terms, whose row is one entry
+    each, read on the fly, as `_slope` reads its entries.  Neither walk
+    lists a sequence (derivs[j]); guess's mod-p packing does."""
     stores, keys = [], []
     init, getitem = Derivatives.__init__, Derivatives.__getitem__
 
@@ -467,10 +477,10 @@ def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
     grown = extend(eq, oracle_sequence(name, start), 200)
     assert check(eq, grown).passed
     assert len(stores) == 2
+    assert Derivatives.__slots__ == ("nums", "den", "_squares")
     for derivs in stores:
-        assert set(derivs._seqs) == {0} | kept
         assert set(derivs._squares) == {0} | kept
-    assert -1 not in keys
+    assert keys == []
     guess(oracle_sequence(name, 30))
     assert -1 in keys
 
@@ -481,26 +491,35 @@ def test_walk_computes_each_square_once(monkeypatch, eq, name, start,
     """extend by 200, then check of the result: each walk computes every
     square coefficient S_j[u] its rows read exactly once, through block
     rescales and, in extend, the placeholder that set_last fixes up
-    rather than recomputes, and computes no other."""
-    computed = []
+    rather than recomputes, and computes no other.  Each product of two
+    terms nums[i] * nums[k] is made at most once per walk: the orders of
+    one total index i + k share them (bell-egf's S_0 and S_1)."""
+    fills = []
     compute = Derivatives._square
 
-    def spy(derivs, j, u):
-        computed.append((derivs, j, u))
-        return compute(derivs, j, u)
+    def spy(derivs, total, orders):
+        fills.append((derivs, total, [j for j in orders if 2 * j <= total]))
+        return compute(derivs, total, orders)
 
     monkeypatch.setattr(Derivatives, "_square", spy)
     grown = extend(eq, oracle_sequence(name, start), 200)
-    extended = computed[:]
-    computed.clear()
+    extended = fills[:]
+    fills.clear()
     report = check(eq, grown)
     assert report.passed
     for calls, rows in ((extended, len(grown) - eq.max_shift),
-                        (computed, report.rows_checked)):
+                        (fills, report.rows_checked)):
         assert len({id(derivs) for derivs, _, _ in calls}) == 1
         read = {(j, n - s + a) for n in range(rows)
                 for s, a, j, _ in eq.squares if n >= s}
-        assert sorted((j, u) for _, j, u in calls) == sorted(read)
+        computed = [(j, total - 2 * j) for _, total, orders in calls
+                    for j in orders]
+        assert sorted(computed) == sorted(read)
+        pairs = [(i, total - i) for _, total, orders in calls
+                 for i in range(orders[0], total // 2 + 1)]
+        assert len(pairs) == len(set(pairs))
+        if kept:
+            assert max(len(orders) for _, _, orders in calls) == 2
 
 
 @settings(max_examples=300, deadline=None)
