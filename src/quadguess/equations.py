@@ -3,11 +3,12 @@
 A QuadEquation is a sum of terms coeff * z^s * f^(p) * f^(q).  Recurrence
 row n is the z^n Taylor coefficient of the equation on a sequence prefix.
 Every product of derivatives is a sum of derivatives of squares
-S_j = (f^(j))**2: f^(q+1) * f^(q) = (S_q)' / 2 and f^(p) * f^(q) =
-(f^(p-1) * f^(q))' - f^(p-1) * f^(q+1).  So `QuadEquation` plans its
-products once (`_square_plan`) as integral terms (s, a, j, c): row n is
-the sum of c * falling_weight(n - s, a) * S_j[n - s + a], the plan's
-power of two divided out.  For the prefix scaled to nums / den,
+S_j = (f^(j))**2, with the Lucas triangle's weights: 2 f^(q) * f^(q) =
+2 S_q and, for r = p - q >= 1, 2 f^(p) * f^(q) = the sum over k <= r / 2
+of (-1)^k r / (r - k) C(r - k, k) (S_{q+k})^(r-2k).  So `QuadEquation`
+plans its products, when a row first reads them, as integral terms
+(s, a, j, c): row n is half the sum of c * falling_weight(n - s, a) *
+S_j[n - s + a].  For the prefix scaled to nums / den,
 `Derivatives` keeps nums, den and the square coefficients rows read,
 times den**2.  S_j[T - 2j] is the sum over i + k = T of (i)_j (k)_j
 nums[i] nums[k], so the orders of one total index T read the same
@@ -24,7 +25,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -168,22 +169,6 @@ def _pair_weights(j, total):
                     weights[total:total - half:-1])) + [weights[half] ** 2]
 
 
-@cache
-def _square_plan(p, q):
-    """2 * f^(p) * f^(q) for p >= q >= 0 as {(a, j): w}, the sum of the
-    ints w times the a-th derivative of S_j = (f^(j))**2: 2 S_q for p = q,
-    S_q' for p = q + 1, and (f^(p-1) * f^(q))' - f^(p-1) * f^(q+1) above.
-    Every key has 2j + a = p + q, and j runs from q to (p + q) // 2."""
-    if p == q:
-        return {(0, q): 2}
-    if p == q + 1:
-        return {(1, q): 1}
-    plan = {(a + 1, j): w for (a, j), w in _square_plan(p - 1, q).items()}
-    for key, w in _square_plan(p - 1, q + 1).items():
-        plan[key] = plan.get(key, 0) - w
-    return plan
-
-
 class QuadEquation:
     """Sum of terms coeff * z^s * f^(p) * f^(q), coefficients exact and
     nonzero, terms sorted by (p, q, z-power).  Terms are given as
@@ -193,19 +178,19 @@ class QuadEquation:
     `coeff_den` is the lcm of the coefficients' denominators, and
     `int_terms` holds the terms with their coefficients times it, as ints.
     `linear` holds the int terms (s, p, c) with q = -1, p = -1 the
-    constant.  `squares` plans the other int terms once, as sums of
-    derivatives of squares (`_square_plan`), merged by (s, a, j): terms
-    (s, a, j, c) with ints c, sorted, each of row n
-    c * falling_weight(n - s, a) * S_j[n - s + a], and their sum is
-    2**square_shift times the products' row.  `max_shift` is the max
-    over terms of max(p, 0) - s: row n reads prefix indices up to
-    n + max_shift, and introduces term n + max_shift when extending.
-    Row n first reads total index n + h of order j, h the max of a + 2j -
-    s over its terms; orders of one h share products (`_groups`), each
+    constant.  `squares` plans the other int terms, doubled, as sums of
+    derivatives of squares, merged by (s, a, j): terms (s, a, j, c) with
+    ints c, sorted, each of row n c * falling_weight(n - s, a) *
+    S_j[n - s + a], and their sum is twice the products' row.  The plan
+    is built when first read, so a call that reads no row plans nothing.
+    `max_shift` is the max over terms of max(p, 0) - s: row n reads prefix
+    indices up to n + max_shift, and introduces term n + max_shift when
+    extending.  Row n first reads total index n + h of order j, h the max
+    of a + 2j - s over its terms; orders of one h share products, each
     reading terms up to n + h - j <= n + max_shift."""
 
     __slots__ = ("terms", "coeff_den", "int_terms", "max_shift", "linear",
-                 "squares", "square_shift", "_reach", "_groups")
+                 "_squares", "_reach", "_groups")
 
     def __init__(self, terms):
         merged = {}
@@ -232,24 +217,36 @@ class QuadEquation:
                                for (s, mono, _), c in zip(cleaned, ints))
         self.linear = tuple((s, mono.p, c) for s, mono, c in self.int_terms
                             if mono.q == -1)
-        plan = {}
-        for s, mono, c in self.int_terms:
-            if mono.q >= 0:
-                for (a, j), w in _square_plan(mono.p, mono.q).items():
-                    plan[s, a, j] = plan.get((s, a, j), 0) + c * w
-        keys = sorted(key for key, w in plan.items() if w)
-        even = all(plan[key] % 2 == 0 for key in keys)
-        self.squares = tuple(key + (plan[key] // 2 if even else plan[key],)
-                             for key in keys)
-        self.square_shift = 0 if even else 1
-        self._reach = max((s for s, _, _ in keys), default=0)
-        lead, groups = {}, {}
-        for s, a, j in keys:
-            if lead.get(j, -s) <= a + 2 * j - s:
-                lead[j] = a + 2 * j - s
-        for j in sorted(lead):
-            groups.setdefault(lead[j], []).append(j)
-        self._groups = {j: groups[h] for j, h in lead.items()}
+        self._squares = None
+
+    @property
+    def squares(self):
+        """The plan, built on the first read with `_reach`, its largest
+        z-power, and `_groups`, each order's orders of one h.  Weight k of
+        the Lucas triangle's row r is weight k - 1 times -(a + 2)(a + 1) /
+        (k (r - k)), a = r - 2k, an exact division also times c."""
+        if self._squares is None:
+            plan = defaultdict(int)
+            for s, mono, c in self.int_terms:
+                p, q = mono.p, mono.q
+                if q < 0:
+                    continue
+                r, w = p - q, c if p > q else 2 * c
+                for k, a in enumerate(range(r, -1, -2)):
+                    if k:
+                        w = -w * (a + 2) * (a + 1) // (k * (r - k))
+                    plan[s, a, q + k] += w
+            keys = sorted(key for key, w in plan.items() if w)
+            lead, groups = {}, {}
+            for s, a, j in keys:
+                if lead.get(j, -s) <= a + 2 * j - s:
+                    lead[j] = a + 2 * j - s
+            for j in sorted(lead):
+                groups.setdefault(lead[j], []).append(j)
+            self._groups = {j: groups[h] for j, h in lead.items()}
+            self._reach = max((s for s, _, _ in keys), default=0)
+            self._squares = tuple(key + (plan[key],) for key in keys)
+        return self._squares
 
     def __eq__(self, other):
         return isinstance(other, QuadEquation) and self.terms == other.terms
@@ -262,14 +259,14 @@ class QuadEquation:
 
     def row_numerator(self, derivs, n):
         """Row n times coeff_den * den**2 on the sequence derivs.nums /
-        derivs.den, an int (indices up to n + max_shift must fit): the
-        planned squares' sum, divided by 2**square_shift, plus den times
-        the linear terms' entries.  Row n reads no square coefficient of
-        index below n less the largest z-power of `squares`, so it drops
-        the one just below, which later rows never read."""
-        windows, groups = derivs._squares, self._groups
+        derivs.den, an int (indices up to n + max_shift must fit): half the
+        planned squares' sum plus den times the linear terms' entries.  Row
+        n reads no square coefficient of index below n less the largest
+        z-power of `squares`, so it drops the one just below, which later
+        rows never read."""
+        squares, windows, groups = self.squares, derivs._squares, self._groups
         total = 0
-        for s, a, j, c in self.squares:
+        for s, a, j, c in squares:
             if s <= n:
                 u = n - s + a
                 value = windows[j].get(u)
@@ -282,7 +279,7 @@ class QuadEquation:
         for s, p, c in self.linear:
             if s <= n:
                 linear += c * derivs.entry(p, n - s)
-        return (total >> self.square_shift) + derivs.den * linear
+        return (total >> 1) + derivs.den * linear
 
 
 def equation_to_obj(eq):

@@ -16,7 +16,8 @@ from quadguess.errors import DegenerateInputError, InsufficientTermsError
 from quadguess.guessing import GuessConfig, ansatz, guess, normalize, slot
 from quadguess.prefix import SequencePrefix, dump_prefix
 from quadguess.sequences import check, extend, oracle_sequence
-from util_exact import equation_vector, in_span, term_coeff_bruteforce
+from util_exact import (bernoulli_numbers, equation_vector, in_span,
+                        term_coeff_bruteforce)
 
 
 def _eq(*terms):
@@ -31,6 +32,11 @@ EULER_EQ = _eq((0, 2, 0, 1), (0, 1, 1, -2), (0, 0, 0, 1))
 BELL_EQ = _eq((0, 2, 0, 1), (0, 1, 0, -1), (0, 1, 1, -1))
 LAMBERTW_EQ = _eq((1, 1, -1, 1), (1, 1, 0, 1), (0, 0, -1, -1))
 EXP_EQ = _eq((0, 1, -1, 1), (0, 0, -1, -1))
+FUBINI_EQ = _eq((0, 1, -1, 1), (0, 0, 0, -2), (0, 0, -1, 1))
+GENOCCHI_EQ = _eq((1, 1, -1, 2), (0, 0, 0, -1), (1, 0, -1, 2),
+                  (0, 0, -1, -2))
+SPRINGER_EQ = _eq((0, 2, 0, 1), (0, 1, 1, -2), (0, 0, 0, -1))
+LOG_RECIPROCAL_EQ = _eq((1, 1, -1, 1), (0, 1, -1, 1), (0, 0, 0, -1))
 
 
 def _basis_spans(result, target):
@@ -235,6 +241,58 @@ def _qualifying(make, count):
     return None
 
 
+# Sequences whose generating functions are not D-finite, so that holonomic
+# guessing cannot find them, each from a classical formula.  The first
+# three have infinitely many poles; 1 / (1 - log(1 + z)) is not D-finite
+# by Harris & Sibuya (Adv. Math. 1985), as f'/f is not algebraic for
+# f = 1 - log(1 + z).
+
+
+def _fubini(count):
+    """Fubini numbers over n!, the sum over k of k! S(n, k), S(n, k) the
+    Stirling numbers of the second kind (EGF 1 / (2 - e^z))."""
+    values, stirling = [], [1]        # S(n, k) for k = 0 .. n
+    for n in range(count):
+        values.append(Fraction(sum(factorial(k) * x
+                                   for k, x in enumerate(stirling)),
+                               factorial(n)))
+        stirling = [0] + [k * stirling[k] + stirling[k - 1]
+                          for k in range(1, n + 1)] + [1]
+    return SequencePrefix(values)
+
+
+def _genocchi(count):
+    """Genocchi numbers over n!, 2 (1 - 2^n) B_n (EGF 2z / (e^z + 1))."""
+    return SequencePrefix([2 * (1 - 2 ** n) * b / factorial(n)
+                           for n, b in enumerate(bernoulli_numbers(count))])
+
+
+def _reciprocal(series):
+    """The Taylor coefficients of 1 / g, series those of g, g(0) != 0."""
+    out = []
+    for n in range(len(series)):
+        out.append((int(n == 0) - sum(series[k] * out[n - k]
+                                      for k in range(1, n + 1))) / series[0])
+    return SequencePrefix(out)
+
+
+def _springer(count):
+    """Springer numbers over n!: 1 / (cos z - sin z)."""
+    return _reciprocal([Fraction((-1) ** ((n + 1) // 2), factorial(n))
+                        for n in range(count)])
+
+
+def _log_reciprocal(count):
+    """1 / (1 - log(1 + z)), where -log(1 + z) has coefficients
+    (-1)^n / n."""
+    return _reciprocal([Fraction(1)] + [Fraction((-1) ** n, n)
+                                        for n in range(1, count)])
+
+
+_NOT_D_FINITE = {"fubini": _fubini, "genocchi": _genocchi,
+                 "springer": _springer, "log-reciprocal": _log_reciprocal}
+
+
 # Terms needed under the default config: per oracle, the fewest terms N
 # that qualify (`_qualifying`), and there d, the basis size and the known
 # equation, which is in the basis.  A change may lower an N; raising one
@@ -247,17 +305,21 @@ TERMS_NEEDED = {
     "lambertw": (15, 3, 2, LAMBERTW_EQ),
     "zeta-rescaled": (22, 5, 2, ZETA_EQ),
     "zigzag-egf": (22, 5, 3, ZIGZAG_EQ),
+    "fubini": (15, 3, 3, FUBINI_EQ),
+    "genocchi": (15, 3, 2, GENOCCHI_EQ),
+    "springer": (25, 6, 3, SPRINGER_EQ),
+    "log-reciprocal": (15, 3, 2, LOG_RECIPROCAL_EQ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TERMS_NEEDED))
 def test_terms_needed_table(name):
-    """No prefix of the oracle shorter than its table N qualifies, N
+    """No prefix of the sequence shorter than its table N qualifies, N
     does, and there guess has the table's d and basis size, and the known
     equation is in the basis."""
     count, d, size, known = TERMS_NEEDED[name]
-    results = [_qualifying(partial(oracle_sequence, name), n)
-               for n in range(1, count + 1)]
+    make = _NOT_D_FINITE.get(name) or partial(oracle_sequence, name)
+    results = [_qualifying(make, n) for n in range(1, count + 1)]
     assert results[:-1] == [None] * (count - 1)
     result = results[-1]
     assert result is not None

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import factorial
 from pathlib import Path
 
@@ -269,6 +270,69 @@ def test_equation_file_with_p_below_q_is_usage_error(tmp_path_factory, q,
     for command in (["check"], ["extend", "--count", "2"]):
         assert main([*command, "--equation", str(path),
                      "--input", str(seq)]) == 2
+
+
+def _timed_main(argv):
+    """main's exit code on argv and its time in seconds."""
+    start = time.perf_counter()
+    code = main(argv)
+    return code, time.perf_counter() - start
+
+
+def test_far_order_gap_on_two_terms_exits_3_at_once(tmp_path, capsys):
+    """f^(10^6) * f + y' on two terms: check reads no row, so it reports
+    vacuous, and extend has too few terms; both exit 3 within 1 s, as
+    neither plans the product's 500 001 squares."""
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps({"terms": [
+        {"s": 0, "p": 10 ** 6, "q": 0, "c": "1"},
+        {"s": 0, "p": 1, "q": -1, "c": "1"}]}))
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n1\n")
+    code, seconds = _timed_main(["check", "--equation", str(path), "--input",
+                                 str(seq), "--format", "json"])
+    assert (code, json.loads(capsys.readouterr().out)) == \
+        (3, {"passed": True, "rows_checked": 0, "vacuous": True})
+    assert seconds < 1
+    code, seconds = _timed_main(["extend", "--equation", str(path),
+                                 "--input", str(seq), "--count", "5"])
+    assert code == 3 and seconds < 1
+    assert capsys.readouterr().err == ("error: extension needs at least "
+                                       "1000000 initial terms, got 2\n")
+
+
+# an equation file term {"s", "p", "q", "c"} with orders and z-power up
+# to 3000: q = -1 makes it linear, and p = q = -1 the constant
+_FILE_TERMS = st.integers(-1, 3000).flatmap(lambda q: st.fixed_dictionaries({
+    "s": st.integers(0, 3000), "p": st.integers(q, 3000), "q": st.just(q),
+    "c": st.sampled_from(["1", "-2", "3/5", "-7/4"])}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(_FILE_TERMS, min_size=1, max_size=3),
+       values=st.lists(st.sampled_from(["0", "1", "-1", "2", "1/3", "-5/2"]),
+                       min_size=1, max_size=40),
+       count=st.integers(0, 5))
+@example(terms=[{"s": 0, "p": 1500, "q": 0, "c": "1"},
+                {"s": 0, "p": 1, "q": -1, "c": "1"}], values=["1", "1"],
+         count=5)
+@example(terms=[{"s": 2990, "p": 3000, "q": 0, "c": "1"},
+                {"s": 0, "p": 1, "q": -1, "c": "-2"}], values=["1"] * 40,
+         count=5)
+def test_generated_equation_files_exit_with_a_code(tmp_path_factory, terms,
+                                                   values, count):
+    """Check and extend of any equation file with orders and z-powers up
+    to 3000, on 1 to 40 terms, exit 0, 1, 2 or 3 with no exception, each
+    within 2 s: a product's plan costs O(p - q) ints and is built only
+    when a row reads it."""
+    path = tmp_path_factory.mktemp("eq") / "eq.json"
+    path.write_text(json.dumps({"terms": terms}))
+    seq = path.parent / "seq.txt"
+    seq.write_text("\n".join(values) + "\n")
+    for command in (["check"], ["extend", "--count", str(count)]):
+        code, seconds = _timed_main([*command, "--equation", str(path),
+                                     "--input", str(seq)])
+        assert code in (0, 1, 2, 3) and seconds < 2, (command, seconds)
 
 
 def test_commented_line_file_guesses_like_the_plain_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from quadguess.prefix import SequencePrefix
 from quadguess.sequences import ORACLES, check, oracle_sequence
 from util_exact import (monomial_row, rescaled_equation, row_bruteforce,
                         series_derivative, series_product_coeff,
-                        term_coeff_bruteforce)
+                        square_plan, term_coeff_bruteforce)
 
 
 def _random_prefix(rng, length):
@@ -338,7 +338,7 @@ def test_square_windows_do_not_recompute_in_row_order(monkeypatch, gap,
     however far apart (up to 15 rows) the z-powers of the terms that read
     it, and after row n the windows keep no index below n less the plan's
     largest z-power.  3 * y * y' is (3/2) * (S_0)', and (y')^2 and
-    y' * y'' read S_1 at a = 0 and 1, all cleared by 2.  Orders whose
+    y' * y'' read S_1 at a = 0 and 1, all planned doubled.  Orders whose
     rows first read a total index at the same row, h = a + 2j - s the
     same at its largest, compute it from one set of products: each pair
     nums[i] * nums[k] is made once then (3yy' + 3z(y')^2), and at most once
@@ -348,7 +348,6 @@ def test_square_windows_do_not_recompute_in_row_order(monkeypatch, gap,
     planned = ({"one-order": [(gap, 0, 1, 6)],
                 "two-orders": [(gap, 1, 1, 1), (gap + 1, 0, 1, 4)]}[terms])
     assert eq.squares == tuple([(0, 1, 0, 3)] + planned)
-    assert eq.square_shift == 1
     reach = max(s for s, _, _, _ in eq.squares)
     lead = {j: max(a + 2 * j - s for s, a, k, _ in eq.squares if k == j)
             for j in (0, 1)}
@@ -427,30 +426,53 @@ def test_row_numerator_matches_bruteforce(terms, values):
 
 
 def test_square_plans_read_the_fewest_squares():
-    """Each product is planned once as derivatives of squares
-    S_j = (f^(j))**2, merged by (s, a, j) and cleared by one power of two.
-    Zeta-rescaled, -2y^2 - 4z*y*y', is -2 S_0 - 2z (S_0)'; lambertw reads
-    z*y*y' = z (S_0)' / 2; bell-egf, y*y'' - y*y' - (y')^2, reads S_0 and
-    S_1; y*y'' + y' reads S_0 at a = 2 and S_1; z^2 * y * y^(4) reads
-    three squares; and in y*y'' + (y')^2 = (S_0)'' / 2, S_1 cancels."""
+    """Each product is planned once, doubled, as derivatives of squares
+    S_j = (f^(j))**2, merged by (s, a, j).  Zeta-rescaled, -2y^2 - 4z*y*y',
+    is -2 S_0 - 2z (S_0)'; lambertw reads z*y*y' = z (S_0)' / 2; bell-egf,
+    y*y'' - y*y' - (y')^2, reads S_0 and S_1; y*y'' + y' reads S_0 at
+    a = 2 and S_1; z^2 * y * y^(4) reads three squares; and in
+    y*y'' + (y')^2 = (S_0)'' / 2, S_1 cancels."""
     def plan(*terms):
-        eq = QuadEquation([(s, monomial_of_orders(p, q), c)
-                           for s, p, q, c in terms])
-        return eq.squares, eq.square_shift
+        return QuadEquation([(s, monomial_of_orders(p, q), c)
+                             for s, p, q, c in terms]).squares
 
     assert plan((1, 2, -1, 2), (0, 1, -1, 5), (1, 1, 0, -4),
-                (0, 0, 0, -2)) == (((0, 0, 0, -2), (1, 1, 0, -2)), 0)
+                (0, 0, 0, -2)) == ((0, 0, 0, -4), (1, 1, 0, -4))
     assert plan((1, 1, 0, 1), (1, 1, -1, 1), (0, 0, -1, -1)) == \
-        (((1, 1, 0, 1),), 1)
+        ((1, 1, 0, 1),)
     assert plan((0, 2, 0, 1), (0, 1, 0, -1), (0, 1, 1, -1)) == \
-        (((0, 0, 1, -4), (0, 1, 0, -1), (0, 2, 0, 1)), 1)
+        ((0, 0, 1, -4), (0, 1, 0, -1), (0, 2, 0, 1))
     assert plan((0, 2, 0, 1), (0, 1, -1, 1)) == \
-        (((0, 0, 1, -2), (0, 2, 0, 1)), 1)
+        ((0, 0, 1, -2), (0, 2, 0, 1))
     assert plan((2, 4, 0, 1)) == \
-        (((2, 0, 2, 2), (2, 2, 1, -4), (2, 4, 0, 1)), 1)
-    assert plan((0, 2, 0, 1), (0, 1, 1, 1)) == (((0, 2, 0, 1),), 1)
-    assert plan((0, 1, -1, 3), (2, -1, -1, 1)) == ((), 0)
+        ((2, 0, 2, 2), (2, 2, 1, -4), (2, 4, 0, 1))
+    assert plan((0, 2, 0, 1), (0, 1, 1, 1)) == ((0, 2, 0, 1),)
+    assert plan((0, 1, -1, 3), (2, -1, -1, 1)) == ()
     assert ZETA_EQ.linear == ((0, 1, 5), (1, 2, 2))
+
+
+def test_square_plans_match_the_product_rule():
+    """The closed form (the Lucas triangle) plans each product f^(p) *
+    f^(q), 0 <= q <= p < 90, as the product rule's recursion does."""
+    memo = {}
+    for p in range(90):
+        for q in range(p + 1):
+            eq = QuadEquation([(0, QuadMonomial(p, q), 1)])
+            assert {(a, j): w for _, a, j, w in eq.squares} == \
+                square_plan(p, q, memo), (p, q)
+
+
+@pytest.mark.parametrize("c", [1, -3])
+def test_square_plans_hold_on_exp(c):
+    """On f = e^z every (S_j)^(a) is 2^a e^(2z) and 2 f^(p) * f^(q) is
+    2 e^(2z), so the plan of c * f^(q+r) * f^(q), doubled, has the sum of
+    w * 2^a equal to 2c: each weight is exact, up to r = 5000."""
+    for r in [*range(60), 90, 1500, 5000]:
+        for q in (0, 7):
+            squares = QuadEquation([(0, QuadMonomial(q + r, q), c)]).squares
+            assert sum(w << a for _, a, _, w in squares) == 2 * c, (r, q)
+            assert [(a, j) for _, a, j, _ in squares] == \
+                sorted((r - 2 * k, q + k) for k in range(r // 2 + 1))
 
 
 def test_equation_merges_and_sorts_terms():

@@ -1,7 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately naive: truncated power-series arithmetic by direct
-differentiation/convolution, the schoolbook row of one monomial, plain Gaussian elimination over Fraction,
+differentiation/convolution, the schoolbook row of one monomial, the
+recursive plan of a product as derivatives of squares, plain Gaussian
+elimination over Fraction,
 fraction-free Bareiss elimination over the integers, and a dense linear
 solver.  These stay separate from the code paths they check.
 `rescaled_prefix` and `rescaled_equation` rescale prefixes and
@@ -80,6 +82,24 @@ def monomial_row(derivs, m, p, q):
         return 0
     g, f = derivs[p], derivs[q]
     return sum(g[i] * f[m - i] for i in range(m + 1))
+
+
+def square_plan(p, q, memo):
+    """2 * f^(p) * f^(q) for p >= q >= 0 as {(a, j): w}, the ints w times
+    the a-th derivative of S_j = (f^(j))**2, by the product rule alone:
+    2 S_q for p = q, S_q' for p = q + 1, and (f^(p-1) * f^(q))' -
+    f^(p-1) * f^(q+1) above.  Each level branches twice, so the plans made
+    so far are kept in the dict memo, keyed by (p, q)."""
+    if (p, q) not in memo:
+        if p - q < 2:
+            plan = {(0, q): 2} if p == q else {(1, q): 1}
+        else:
+            plan = {(a + 1, j): w
+                    for (a, j), w in square_plan(p - 1, q, memo).items()}
+            for key, w in square_plan(p - 1, q + 1, memo).items():
+                plan[key] = plan.get(key, 0) - w
+        memo[p, q] = {key: w for key, w in plan.items() if w}
+    return memo[p, q]
 
 
 def row_bruteforce(eq, a, n):
