@@ -9,8 +9,12 @@ new factor).  Row n reads terms up to n + max_shift and is read through
 `QuadEquation.row_numerator` as soon as that term is in: its products as
 derivatives of squares, each square coefficient computed once, with
 those of the other orders of its total index from one set of products
-of two terms, and kept while later rows read it.  The store keeps only
-nums, den and those coefficients, so a rescale touches nothing else.
+of two terms, and kept while later rows read it.  An order alone in its
+group may fill long walks from 8-term chunks of its f^(j) instead, each
+chunk evaluated once at 15 points, block by block at each block's own
+denominator; the store picks that path from its input, and no chunk
+reads the newest term.  The store keeps nums, den, those coefficients
+and the chunk values, which take the rescale factors when next read.
 Linear terms and `_slope` read single entries (`Derivatives.entry`).  A
 row on given terms must vanish; `check` reports the first that does not
 (`Fraction` normalizes the residual).  Extension realizes the recurrence
@@ -45,8 +49,9 @@ class CheckReport:
 
 
 def check(eq, prefix):
-    """Evaluate every fully determined row (n = 0 .. N - max_shift) of the
-    equation on the prefix; pass iff all vanish exactly."""
+    """Evaluate every fully determined row (n = 0 .. N - max_shift - 1,
+    N the prefix's length) of the equation on the prefix; pass iff all
+    vanish exactly."""
     failure = _walk(eq, prefix.values, 0)
     if failure is not None:
         n, residual = failure

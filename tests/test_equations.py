@@ -3,11 +3,13 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import factorial, inf
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, note, settings
 from hypothesis import strategies as st
 
+from quadguess import equations
 from quadguess.equations import (Derivatives, QuadEquation, QuadMonomial,
                                  equation_from_json, equation_to_json,
                                  monomial_of_orders, render_latex,
@@ -220,7 +222,7 @@ def test_derivatives_store_stays_in_step(nums, den, steps, data):
         for p in range(4):
             assert derivs[p] == [falling_weight(j, p) * derivs.nums[j + p]
                                  for j in range(size - p)]
-        assert Derivatives.__slots__ == ("nums", "den", "_squares")
+        assert Derivatives.__slots__ == ("nums", "den", "_squares", "_chunks")
         for j, window in derivs._squares.items():
             f = derivs[j]
             for u, value in window.items():
@@ -317,6 +319,148 @@ def test_square_coefficients_match_schoolbook(terms, linear, values, steps):
             if name == "set_last":
                 exact[-1] = Fraction(arg)
         assert_schoolbook()
+
+
+def test_chunk_interpolation_inverts_the_vandermonde():
+    """The chunk products' integer matrix M and denominator D = 14!
+    satisfy M V = D I for the Vandermonde matrix V of the 15 points 0,
+    +-1 .. +-7, at which `evaluate` has the rows (x**r for r < 8); the
+    folded rows are M's on P(0) and P(x) + P(-x) for even r, on P(x) -
+    P(-x) for odd r, as M's column of -x is (-1)**r times that of x."""
+    evaluate, matrix, folded, scale = equations._toom()
+    points = [row[1] for row in evaluate]
+    assert sorted(points) == list(range(-7, 8)) and scale == factorial(14)
+    assert evaluate == [[x ** r for r in range(8)] for x in points]
+    vandermonde = [[x ** c for c in range(15)] for x in points]
+    assert [[sum(m * row[c] for m, row in zip(weights, vandermonde))
+             for c in range(15)] for weights in matrix] == \
+        [[scale * (r == c) for c in range(15)] for r in range(15)]
+    for r, weights in enumerate(matrix):
+        for x in range(1, 8):
+            plus, minus = points.index(x), points.index(-x)
+            assert weights[minus] == (-1) ** r * weights[plus]
+        assert folded[r] == (weights[1:8] if r % 2 else weights[:8])
+        assert r % 2 == 0 or weights[points.index(0)] == 0
+
+
+# entries of 0 to 3 000 bits, either sign, and zeros
+_CHUNK_ENTRIES = st.lists(
+    st.one_of(st.just(0), st.integers(0, 3000).flatmap(
+        lambda bits: st.integers(-(2 ** bits), 2 ** bits))),
+    min_size=8, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=_CHUNK_ENTRIES, second=_CHUNK_ENTRIES)
+@example(first=[0] * 8, second=[2 ** 3000 - 1] * 8)
+@example(first=[-(2 ** 3000)] + [0] * 7, second=[0] * 7 + [2 ** 2999])
+def test_chunk_products_interpolate_exactly(first, second):
+    """Two 8-term chunks evaluated at the 15 points, multiplied point by
+    point and interpolated by M, are D times their schoolbook product
+    (15 coefficients), exactly divisible by D; and a store whose chunks 1
+    and 2 are these, switched at block 2, makes the chunk pairs' sums
+    of 2 and 3, chunk 1 squared and twice chunk 1 times chunk 2, the
+    same way through the folded rows."""
+    evaluate, matrix, _, scale = equations._toom()
+
+    def values(chunk):
+        return [sum(w * a for w, a in zip(row, chunk)) for row in evaluate]
+
+    points = [a * b for a, b in zip(values(first), values(second))]
+    for r, weights in enumerate(matrix):
+        coeff = sum(w * p for w, p in zip(weights, points))
+        assert coeff % scale == 0
+        assert coeff // scale == series_product_coeff(first, second, r)
+    derivs = Derivatives([7] * 8 + first + second + [5] * 8, 3)
+    chunks = equations._Chunks(0)
+    chunks.switch(2)
+    assert chunks.products(derivs, 2) == \
+        [series_product_coeff(first, first, r) for r in range(15)]
+    assert chunks.products(derivs, 3) == \
+        [2 * series_product_coeff(first, second, r) for r in range(15)]
+
+
+def _long_term(rng, i, zeros):
+    """Term i of a long walk: 0 on the odd indices (an even sequence) or
+    in runs of 9, else a rational whose denominator forces rescales."""
+    if zeros == "odd" and i % 2 or zeros == "runs" and i // 9 % 3 == 1:
+        return Fraction(0)
+    return Fraction(rng.randint(-10 ** rng.randint(1, 80), 10 ** 80),
+                    rng.choice([1, 1, 3, 7, 2 ** 30, factorial(i % 25)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), size=st.integers(40, 120),
+       zeros=st.sampled_from(["none", "odd", "runs"]),
+       group=st.sampled_from([[0], [1], [2], [0, 1]]),
+       cost=st.sampled_from([None, 0, -10 ** 60]))
+# dense, every block from 2 on through chunks, S_0 and S_1 apart
+@example(seed=1, size=120, zeros="none", group=[0], cost=-10 ** 60)
+@example(seed=2, size=100, zeros="none", group=[1], cost=-10 ** 60)
+# an even sequence and zero runs through chunks
+@example(seed=3, size=90, zeros="odd", group=[0], cost=-10 ** 60)
+@example(seed=4, size=90, zeros="runs", group=[2], cost=-10 ** 60)
+def test_derivatives_store_matches_schoolbook_over_long_walks(
+        seed, size, zeros, group, cost):
+    """A store driven like a walk over 40 to 120 terms, and beyond it:
+    block puts of 1 to 9 terms with rescales, placeholder extends fixed by
+    set_last, drop_square behind the fills, and the square coefficients
+    of one group of orders filled as their terms come in, in order or
+    shuffled, plus repeated fills of totals filled before.  Every kept
+    coefficient S_j[u], times den**-2, is the schoolbook coefficient of
+    (f^(j))**2 on the exact terms (`util_exact`).  `_BLOCK_COST` is the
+    module's, 0 or so low that a one-order group takes every block from
+    2 on through chunks, from the first it fills, which may be a later
+    one when the fills are shuffled."""
+    rng = random.Random(seed)
+    derivs, exact, filled = Derivatives([], 1), [], []
+
+    def fill(totals):
+        for total in totals:
+            if total >= 2 * group[0]:
+                derivs._square(total, group)
+                filled.append(total)
+
+    def assert_schoolbook(pick):
+        assert [Fraction(x, derivs.den) for x in derivs.nums] == exact
+        for j, window in derivs._squares.items():
+            f = series_derivative(exact, j)
+            kept = sorted(window)
+            for u in pick(kept) if len(kept) > 6 else kept:
+                assert window[u] == series_product_coeff(f, f, u) * \
+                    derivs.den ** 2, (j, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if cost is not None:
+            mp.setattr(equations, "_BLOCK_COST", cost)
+        while len(exact) < size:
+            ready = len(exact) + group[0]      # totals below ready are in
+            if rng.random() < 0.7:
+                block = [_long_term(rng, len(exact) + k, zeros)
+                         for k in range(rng.randint(1, 9))]
+                derivs.put(block)
+                exact += block
+                totals = list(range(ready, len(exact) + group[0]))
+                if rng.random() < 0.3:
+                    rng.shuffle(totals)
+                fill(totals)
+            else:
+                derivs.put([0])
+                exact.append(Fraction(0))
+                fill([ready])
+                term = _long_term(rng, len(exact) - 1, zeros)
+                derivs.set_last(term)
+                exact[-1] = term
+            if filled and rng.random() < 0.3:
+                fill(rng.sample(filled, min(3, len(filled))))
+            if rng.random() < 0.3:
+                derivs.drop_square(rng.randrange(len(exact)))
+            assert_schoolbook(lambda kept: kept[-3:] + rng.sample(kept, 3))
+        assert_schoolbook(lambda kept: kept)
+        if len(group) == 1 and cost is not None and cost < 0:
+            assert derivs._chunks[group[0]].start < inf
+        else:
+            assert len(group) == 1 or not derivs._chunks
 
 
 # (s, p, q, c): 3 * y * y' at z^0 and, gap rows away, either 3 * (y')^2

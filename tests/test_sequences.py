@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from quadguess import equations
 from quadguess.equations import (Derivatives, QuadEquation,
                                  monomial_of_orders)
 from quadguess.errors import (InconsistentInitialTermsError,
@@ -14,7 +15,7 @@ from quadguess.errors import (InconsistentInitialTermsError,
                               QuadGuessError)
 from quadguess.guessing import GuessConfig, guess, slot
 from quadguess.prefix import SequencePrefix
-from quadguess.sequences import check, extend, oracle_sequence
+from quadguess.sequences import ORACLES, check, extend, oracle_sequence
 from util_exact import (bernoulli_numbers, check_bruteforce,
                         extend_bruteforce, monomial_row)
 
@@ -477,7 +478,7 @@ def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
     grown = extend(eq, oracle_sequence(name, start), 200)
     assert check(eq, grown).passed
     assert len(stores) == 2
-    assert Derivatives.__slots__ == ("nums", "den", "_squares")
+    assert Derivatives.__slots__ == ("nums", "den", "_squares", "_chunks")
     for derivs in stores:
         assert set(derivs._squares) == {0} | kept
     assert keys == []
@@ -520,6 +521,65 @@ def test_walk_computes_each_square_once(monkeypatch, eq, name, start,
         assert len(pairs) == len(set(pairs))
         if kept:
             assert max(len(orders) for _, _, orders in calls) == 2
+
+
+def _chunk_path(monkeypatch):
+    """A spy on the square coefficients filled from chunks: returns the
+    list of (store, order, u) appended to on each, and the stores made."""
+    chunked, stores = [], []
+    init, part = Derivatives.__init__, equations._Chunks.part
+
+    def spy_init(derivs, nums, den):
+        init(derivs, nums, den)
+        stores.append(derivs)
+
+    def spy_part(chunks, derivs, u):
+        chunked.append((derivs, chunks.order, u))
+        return part(chunks, derivs, u)
+
+    monkeypatch.setattr(Derivatives, "__init__", spy_init)
+    monkeypatch.setattr(equations._Chunks, "part", spy_part)
+    return chunked, stores
+
+
+def test_chunk_path_is_chosen_by_the_input(monkeypatch):
+    """The rule, counted rather than timed.  A 27-term guess, the size of
+    the CLI benchmark's, fills nothing from chunks on any of the seven
+    oracles: with chunks from block 2 on, a 27-term check of exp's or
+    zigzag-egf's square equation took 200-220 us against 105-110
+    direct.  A 200-row check of zeta-rescaled switches S_0 at block 10
+    and fills its 120 coefficients u = 80 .. 199 from chunks, a check of
+    13.8 ms against 27.3 direct.  bell-egf's S_0 and S_1, one group of
+    two orders, stay direct over extend by 200 and check, as an
+    emulation of two chunked squares took 8.7 ms against 7.4 shared at
+    202 terms.  guess at 150 terms stays direct on bernoulli-egf, half of
+    whose terms are zero (with chunks from block 4 on, its check took
+    2.78 ms against 1.80), and on exp, whose entries shrink from 830 bits
+    to 36 (from block 4 on, 2.47 ms against 2.04): the rule reads both
+    and never switches them.  (Medians of three runs on one x86-64
+    core.)"""
+    chunked, stores = _chunk_path(monkeypatch)
+    for name in ORACLES:
+        guess(oracle_sequence(name, 27))
+    assert chunked == []
+    stores.clear()
+    report = check(ZETA_EQ, oracle_sequence("zeta-rescaled", 201))
+    assert report.passed and report.rows_checked == 200
+    (derivs,) = stores
+    assert derivs._chunks[0].start == 10
+    assert [u for _, _, u in chunked] == list(range(80, 200))
+    chunked.clear()
+    stores.clear()
+    grown = extend(BELL_EQ, oracle_sequence("bell-egf", 2), 200)
+    assert check(BELL_EQ, grown).passed
+    assert chunked == [] and len(stores) == 2
+    assert all(derivs._chunks == {} for derivs in stores)
+    for name in ("bernoulli-egf", "exp"):
+        stores.clear()
+        guess(oracle_sequence(name, 150))
+        assert chunked == []
+        assert [(j, chunks.start) for derivs in stores
+                for j, chunks in derivs._chunks.items()] == [(0, inf)]
 
 
 @settings(max_examples=300, deadline=None)
