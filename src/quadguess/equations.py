@@ -78,10 +78,10 @@ class Derivatives:
     (`_chunks[j]`, a `_Chunks`): the pairs (i, u - i) with both indices 8
     or more are chunk pairs beta + gamma = tau or tau - 1, beta, gamma >=
     1, and the pairs with an index below 8 stay direct products, so no
-    chunk reads the last term.  The rule is read once per block until it
-    switches the order, which then stays switched, from what the store
-    sees: the block index, the entries' bit lengths and zeros, and the
-    number of orders in the group.  A group of two or more orders stays
+    chunk reads the last term.  The rule is read at most once per block
+    until it switches the order, which then stays switched, from what the
+    store sees: the block index, the entries' bit lengths and zeros, and
+    the number of orders in the group.  A group of two or more orders stays
     direct, as its orders share one list of products: in an emulation,
     bell-egf's S_0 and S_1 over a 202-term walk took 7.4 ms shared
     against 8.7 ms as two chunked squares, and euler-egf's at 150 terms
