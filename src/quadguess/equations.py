@@ -6,21 +6,27 @@ Every product of derivatives is a sum of derivatives of squares
 S_j = (f^(j))**2, with the Lucas triangle's weights: 2 f^(q) * f^(q) =
 2 S_q and, for r = p - q >= 1, 2 f^(p) * f^(q) = the sum over k <= r / 2
 of (-1)^k r / (r - k) C(r - k, k) (S_{q+k})^(r-2k).  So `QuadEquation`
-plans its products, when a row first reads them, as integral terms
-(s, a, j, c): row n is half the sum of c * falling_weight(n - s, a) *
-S_j[n - s + a].  For the prefix scaled to nums / den,
-`Derivatives` keeps nums, den and the square coefficients rows read,
-times den**2.  S_j[T - 2j] is the sum over i + k = T of (i)_j (k)_j
-nums[i] nums[k], so the orders of one total index T read the same
-products nums[i] * nums[T - i], made once per walk.  An order alone in
+plans each product, when the first row it reaches (n >= its z-power s)
+is read, as integral terms (s, a, j, c): row n is half the sum of c *
+falling_weight(n - s, a) * S_j[n - s + a].  For the prefix scaled to
+integer entries over a common denominator den, `Derivatives` keeps
+their numerators, den and the square coefficients rows read, times
+den**2.  A rescale multiplies only the entries put since the last
+settle, and a factor pending on the older ones, folded in at the next
+settle: at each put of terms with a new denominator, and once per 8
+terms extend solves.  Reads take the pending factor: S_j[T - 2j] is the
+sum over i + k = T of (i)_j (k)_j a_i a_k, a_i entry i, whose sum over
+old by old pairs takes the factor squared, over old by new pairs once.
+The orders of one total index T read the same products a_i * a_{T - i},
+made once per walk.  An order alone in
 its group fills long walks block by block from 8-term chunks of f^(j)
 instead (`_Chunks`): each chunk evaluated once at 15 small points, each
 block of 8 coefficients 15 dot products of those values and one exact
 interpolation, when its input says that pays (`Derivatives`' rule).
 Linear and constant terms read one entry of f^(p) per row
-(`Derivatives.entry`).  Every entry is a ring operation on nums and den,
-so the same store on them reduced mod P gives the orders mod P
-(`guessing._packed_orders`).
+(`Derivatives.entry`).  Every entry is a ring operation on the
+numerators and den, so the same store on them reduced mod P gives the
+orders mod P (`guessing._packed_orders`).
 
 Wire format: {"terms": [{"s": int, "p": int, "q": int, "c": "p/q"}, ...]}
 with p >= q >= -1; p = q = -1 is the constant term.
@@ -63,15 +69,24 @@ def monomial_of_orders(p, q):
 
 
 class Derivatives:
-    """The sequence nums / den and, times den**2, the square coefficients
-    rows read.  `entry(j, u)` is entry u of f^(j): falling_weight(u, j) *
-    nums[u + j] for j >= 0, and den at u = 0, 0 after, for f^(-1) = 1;
-    `derivs[j]` lists f^(j) and keeps nothing.  `_squares[j]` maps u to
-    S_j[u], the z^u coefficient of (f^(j))**2, computed by `_square`, kept
-    until `drop_square` and rescaled by `scale`.  Only S_j[t - j], t the
-    last index of nums, reads the last term, through the pair (j, t):
-    `set_last` swaps that pair's part, so extend's placeholder is fixed
-    up, never recomputed.
+    """A sequence over the common denominator den and, times den**2, the
+    square coefficients rows read.  Entry i is nums[i] times `pending`
+    for i below `settled`, else nums[i]: a rescale (`scale`) multiplies
+    den, the entries put after the last settle and `pending`, and the
+    settle (`settle`) folds `pending` into the older entries.  `put`
+    settles when its terms bring a new denominator, so a walk over given
+    terms has nothing pending when it reads; `set_last` settles once
+    `_SETTLE` entries are put after the last settle, so extend multiplies
+    every entry once per 8 solved terms and the 8 or fewer newest at each
+    step.  Every read takes `pending`: `entry(j, u)` is entry u of f^(j),
+    falling_weight(u, j) times entry u + j for j >= 0, and den at u = 0,
+    0 after, for f^(-1) = 1; `derivs[j]` lists f^(j) and keeps nothing.
+    `_squares[j]` maps u to S_j[u], the z^u coefficient of (f^(j))**2,
+    computed by `_square`, kept until `drop_square` and rescaled by
+    `scale`.  Only S_j[t - j], t the last index of nums, reads the last
+    term, through the pair (j, t): extend reads its rows with a
+    placeholder 0 there, and `set_last` adds that pair's part once the
+    term is solved, so the coefficient is fixed up, never recomputed.
 
     An order j alone in its group may fill the coefficients of its block
     tau >= 2, u in [8 tau, 8 tau + 8), from 8-term chunks of f^(j)
@@ -92,57 +107,82 @@ class Derivatives:
     sequence, with 16 of each 64 products nonzero, stays direct, and so
     do small entries and small blocks."""
 
-    __slots__ = ("nums", "den", "_squares", "_chunks")
+    __slots__ = ("nums", "den", "settled", "pending", "_squares", "_chunks")
 
     def __init__(self, nums, den):
         self.nums = list(nums)
         self.den = den
+        self.settled = len(self.nums)
+        self.pending = 1
         self._squares = defaultdict(dict)
         self._chunks = {}
 
     def __getitem__(self, j):
-        if j == 0:
-            return self.nums[:]
-        return [self.entry(j, u) for u in range(len(self.nums) - max(j, 0))]
+        if j >= 0:
+            return self.entries(j, 0, len(self.nums) - j)
+        return [self.entry(j, u) for u in range(len(self.nums))]
 
     def entry(self, j, u):
         """Entry u of f^(j)'s sequence."""
         if j >= 0:
-            return falling_weight(u, j) * self.nums[u + j]
+            i = u + j
+            if self.pending != 1 and i < self.settled:
+                return falling_weight(u, j) * self.nums[i] * self.pending
+            return falling_weight(u, j) * self.nums[i]
         return self.den if u == 0 else 0
 
     def entries(self, j, start, stop):
         """Entries start .. stop - 1 of f^(j)'s sequence, j >= 0."""
         if j:
             return [self.entry(j, u) for u in range(start, stop)]
-        return self.nums[start:stop]
+        values = self.nums[start:stop]
+        old, rho = self.settled - start, self.pending
+        if rho != 1 and old > 0:
+            values[:old] = [x * rho for x in values[:old]]
+        return values
 
     def put(self, terms):
         """Append terms (ints or Fractions) to the sequence, after one
-        rescale to their common denominator."""
+        rescale to their common denominator, which settles the store."""
         common = lcm(self.den, *(x.denominator for x in terms))
         if common != self.den:
             self.scale(common // self.den)
+            self.settle()
         self.nums += [x.numerator * (self.den // x.denominator) for x in terms]
 
-    def set_last(self, term):
-        """Replace the last term by term, and its part in the kept square
-        coefficients that read it."""
+    def set_last(self, num, factor):
+        """Set the last term, a placeholder 0, to num / (den * factor):
+        rescale by factor, then add the term's part to the kept square
+        coefficients that read it, the placeholder's being 0.  Settles
+        once `_SETTLE` entries are put after the last settle."""
         t = len(self.nums) - 1
-        reads = [(j, window, t - j) for j, window in self._squares.items()
-                 if t - j in window]
-        for j, window, u in reads:
-            window[u] -= self._cross(j, u)
-        self.nums.pop()
-        self.put((term,))
-        for j, window, u in reads:
-            window[u] += self._cross(j, u)
+        if factor != 1:
+            self.scale(factor)
+        self.nums[t] = num
+        for j, window in self._squares.items():
+            if t - j in window:
+                window[t - j] += self._cross(j, t - j)
+        if t + 1 - self.settled >= _SETTLE:
+            self.settle()
+
+    def settle(self):
+        """Fold the pending factor into the entries put before the last
+        settle, so that every entry is over den."""
+        if self.pending != 1:
+            old, rho = self.settled, self.pending
+            self.nums[:old] = [x * rho for x in self.nums[:old]]
+            self.pending = 1
+        self.settled = len(self.nums)
 
     def scale(self, factor):
-        """Multiply den and nums by factor, the kept squares and chunk
-        products by factor**2; chunk values take it when next read."""
+        """Multiply den by factor, and the entries put after the last
+        settle and the pending factor of those before it; the kept squares
+        and chunk products by factor**2; chunk values take it when next
+        read."""
         self.den *= factor
-        self.nums = [x * factor for x in self.nums]
+        self.pending *= factor
+        new = self.settled
+        self.nums[new:] = [x * factor for x in self.nums[new:]]
         square = factor * factor
         for window in self._squares.values():
             for u in window:
@@ -171,6 +211,9 @@ class Derivatives:
         if 2 * orders[-1] > total:
             orders = [j for j in orders if 2 * j <= total]
         half = (total + 1) // 2          # pairs (i, total - i) for i < half
+        if self.pending != 1:
+            self._square_runs(total, orders, half)
+            return
         low = orders[0]
         products = map(mul, nums[low:half], nums[total - low:total - half:-1])
         if len(orders) > 1:
@@ -183,6 +226,33 @@ class Derivatives:
                                     else weights)) + middle * weights[-1]
             else:
                 value = 2 * sum(products) + middle
+            self._squares[j][total - 2 * j] = value
+
+    def _square_runs(self, total, orders, half):
+        """`_square`'s direct sums with a factor rho pending: the pairs
+        (i, total - i) in runs of i, old by new, new by new, then old by
+        old, whose sums take rho once for each entry put before the last
+        settle that their products read."""
+        nums, rho, old = self.nums, self.pending, self.settled
+        low = orders[0]
+        cut = min(max(total - old + 1, low), half)
+        new = min(max(old, low), cut)
+        runs = [run for run in ((low, new, rho), (new, cut, 1),
+                                (cut, half, rho * rho)) if run[0] < run[1]]
+        products = [map(mul, nums[start:stop],
+                        nums[total - start:total - stop:-1])
+                    for start, stop, _ in runs]
+        if len(orders) > 1:
+            products = [list(run) for run in products]
+        middle = 0
+        if total % 2 == 0:
+            middle = nums[half] ** 2 * (rho * rho if half < old else 1)
+        for j in orders:
+            weights = _pair_weights(j, total) if j else None
+            value = middle * weights[-1] if j else middle
+            for (start, stop, factor), run in zip(runs, products):
+                value += 2 * factor * sum(
+                    map(mul, run, weights[start:stop]) if j else run)
             self._squares[j][total - 2 * j] = value
 
     def _cross(self, j, u):
@@ -198,6 +268,7 @@ class Derivatives:
 
 
 _CHUNK = 8             # terms per chunk; a product of two has 15 coefficients
+_SETTLE = 8            # entries put per settle, as given terms per rescale
 # The fixed cost of a block on the chunk path, in bit-products (an a-bit
 # by b-bit product costs about a * b of them below CPython's Karatsuba
 # cutoff, about 1 ps each on the x86-64 it was measured on): evaluating a
@@ -394,8 +465,9 @@ class QuadEquation:
     constant.  `squares` plans the other int terms, doubled, as sums of
     derivatives of squares, merged by (s, a, j): terms (s, a, j, c) with
     ints c, sorted, each of row n c * falling_weight(n - s, a) *
-    S_j[n - s + a], and their sum is twice the products' row.  The plan
-    is built when first read, so a call that reads no row plans nothing.
+    S_j[n - s + a], and their sum is twice the products' row.  A product
+    term is planned when the first row it reaches, n >= s, is read, so a
+    call plans only the terms its rows read.
     `max_shift` is the max over terms of max(p, 0) - s: row n reads prefix
     indices up to n + max_shift, and introduces term n + max_shift when
     extending.  Row n first reads total index n + h of order j, h the max
@@ -403,7 +475,7 @@ class QuadEquation:
     reading terms up to n + h - j <= n + max_shift."""
 
     __slots__ = ("terms", "coeff_den", "int_terms", "max_shift", "linear",
-                 "_squares", "_reach", "_groups")
+                 "_squares", "_planned", "_reach", "_groups")
 
     def __init__(self, terms):
         merged = {}
@@ -430,35 +502,49 @@ class QuadEquation:
                                for (s, mono, _), c in zip(cleaned, ints))
         self.linear = tuple((s, mono.p, c) for s, mono, c in self.int_terms
                             if mono.q == -1)
-        self._squares = None
+        self._squares, self._planned, self._groups = (), -1, {}
+        self._reach = max((s for s, mono, _ in self.int_terms
+                           if mono.q >= 0), default=0)
 
     @property
     def squares(self):
-        """The plan, built on the first read with `_reach`, its largest
-        z-power, and `_groups`, each order's orders of one h.  Weight k of
-        the Lucas triangle's row r is weight k - 1 times -(a + 2)(a + 1) /
-        (k (r - k)), a = r - 2k, an exact division also times c."""
-        if self._squares is None:
-            plan = defaultdict(int)
-            for s, mono, c in self.int_terms:
-                p, q = mono.p, mono.q
-                if q < 0:
-                    continue
-                r, w = p - q, c if p > q else 2 * c
-                for k, a in enumerate(range(r, -1, -2)):
-                    if k:
-                        w = -w * (a + 2) * (a + 1) // (k * (r - k))
-                    plan[s, a, q + k] += w
-            keys = sorted(key for key, w in plan.items() if w)
+        """The whole plan: every product term planned (`_plan`)."""
+        return self._plan(self._reach)
+
+    def _plan(self, n):
+        """The plan of the product terms of z-power s <= n, planning those
+        not yet planned, and `_groups`, each planned order's orders of one
+        h.  A term's keys have its own s, so terms merge only with terms of
+        their s, and `_planned` is the largest n planned through, inf once
+        n reaches `_reach`, the largest z-power of a product term (the
+        plan's own, as the keys of a z-power never all cancel: at each p +
+        q, order q of the least q is read by that one term).  Weight k of
+        the Lucas triangle's row r is weight k - 1
+        times -(a + 2)(a + 1) / (k (r - k)), a = r - 2k, an exact division
+        also times c."""
+        if n <= self._planned:
+            return self._squares
+        plan = defaultdict(int)
+        for s, mono, c in self.int_terms:
+            p, q = mono.p, mono.q
+            if q < 0 or not self._planned < s <= n:
+                continue
+            r, w = p - q, c if p > q else 2 * c
+            for k, a in enumerate(range(r, -1, -2)):
+                if k:
+                    w = -w * (a + 2) * (a + 1) // (k * (r - k))
+                plan[s, a, q + k] += w
+        self._planned = inf if n >= self._reach else n
+        if plan:
+            self._squares += tuple(sorted(key + (w,) for key, w in plan.items()
+                                          if w))
             lead, groups = {}, {}
-            for s, a, j in keys:
+            for s, a, j, _ in self._squares:
                 if lead.get(j, -s) <= a + 2 * j - s:
                     lead[j] = a + 2 * j - s
             for j in sorted(lead):
                 groups.setdefault(lead[j], []).append(j)
             self._groups = {j: groups[h] for j, h in lead.items()}
-            self._reach = max((s for s, _, _ in keys), default=0)
-            self._squares = tuple(key + (plan[key],) for key in keys)
         return self._squares
 
     def __eq__(self, other):
@@ -477,7 +563,8 @@ class QuadEquation:
         n reads no square coefficient of index below n less the largest
         z-power of `squares`, so it drops the one just below, which later
         rows never read."""
-        squares, windows, groups = self.squares, derivs._squares, self._groups
+        squares = self._squares if n <= self._planned else self._plan(n)
+        windows, groups = derivs._squares, self._groups
         total = 0
         for s, a, j, c in squares:
             if s <= n:

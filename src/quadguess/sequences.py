@@ -5,21 +5,29 @@ generate reference sequences from classical integer triangles.
 (`_walk`), the one exact row loop.  It starts from an empty `Derivatives`
 and puts the given terms in `_BLOCK` at a time, one rescale to a common
 denominator per block rather than per term (each term of an EGF brings a
-new factor).  Row n reads terms up to n + max_shift and is read through
-`QuadEquation.row_numerator` as soon as that term is in: its products as
+new factor), and each rescale of given terms settles the store, so every
+entry is over the block's denominator.  Extension runs on the same
+schedule: a solved term's new factor multiplies the 8 or fewer entries
+put since the last settle, and a factor pending on the older ones, which
+the store folds in once per 8 solved terms.  Row n reads terms up to
+n + max_shift and is read through `QuadEquation.row_numerator` as soon
+as that term is in: its products as
 derivatives of squares, each square coefficient computed once, with
 those of the other orders of its total index from one set of products
 of two terms, and kept while later rows read it.  An order alone in its
 group may fill long walks from 8-term chunks of its f^(j) instead, each
 chunk evaluated once at 15 points, block by block at each block's own
 denominator; the store picks that path from its input, and no chunk
-reads the newest term.  The store keeps nums, den, those coefficients
-and the chunk values, which take the rescale factors when next read.
+reads the newest term.  The store keeps the numerators, den, the
+pending factor, those coefficients and the chunk values, which take the
+rescale factors when next read.
 Linear terms and `_slope` read single entries (`Derivatives.entry`).  A
 row on given terms must vanish; `check` reports the first that does not
 (`Fraction` normalizes the residual).  Extension realizes the recurrence
-as a recursion: each later row introduces the single
-unknown a_{n + max_shift}, which it solves."""
+as a recursion: each later row introduces the single unknown
+a_{n + max_shift}, which it solves exactly, as x = X / d in lowest terms
+over the store's den: the store's new denominator is den * d, and X is
+the term's numerator over it."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,11 +93,15 @@ def _walk(eq, values, count):
     Row n reads terms up to t = n + max_shift; if term t is not in, the
     given terms up to t + _BLOCK - 1 go in.  The first row on given terms
     that does not vanish is returned as (n, residual).  Each later row is
-    linear in term t: solved with a placeholder 0 in, the term replaces
-    it and joins values.  The one square coefficient per order that read
-    the placeholder, S_j[t - j], then gains its part of the pair (j, t),
-    2 (j)_j (t)_j nums[j] nums[t] (`Derivatives.set_last`), and is not
-    recomputed.  Returns None when every given row vanishes."""
+    linear in term t: read with a placeholder 0 in, its numerator and
+    slope give a_t * den = x = X / d, reduced by one gcd, with d > 0.  As
+    gcd(X, d) = 1, the lcm of den and a_t's denominator is exactly den *
+    d, so the store rescales by d and X replaces the placeholder
+    (`Derivatives.set_last`); a_t = x / den, reduced by gcd(X, den),
+    joins values.  The one square coefficient per order that read the
+    placeholder, S_j[t - j], then gains its part of the pair (j, t),
+    2 (j)_j (t)_j a_j a_t, and is not recomputed.  Returns None when every
+    given row vanishes."""
     shift = eq.max_shift
     known = len(values)
     derivs = Derivatives([], 1)
@@ -107,9 +119,9 @@ def _walk(eq, values, count):
         slope = _slope(eq, derivs, n)
         if slope == 0:
             raise LeadingCoefficientZeroError(n)
-        term = Fraction(-eq.row_numerator(derivs, n), slope * derivs.den)
-        values.append(term)
-        derivs.set_last(term)
+        x = Fraction(-eq.row_numerator(derivs, n), slope)
+        values.append(x / derivs.den)
+        derivs.set_last(x.numerator, x.denominator)
     return None
 
 

@@ -303,18 +303,19 @@ def test_check_walk_matches_bruteforce(terms, values, grow, perturb):
 
 def _spied_walk(run):
     """run() with the walk's stores checked against fresh ones: every row
-    it reads equals that of a fresh Derivatives of the store's own nums
-    and den, and after every put and set_last nums / den are the exact
-    terms put in so far, and every kept square coefficient S_j[u] is the
-    schoolbook square of a fresh store's f^(j) (`monomial_row`), for
-    orders j >= 0 only.  Returns run()'s outcome (its value or the
-    QuadGuessError raised) and the rows read, as (n, numerator, den) with
-    den the store's denominator then."""
+    it reads equals that of a fresh Derivatives of the entries the store
+    reads (derivs[0], its settled entries times the pending factor) and
+    its den, and after every put and set_last those entries over den are
+    the exact terms put in so far, and every kept square coefficient
+    S_j[u] is the schoolbook square of a fresh store's f^(j)
+    (`monomial_row`), for orders j >= 0 only.  Returns run()'s outcome
+    (its value or the QuadGuessError raised) and the rows read, as (n,
+    numerator, den) with den the store's denominator then."""
     rows, terms = [], {}
     row_numerator = QuadEquation.row_numerator
 
     def fresh(derivs):
-        return Derivatives(derivs.nums, derivs.den)
+        return Derivatives(derivs[0], derivs.den)
 
     def spy_row(eq, derivs, n):
         value = row_numerator(eq, derivs, n)
@@ -322,21 +323,15 @@ def _spied_walk(run):
         rows.append((n, value, derivs.den))
         return value
 
-    depth = []                 # set_last puts in: check the outer step
-
     def in_step(step):
-        def spy(derivs, arg):
-            depth.append(step)
-            step(derivs, arg)
-            depth.pop()
-            if depth:
-                return
+        def spy(derivs, *args):
+            step(derivs, *args)
             exact = terms.setdefault(id(derivs), [])
             if step is put:
-                exact += map(Fraction, arg)
+                exact += map(Fraction, args[0])
             else:
-                exact[-1] = Fraction(arg)
-            assert [Fraction(x, derivs.den) for x in derivs.nums] == exact
+                exact[-1] = Fraction(args[0], derivs.den)
+            assert [Fraction(x, derivs.den) for x in derivs[0]] == exact
             for j, window in derivs._squares.items():
                 assert j >= 0, j
                 for u, value in window.items():
@@ -443,6 +438,82 @@ def test_walk_long_rows_match_fresh_stores(eq, name, start):
     _assert_whole_prefix_rows(eq, rows, grown.values)
 
 
+# (s, p, q, c): products of orders up to 2 at z-powers up to 2
+_SETTLE_PRODUCTS = st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(
+    lambda sp: st.tuples(st.just(sp[0]), st.just(sp[1]),
+                         st.integers(0, sp[1]), _COEFFS))
+# seed terms whose denominators differ, so that the walk rescales
+_SEED_TERMS = st.builds(Fraction, st.integers(-9, 9),
+                        st.sampled_from([1, 2, 3, 5, 7, 10, 2 ** 30]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(products=st.lists(_SETTLE_PRODUCTS, min_size=1, max_size=3),
+       lead=_COEFFS, order=st.integers(1, 3),
+       linear=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                    _COEFFS),
+       seed=st.lists(_SEED_TERMS, min_size=3, max_size=3),
+       count=st.integers(30, 60))
+# f''' - z f f' + 2 (f')^2: S_0 and S_1 apart, every step rescaled
+@example(products=[(1, 1, 0, -1), (0, 1, 1, 2)], lead=Fraction(1),
+         order=3, linear=None,
+         seed=[Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)], count=60)
+# f' + f^2, S_0 alone
+@example(products=[(0, 0, 0, 1)], lead=Fraction(1), order=1, linear=None,
+         seed=[Fraction(1), Fraction(-1), Fraction(1)], count=45)
+def test_extend_settles_to_exact_solves(products, lead, order, linear,
+                                        seed, count):
+    """Random equations of orders up to 3 and z-powers up to 2 whose
+    products read one or two square orders, with a linear top term
+    `lead` * f^(order) above them so that each row solves for one new
+    term, extended by 30 to 60 terms from seeds with differing
+    denominators: their terms' denominators grow at almost every step,
+    so extend rescales the newest entries by a new factor at almost
+    every step and settles the older ones once per 8.  Every solved term
+    is the term a Fraction solve of its row gives (`extend_bruteforce`),
+    check passes on the result, and at every row of both walks the
+    entries the store reads (derivs[j] for j = -1 .. 3) and the row
+    equal those of a fresh store of the exact terms over the store's den,
+    extend's placeholder 0 included."""
+    terms = [(s, p, q, c) for s, p, q, c in products if p - s < order]
+    terms.append((0, order, -1, lead))
+    if linear is not None and linear[1] - linear[0] < order:
+        terms.append((linear[0], linear[1], -1, linear[2]))
+    try:
+        eq = _eq(*terms)
+    except ValueError:  # every coefficient cancelled
+        assume(False)
+    assume(1 <= len({j for _, _, j, _ in eq.squares}) <= 2)
+    assert eq.max_shift == order
+    initial = seed[:order]
+    reference = extend_bruteforce(eq, initial, count)
+    row_numerator = QuadEquation.row_numerator
+    placeholder = [inf]      # the walk's first solved index, inf in check
+
+    def spy_row(eq, derivs, n):
+        size, den = len(derivs.nums), derivs.den
+        exact = reference[:size]
+        if n + order >= placeholder[0]:
+            exact[n + order] = 0
+        scaled = [Fraction(x) * den for x in exact]
+        assert all(x.denominator == 1 for x in scaled), n
+        fresh = Derivatives([x.numerator for x in scaled], den)
+        for j in range(-1, 4):
+            assert derivs[j] == fresh[j], (n, j)
+        value = row_numerator(eq, derivs, n)
+        assert value == row_numerator(eq, fresh, n), n
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuadEquation, "row_numerator", spy_row)
+        placeholder[0] = len(initial)
+        grown = extend(eq, SequencePrefix(initial), count)
+        assert list(grown) == reference
+        placeholder[0] = inf
+        report = check(eq, grown)
+    assert report.passed and report.rows_checked == len(reference) - order
+
+
 _WORKLOAD_EQUATIONS = pytest.mark.parametrize("eq,name,start,kept", [
     # -2y^2 - 4z*y*y' reads S_0 only; the linear terms keep no list
     (ZETA_EQ, "zeta-rescaled", 1, set()),
@@ -456,12 +527,14 @@ _WORKLOAD_EQUATIONS = pytest.mark.parametrize("eq,name,start,kept", [
 @_WORKLOAD_EQUATIONS
 def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
                                                  start, kept):
-    """extend by 200 and check of the result keep nums, den and a window
-    of square coefficients for each order j their rows read, 0 and the
-    orders of `kept`, and nothing else: no sequence, neither f^(j) nor
-    f^(-1) = 1 nor a list for the linear terms, whose row is one entry
-    each, read on the fly, as `_slope` reads its entries.  Neither walk
-    lists a sequence (derivs[j]); guess's mod-p packing does."""
+    """extend by 200 and check of the result keep nums, den, where the
+    last settle left off and the factor pending on the entries before it,
+    and a window of square coefficients for each order j their rows
+    read, 0 and the orders of `kept`, and nothing else: no sequence,
+    neither f^(j) nor f^(-1) = 1 nor a list for the linear terms, whose
+    row is one entry each, read on the fly, as `_slope` reads its
+    entries.  Neither walk lists a sequence (derivs[j]); guess's mod-p
+    packing does."""
     stores, keys = [], []
     init, getitem = Derivatives.__init__, Derivatives.__getitem__
 
@@ -478,7 +551,8 @@ def test_walk_keeps_only_the_sequences_rows_read(monkeypatch, eq, name,
     grown = extend(eq, oracle_sequence(name, start), 200)
     assert check(eq, grown).passed
     assert len(stores) == 2
-    assert Derivatives.__slots__ == ("nums", "den", "_squares", "_chunks")
+    assert Derivatives.__slots__ == ("nums", "den", "settled", "pending",
+                                     "_squares", "_chunks")
     for derivs in stores:
         assert set(derivs._squares) == {0} | kept
     assert keys == []
