@@ -133,12 +133,13 @@ class Derivatives:
 
     def entries(self, j, start, stop):
         """Entries start .. stop - 1 of f^(j)'s sequence, j >= 0."""
-        if j:
-            return [self.entry(j, u) for u in range(start, stop)]
-        values = self.nums[start:stop]
-        old, rho = self.settled - start, self.pending
+        values = self.nums[start + j:stop + j]
+        old, rho = self.settled - start - j, self.pending
         if rho != 1 and old > 0:
             values[:old] = [x * rho for x in values[:old]]
+        if j:
+            return [falling_weight(u, j) * x
+                    for u, x in zip(range(start, stop), values)]
         return values
 
     def put(self, terms):
@@ -515,26 +516,29 @@ class QuadEquation:
         """The plan of the product terms of z-power s <= n, planning those
         not yet planned, and `_groups`, each planned order's orders of one
         h.  A term's keys have its own s, so terms merge only with terms of
-        their s, and `_planned` is the largest n planned through, inf once
-        n reaches `_reach`, the largest z-power of a product term (the
-        plan's own, as the keys of a z-power never all cancel: at each p +
-        q, order q of the least q is read by that one term).  Weight k of
-        the Lucas triangle's row r is weight k - 1
-        times -(a + 2)(a + 1) / (k (r - k)), a = r - 2k, an exact division
-        also times c."""
+        their s, and `_planned`, one below the least z-power not planned
+        (inf once none is left), is the last row the plan serves whole.
+        `_reach`, the largest z-power of a product term, is the plan's own,
+        as the keys of a z-power never all cancel: at each p + q, order q
+        of the least q is read by that one term.  Weight k of the Lucas
+        triangle's row r is weight k - 1 times -(a + 2)(a + 1) / (k (r -
+        k)), a = r - 2k, an exact division also times c."""
         if n <= self._planned:
             return self._squares
-        plan = defaultdict(int)
+        plan, later = defaultdict(int), inf
         for s, mono, c in self.int_terms:
             p, q = mono.p, mono.q
-            if q < 0 or not self._planned < s <= n:
+            if q < 0 or s <= self._planned:
+                continue
+            if s > n:
+                later = min(later, s)
                 continue
             r, w = p - q, c if p > q else 2 * c
             for k, a in enumerate(range(r, -1, -2)):
                 if k:
                     w = -w * (a + 2) * (a + 1) // (k * (r - k))
                 plan[s, a, q + k] += w
-        self._planned = inf if n >= self._reach else n
+        self._planned = later - 1
         if plan:
             self._squares += tuple(sorted(key + (w,) for key, w in plan.items()
                                           if w))
