@@ -14,15 +14,18 @@ their numerators, den and the square coefficients rows read, times
 den**2.  A rescale multiplies only the entries put since the last
 settle, and a factor pending on the older ones, folded in at the next
 settle: at each put of terms with a new denominator, and once per 8
-terms extend solves.  Reads take the pending factor: S_j[T - 2j] is the
-sum over i + k = T of (i)_j (k)_j a_i a_k, a_i entry i, whose sum over
-old by old pairs takes the factor squared, over old by new pairs once.
-The orders of one total index T read the same products a_i * a_{T - i},
-made once per walk.  An order alone in
-its group fills long walks block by block from 8-term chunks of f^(j)
-instead (`_Chunks`): each chunk evaluated once at 15 small points, each
-block of 8 coefficients 15 dot products of those values and one exact
-interpolation, when its input says that pays (`Derivatives`' rule).
+terms extend solves.  Extend solves each term exactly: den times the
+term is X / d in lowest terms, so the new den is den * d, with no lcm,
+and X the term's entry over it (`Derivatives.set_last`).  Reads take
+the pending factor: S_j[T - 2j] is the sum over i + k = T of (i)_j
+(k)_j a_i a_k, a_i entry i, whose sum over old by old pairs takes the
+factor squared, over old by new pairs once.  The orders of one total
+index T read the same products a_i * a_{T - i}, made once per walk.  An
+order alone in its group fills long walks block by block from 8-term
+chunks of f^(j) instead (`_Chunks`): each chunk evaluated once at 15
+small points, each block of 8 coefficients 15 dot products of those
+values and one exact interpolation, when its input says that pays
+(`Derivatives`' rule).
 Linear and constant terms read one entry of f^(p) per row
 (`Derivatives.entry`).  Every entry is a ring operation on the
 numerators and den, so the same store on them reduced mod P gives the

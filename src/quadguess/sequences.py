@@ -11,10 +11,10 @@ schedule: a solved term's new factor multiplies the 8 or fewer entries
 put since the last settle, and a factor pending on the older ones, which
 the store folds in once per 8 solved terms.  Row n reads terms up to
 n + max_shift and is read through `QuadEquation.row_numerator` as soon
-as that term is in: its products as
-derivatives of squares, each square coefficient computed once, with
-those of the other orders of its total index from one set of products
-of two terms, and kept while later rows read it.  An order alone in its
+as that term is in: its products as derivatives of squares, each square
+coefficient computed once, with those of the other orders of its total
+index from one set of products of two terms, and kept while later rows
+read it.  An order alone in its
 group may fill long walks from 8-term chunks of its f^(j) instead, each
 chunk evaluated once at 15 points, block by block at each block's own
 denominator; the store picks that path from its input, and no chunk
