@@ -199,11 +199,12 @@ class Derivatives:
 
     def _square(self, total, orders):
         """Keep S_j[total - 2j] for each order j of `orders` (ascending)
-        with 2j <= total: the sum over i + k = total of (i)_j (k)_j nums[i]
-        nums[k].  Each product nums[i] * nums[total - i], i <= total / 2,
-        is made once: streamed into the sum for one order, else put in one
-        list that each order weights (`_pair_weights`).  An order alone,
-        in a block from the one its rule switched at, reads its pairs with
+        with 2j <= total: the sum over i + k = total of (i)_j (k)_j a_i
+        a_k, a_i entry i.  Each product nums[i] * nums[total - i], i <=
+        total / 2, is made once: streamed into the sum for one order, else
+        put in one list that each order weights (`_pair_weights`); with a
+        factor pending, `_square_runs` makes the sums.  An order alone, in
+        a block from the one its rule switched at, reads its pairs with
         both indices 8 or more from its chunks (`_Chunks.part`)."""
         if len(orders) == 1:
             chunks = self._chunks.get(orders[0])
@@ -236,7 +237,9 @@ class Derivatives:
         """`_square`'s direct sums with a factor rho pending: the pairs
         (i, total - i) in runs of i, old by new, new by new, then old by
         old, whose sums take rho once for each entry put before the last
-        settle that their products read."""
+        settle that their products read.  Kept apart from the one-run
+        body: building the runs there costs about 1 us a call, 3-5% of a
+        150-term guess (`BENCH_extend_settle.json`, `square_paths`)."""
         nums, rho, old = self.nums, self.pending, self.settled
         low = orders[0]
         cut = min(max(total - old + 1, low), half)
@@ -260,7 +263,7 @@ class Derivatives:
             self._squares[j][total - 2 * j] = value
 
     def _cross(self, j, u):
-        """The part of S_j[u] that reads nums[u + j], the last term:
+        """The part of S_j[u] that reads entry u + j, the last term:
         2 * F[0] * F[u] for F = f^(j), or F[0]**2 at u = 0."""
         first = self.entry(j, 0)
         return 2 * first * self.entry(j, u) if u else first * first
@@ -272,7 +275,9 @@ class Derivatives:
 
 
 _CHUNK = 8             # terms per chunk; a product of two has 15 coefficients
-_SETTLE = 8            # entries put per settle, as given terms per rescale
+# Entries per settle: given terms per rescale (`sequences._walk`), and
+# solved terms per settle (`Derivatives.set_last`).
+_SETTLE = 8
 # The fixed cost of a block on the chunk path, in bit-products (an a-bit
 # by b-bit product costs about a * b of them below CPython's Karatsuba
 # cutoff, about 1 ps each on the x86-64 it was measured on): evaluating a
@@ -564,12 +569,13 @@ class QuadEquation:
         return f"QuadEquation({render_text(self, 'ode')!r})"
 
     def row_numerator(self, derivs, n):
-        """Row n times coeff_den * den**2 on the sequence derivs.nums /
-        derivs.den, an int (indices up to n + max_shift must fit): half the
-        planned squares' sum plus den times the linear terms' entries.  Row
-        n reads no square coefficient of index below n less the largest
-        z-power of `squares`, so it drops the one just below, which later
-        rows never read."""
+        """Row n times coeff_den * den**2 on the sequence of derivs'
+        entries over derivs.den, pending factor taken, an int (indices up
+        to n + max_shift must fit): half the planned squares' sum plus den
+        times the linear terms' entries.  Row n reads no square
+        coefficient of index below n less the largest z-power of
+        `squares`, so it drops the one just below, which later rows never
+        read."""
         squares = self._squares if n <= self._planned else self._plan(n)
         windows, groups = derivs._squares, self._groups
         total = 0

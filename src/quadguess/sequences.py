@@ -3,7 +3,7 @@ generate reference sequences from classical integer triangles.
 
 `check`, `extend` and `guess`'s verification are one walk over the terms
 (`_walk`), the one exact row loop.  It starts from an empty `Derivatives`
-and puts the given terms in `_BLOCK` at a time, one rescale to a common
+and puts the given terms in `_SETTLE` at a time, one rescale to a common
 denominator per block rather than per term (each term of an EGF brings a
 new factor), and each rescale of given terms settles the store, so every
 entry is over the block's denominator.  Extension runs on the same
@@ -36,11 +36,9 @@ from math import factorial
 from quadguess.errors import (InconsistentInitialTermsError,
                               InsufficientTermsError,
                               LeadingCoefficientZeroError, NonlinearStepError)
-from quadguess.equations import Derivatives
+from quadguess.equations import _SETTLE, Derivatives
 from quadguess.exact import falling_weight
 from quadguess.prefix import SequencePrefix
-
-_BLOCK = 8                             # given terms per rescale
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ def _walk(eq, values, count):
     """The one row loop: read rows 0, 1, ... of eq on the terms values,
     then grow them by count terms (values must be a list when count > 0).
     Row n reads terms up to t = n + max_shift; if term t is not in, the
-    given terms up to t + _BLOCK - 1 go in.  The first row on given terms
+    given terms up to t + _SETTLE - 1 go in.  The first row on given terms
     that does not vanish is returned as (n, residual).  Each later row is
     linear in term t: read with a placeholder 0 in, its numerator and
     slope give a_t * den = x = X / d, reduced by one gcd, with d > 0.  As
@@ -109,7 +107,7 @@ def _walk(eq, values, count):
         t = n + shift
         have = len(derivs.nums)
         if have <= t and have < known:
-            derivs.put(values[have:t + _BLOCK])
+            derivs.put(values[have:t + _SETTLE])
         if t < known:
             numerator = eq.row_numerator(derivs, n)
             if numerator:
